@@ -362,12 +362,12 @@ def _deblur_cells(table_id: int, seeds: tuple):
                     seeds=tuple(use_seeds),
                 )
                 errs, alphas = [], []
-                failure = None
+                failures = []
                 for s in use_seeds:
                     try:
                         sol, err = run_cell(config, s)
                     except GraphtikError as exc:
-                        failure = f"seed {s}: {exc}"
+                        failures.append(f"seed {s}: {exc}")
                         continue
                     errs.append(err)
                     alphas.append(sol.alpha)
@@ -389,8 +389,8 @@ def _deblur_cells(table_id: int, seeds: tuple):
                     "alpha_median": float(np.median(alphas)) if alphas else float("nan"),
                     "seeds_used": len(errs),
                 }
-                if failure is not None:
-                    cell["error"] = failure
+                if failures:
+                    cell["error"] = "; ".join(failures)
                 cells.append(cell)
     return cells, sample
 

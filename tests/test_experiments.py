@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from graphtik.errors import ParameterError
+from graphtik import experiments
+from graphtik.errors import IllPosedProblemError, ParameterError
 from graphtik.experiments import (
     ExperimentConfig,
     diagnostic_matrix,
@@ -118,6 +119,23 @@ def test_run_table_roundtrip():
         assert cell["metric"] == "rre_median"
         assert np.isfinite(cell["value"])
     assert len(report.config_hash) == 12
+
+
+def test_run_table_keeps_every_failing_seed(monkeypatch):
+    real = experiments.run_cell
+
+    def flaky(config, seed=None):
+        if seed in (1, 3):
+            raise IllPosedProblemError(f"injected failure {seed}")
+        return real(config, seed)
+
+    monkeypatch.setattr(experiments, "run_cell", flaky)
+    report = run_table(5, seeds=(0, 1, 2, 3))
+    assert len(report.cells) == 2
+    for cell in report.cells:
+        assert cell["seeds_used"] == 2
+        assert cell["error"] == "seed 1: injected failure 1; seed 3: injected failure 3"
+        assert np.isfinite(cell["value"])
 
 
 def test_run_table_validation():

@@ -1,11 +1,16 @@
 """Tikhonov solves, the SVD filter shortcut and the parameter sweep."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphtik import experiments, regularization
 from graphtik.discretization import DiscreteOperator, Grid
 from graphtik.errors import IllPosedProblemError, ParameterError
+from graphtik.metrics import rre
+from graphtik.penalty import neumann_penalty
 from graphtik.regularization import (
     AlphaGrid,
     TikhonovProblem,
@@ -70,6 +75,29 @@ def test_solution_linear_in_data():
 def test_shared_null_direction_rejected():
     with pytest.raises(IllPosedProblemError):
         _problem(np.diag([1.0, 0.0]), np.diag([1.0, 0.0]), [1.0, 1.0])
+    # singular pencil with no exact zero: eigmin(K'K + A'A) = 1e-14 sits
+    # below the 1e-12 relative floor
+    with pytest.raises(IllPosedProblemError):
+        _problem(np.diag([1.0, 1e-7]), np.diag([1.0, 0.0]), [1.0, 1.0])
+    # rank-one K and A sharing the null direction (1, -1)
+    with pytest.raises(IllPosedProblemError):
+        _problem(np.ones((2, 2)), np.ones((2, 2)), [1.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "K,A,g",
+    [
+        (np.eye(2), np.eye(2), [1.0, np.nan]),
+        (np.eye(2), np.eye(2), [np.inf, 1.0]),
+        (np.eye(2), np.array([[1.0, np.inf], [0.0, 1.0]]), [1.0, 1.0]),
+        (np.array([[np.nan, 0.0], [0.0, 1.0]]), np.eye(2), [1.0, 1.0]),
+    ],
+    ids=["nan-data", "inf-data", "inf-penalty", "nan-forward"],
+)
+def test_non_finite_input_rejected(K, A, g):
+    # a configuration error (exit 1), raised before any decomposition
+    with pytest.raises(ParameterError, match="non-finite"):
+        _problem(K, A, g)
 
 
 def test_construction_validation():
@@ -160,6 +188,13 @@ def test_sweep_rejects_unknown_rule():
         alpha_sweep(p, AlphaGrid(), np.ones(2), weight_rule="cubed")
 
 
+@pytest.mark.parametrize("reference", [np.ones(3), np.array([1.0, np.nan])])
+def test_sweep_rejects_bad_reference(reference):
+    p = _problem(np.eye(2), np.eye(2), np.ones(2))
+    with pytest.raises(ParameterError):
+        alpha_sweep(p, AlphaGrid(), reference)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     st.integers(min_value=2, max_value=6),
@@ -174,3 +209,117 @@ def test_normal_equations_satisfied(n, seed, alpha):
     M = K.T @ K + alpha * np.eye(n)
     gap = np.linalg.norm(M @ f - K.T @ g)
     assert gap <= 1e-6 * max(np.linalg.norm(K.T @ g), 1e-30)
+
+
+def _per_weight_curve(p, grid, reference):
+    """The definition: one normal-equation solve per grid weight alpha^2."""
+    return [rre(tikhonov_solve(p, a**2).solution, reference) for a in grid.values]
+
+
+def _meets_solver_bound(p, weight, f):
+    # the optimality bound of the normal-equation solver
+    M = p._KtK + weight * p._AtA
+    gap = np.linalg.norm(M @ f - p._Ktg)
+    eps = np.finfo(float).eps
+    bound = 1e-8 * np.linalg.norm(p._Ktg) + 128.0 * eps * np.linalg.norm(M, "fro") * np.linalg.norm(f)
+    return gap <= bound
+
+
+def _graph_laplacian(rng, n):
+    # weighted path-plus-random graph; constants span its kernel, as for a3
+    W = np.triu(rng.uniform(0.0, 1.0, (n, n)), 1)
+    W += np.diag(np.full(n - 1, 0.5), 1)
+    W = W + W.T
+    return np.diag(W.sum(axis=1)) - W
+
+
+_SWEEP_GRID = AlphaGrid(max=10.0, min=1e-4, count=11)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=8),
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.sampled_from(["identity", "neumann", "graph"]),
+    st.floats(min_value=0.0, max_value=8.0),
+)
+def test_sweep_matches_per_weight_solves(n, seed, penalty, decay):
+    rng = np.random.default_rng(seed)
+    U, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    K = U @ np.diag(np.logspace(0.0, -decay, n)) @ Q.T
+    if penalty == "identity":
+        A = np.eye(n)
+    elif penalty == "neumann":
+        A = neumann_penalty(n).matrix
+    else:
+        A = _graph_laplacian(rng, n)
+    reference = rng.standard_normal(n)
+    p = _problem(K, A, K @ reference + 0.1 * rng.standard_normal(n))
+    best, curve = alpha_sweep(p, _SWEEP_GRID, reference)
+    assert [a for a, _ in curve] == list(_SWEEP_GRID.values)
+    assert _meets_solver_bound(p, best.alpha**2, best.solution)
+    # every grid solution, each returned by a one-point sweep
+    for a in _SWEEP_GRID.values:
+        one, _ = alpha_sweep(p, AlphaGrid(max=a, min=a / 10.0, count=1), reference)
+        assert _meets_solver_bound(p, a**2, one.solution)
+    conds = [np.linalg.cond(p._KtK + a**2 * p._AtA) for a in _SWEEP_GRID.values]
+    if max(conds) > 1e6:
+        return  # RRE decided by roundoff: only the residual bound applies
+    loop = np.array(_per_weight_curve(p, _SWEEP_GRID, reference))
+    np.testing.assert_allclose([e for _, e in curve], loop, rtol=1e-8)
+    j = int(np.flatnonzero(loop == loop.min()).max())  # ties: smallest alpha
+    i = list(_SWEEP_GRID.values).index(best.alpha)
+    # the same alpha, unless the definition itself ties the two to 1e-8
+    assert i == j or abs(loop[i] - loop[j]) <= 1e-8 * loop[j]
+    np.testing.assert_allclose(best.rre, loop[j], rtol=1e-8)
+
+
+def test_well_conditioned_sweep_needs_no_fallback(monkeypatch):
+    # every column of a well-conditioned problem is certified by the batched
+    # solve and its one refinement step, so no per-weight solve runs
+    rng = np.random.default_rng(3)
+    K = rng.standard_normal((12, 12)) + 6.0 * np.eye(12)
+    reference = rng.standard_normal(12)
+    p = _problem(K, neumann_penalty(12).matrix, K @ reference + 0.1 * rng.standard_normal(12))
+    loop = _per_weight_curve(p, _SWEEP_GRID, reference)
+
+    def forbidden(p, weight):
+        raise AssertionError(f"fallback solve at weight {weight:g}")
+
+    monkeypatch.setattr(regularization, "tikhonov_solve", forbidden)
+    _, curve = alpha_sweep(p, _SWEEP_GRID, reference)
+    np.testing.assert_allclose([e for _, e in curve], loop, rtol=1e-10)
+
+
+def test_sweep_on_two_nodes():
+    K = np.array([[2.0, 1.0], [1.0, 3.0]])
+    reference = np.array([1.0, -1.0])
+    for A in (np.eye(2), neumann_penalty(2).matrix):
+        p = _problem(K, A, K @ reference + np.array([0.05, -0.02]))
+        best, curve = alpha_sweep(p, _SWEEP_GRID, reference)
+        loop = _per_weight_curve(p, _SWEEP_GRID, reference)
+        np.testing.assert_allclose([e for _, e in curve], loop, rtol=1e-10)
+        assert best.alpha == _SWEEP_GRID.values[int(np.argmin(loop))]
+    cfg = experiments.ExperimentConfig(example=2, test_function=3, n=2, epsilon=0.02)
+    for penalty in ("identity", "a1", "a2", "a3"):
+        sol, err = experiments.run_cell(replace(cfg, penalty=penalty), 0)
+        assert np.isfinite(err) and sol.alpha in cfg.alpha_grid.values
+
+
+@pytest.mark.parametrize("table,penalty", [(4, "identity"), (5, "matched")])
+def test_roundoff_decided_cells_keep_the_normal_equation_solve(monkeypatch, table, penalty):
+    # the RRE curves of these cells are flat below float64 roundoff of the
+    # Cholesky solve, so the sweep must fall back to it at the chosen alpha
+    captured = {}
+    real = experiments.alpha_sweep
+
+    def spy(p, grid, reference):
+        captured["problem"] = p
+        return real(p, grid, reference)
+
+    monkeypatch.setattr(experiments, "alpha_sweep", spy)
+    config = replace(experiments._deblur_template(table), method="graph", penalty=penalty)
+    best, _ = experiments.run_cell(config, 0)
+    direct = tikhonov_solve(captured["problem"], best.alpha**2).solution
+    np.testing.assert_array_equal(best.solution, direct)
