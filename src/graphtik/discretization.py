@@ -10,6 +10,7 @@ projection onto orthonormal box functions, kept as the comparison baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import sqrt
 from typing import Callable
 
 import numpy as np
@@ -234,6 +235,69 @@ def symmetric_eigendecomposition(op: DiscreteOperator) -> SpectralDecomposition:
     if defect > 1e-10 or residual > 1e-8 * max(scale, 1e-300):
         raise NumericalError("eigendecomposition does not meet its accuracy contract")
     return SpectralDecomposition(lam, V, residual)
+
+
+class _EvenOddSplit:
+    """A symmetric centrosymmetric matrix (JAJ = A, J the flip) as two
+    half-size blocks.
+
+    With m = n // 2 and A11, A12 the top-left and top-right m x m blocks of
+    the average (A + JAJ)/2, the orthogonal change of basis to even vectors
+    [x; Jx]/sqrt(2) and odd vectors [x; -Jx]/sqrt(2) turns A into
+    diag(A11 + A12 J, A11 - A12 J).  For odd n the middle node is even: the
+    even block gains the middle row and column, scaled by sqrt(2).  The
+    average removes the antisymmetric defect; its first-order effect on every
+    eigenvalue is zero, because each eigenvector is even or odd.  Both
+    blocks are formed from quarter blocks of A, with no n x n temporary.
+    """
+
+    def __init__(self, matrix: np.ndarray):
+        A = np.asarray(matrix, dtype=float)
+        n = A.shape[0]
+        m, c = n // 2, n - n // 2  # bottom rows and columns start at c
+        a11, a22 = A[:m, :m], A[c:, c:][::-1, ::-1]
+        a12, a21 = A[:m, c:][:, ::-1], A[c:, :m][::-1, :]  # A12 J and J A21
+        pairs = [(a11, a22), (a12, a21)]
+        if c > m:
+            pairs += [(A[:m, m], A[c:, m][::-1]), (A[m, :m], A[m, c:][::-1])]
+        defect = max(float(np.max(np.abs(x - y), initial=0.0)) for x, y in pairs)
+        scale = max(float(A.max()), -float(A.min()))
+        if defect > 1e-10 * scale:
+            raise ContractViolationError(
+                f"matrix is not centrosymmetric to 1e-10 (defect {defect:.2e}, scale {scale:.2e})"
+            )
+        s = a11 + a22
+        d = a12 + a21
+        self.even = np.empty((c, c))
+        np.add(s, d, out=self.even[:m, :m])
+        self.even[:m, :m] *= 0.5
+        if c > m:
+            middle = (A[:m, m] + A[c:, m][::-1]) / sqrt(2.0)
+            self.even[:m, m] = middle
+            self.even[m, :m] = middle
+            self.even[m, m] = A[m, m]
+        s -= d
+        s *= 0.5
+        self.odd = s
+        self._m = m
+
+    def eigvalsh(self) -> np.ndarray:
+        """Eigenvalues of the matrix, ascending."""
+        lam = np.concatenate([np.linalg.eigvalsh(self.even), np.linalg.eigvalsh(self.odd)])
+        return np.sort(lam)
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """The solution x of A x = b by one symmetric solve per block."""
+        b = np.asarray(b, dtype=float)
+        m = self._m
+        c = b.shape[0] - m
+        top, bottom = b[:m], b[c:][::-1]
+        r = 1.0 / sqrt(2.0)
+        plus = np.concatenate([r * (top + bottom), b[m:c]])
+        minus = r * (top - bottom)
+        y = sla.solve(self.even, plus, assume_a="sym")
+        z = sla.solve(self.odd, minus, assume_a="sym")
+        return np.concatenate([r * (y[:m] + z), y[m:], (r * (y[:m] - z))[::-1]])
 
 
 def continuous_eigenvalues(p: ContinuousProblem, count: int) -> np.ndarray:

@@ -22,11 +22,11 @@ from functools import lru_cache
 from math import ceil, sqrt
 
 import numpy as np
-import scipy.linalg as sla
 
 from .discretization import (
     DiscreteOperator,
     Grid,
+    _EvenOddSplit,
     build_galerkin_operator,
     build_schrodinger_operator,
     continuous_eigenvalues,
@@ -160,10 +160,9 @@ def _schrodinger_matrix(example_id: int, n: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _graph_forward_matrix(example_id: int, n: int) -> np.ndarray:
-    ex = get_example(example_id)
-    L = build_schrodinger_operator(ex.problem.potential, n)
+    L = DiscreteOperator(_schrodinger_matrix(example_id, n), Grid(n, "interior"), "graph")
     # orient the inverse like the example's printed kernel
-    return ex.green_sign * pseudo_inverse(L).matrix
+    return get_example(example_id).green_sign * pseudo_inverse(L).matrix
 
 
 @lru_cache(maxsize=None)
@@ -205,12 +204,21 @@ def _clean_data(example_id: int, fid: int, n: int, mode: str) -> tuple:
 
 
 def discrete_spectrum(example_id: int, n: int, method: str) -> np.ndarray:
-    """Eigenvalue magnitudes of the diagnostic operator, descending."""
+    """Eigenvalue magnitudes of the diagnostic operator, descending.
+
+    Both operators are centrosymmetric (JAJ = A, with J the flip of the
+    lattice): the potential q is even about x = 1/2 (constant in both
+    examples), so the lattice matrix L is symmetric Toeplitz plus an even
+    diagonal; the Green kernels satisfy h(1 - x, 1 - y) = h(x, y) and the
+    grid is symmetric about 1/2, so the Galerkin matrix is too.  The
+    spectrum is therefore the union of the spectra of the half-size even and
+    odd blocks, which is how it is computed.
+    """
     if method == "graph":
-        delta = np.linalg.eigvalsh(_schrodinger_matrix(example_id, n))
+        delta = _EvenOddSplit(_schrodinger_matrix(example_id, n)).eigvalsh()
         lam = np.abs(1.0 / delta)
     else:
-        lam = np.abs(np.linalg.eigvalsh(diagnostic_matrix(example_id, n, method).matrix))
+        lam = np.abs(_EvenOddSplit(diagnostic_matrix(example_id, n, method).matrix).eigvalsh())
     return np.sort(lam)[::-1]
 
 
@@ -219,14 +227,18 @@ def continuous_spectrum(example_id: int, n: int) -> np.ndarray:
 
 
 def forward_image_error(example_id: int, n: int, fid: int, method: str) -> float:
-    """Sup-norm gap between the discrete image of f and the true image."""
+    """Sup-norm gap between the discrete image of f and the true image.
+
+    The graph image solves L u = f.  L is centrosymmetric (see
+    discrete_spectrum), so the solve splits into one symmetric solve with
+    each of its half-size even and odd blocks.
+    """
     ex = get_example(example_id)
     f = get_test_function(fid)
     x = Grid(n, "interior").nodes
     fx = f.eval(x)
     if method == "graph":
-        L = _schrodinger_matrix(example_id, n)
-        image = ex.green_sign * sla.solve(L, fx, assume_a="sym")
+        image = ex.green_sign * _EvenOddSplit(_schrodinger_matrix(example_id, n)).solve(fx)
     else:
         image = diagnostic_matrix(example_id, n, method).matrix @ fx
     try:

@@ -244,6 +244,17 @@ def m_path_dirichlet_laplacian(spec: DirichletSubsetSpec, m: int) -> np.ndarray:
     return A + np.diag(total_at_m.astype(float))
 
 
+def _line_gap_matrix(idx: np.ndarray, phi: Callable[[int], float], max_gap) -> np.ndarray:
+    """-phi(|i - j|) between line nodes i != j whose gap is at most max_gap
+    (None: every gap), zero elsewhere; phi is evaluated once per distinct gap."""
+    gaps, where = np.unique(np.abs(idx[:, None] - idx[None, :]), return_inverse=True)
+    values = np.zeros(gaps.size)
+    for i, d in enumerate(gaps):
+        if d > 0 and (max_gap is None or d <= max_gap):
+            values[i] = -phi(int(d))
+    return values[where.reshape(idx.size, idx.size)]
+
+
 def transformed_path_laplacian(
     spec: DirichletSubsetSpec,
     t: PathTransform,
@@ -269,12 +280,7 @@ def transformed_path_laplacian(
             )
         if t.tail_rule is None:
             raise InsufficientSpecificationError("analytic sum needs a tail_rule")
-        gap = np.abs(idx[:, None] - idx[None, :])
-        gaps = np.unique(gap[gap > 0])
-        phi_by_gap = {int(d): t.phi(int(d)) for d in gaps}
-        A = np.zeros((k, k))
-        for d, p in phi_by_gap.items():
-            A[gap == d] = -p
+        A = _line_gap_matrix(idx, t.phi, None)
         np.fill_diagonal(A, 2.0 * t.tail_rule(0))
         return A
 
@@ -282,10 +288,7 @@ def transformed_path_laplacian(
     if M < 1:
         raise ParameterError("truncation must be >= 1 or 'analytic'")
     if spec.is_line:
-        gap = np.abs(idx[:, None] - idx[None, :])
-        A = np.zeros((k, k))
-        for d in np.unique(gap[(gap > 0) & (gap <= M)]):
-            A[gap == d] = -t.phi(int(d))
+        A = _line_gap_matrix(idx, t.phi, M)
         diag = 2.0 * sum(t.phi(m) for m in range(1, M + 1))
         if t.tail_rule is not None:
             diag += 2.0 * t.tail_rule(M)

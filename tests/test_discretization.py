@@ -2,6 +2,8 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphtik.discretization import (
     ContinuousProblem,
@@ -15,6 +17,7 @@ from graphtik.discretization import (
     reconstruct_function,
     symmetric_eigendecomposition,
     toeplitz_stencil,
+    _EvenOddSplit,
 )
 from graphtik.errors import (
     ContractViolationError,
@@ -195,3 +198,43 @@ def test_continuous_eigenvalues_validation():
     p = ContinuousProblem(kernel=lambda x, y: x * y, potential=lambda x: x)
     with pytest.raises(UnsupportedProblemError):
         continuous_eigenvalues(p, 2)
+
+
+def _centrosymmetric(n, seed):
+    B = np.random.default_rng(seed).standard_normal((n, n))
+    B = B + B.T
+    return 0.5 * (B + B[::-1, ::-1])  # exactly symmetric and centrosymmetric
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=2**32 - 1))
+def test_even_odd_split_matches_full_lapack(n, seed):
+    A = _centrosymmetric(n, seed)
+    split = _EvenOddSplit(A)
+    assert split.even.shape == ((n + 1) // 2,) * 2 and split.odd.shape == (n // 2,) * 2
+    lam = np.linalg.eigvalsh(A)
+    scale = np.max(np.abs(lam))
+    np.testing.assert_allclose(split.eigvalsh(), lam, rtol=0, atol=1e-12 * scale)
+    # a solve loses up to cond(A) * eps either way; skip near-singular draws
+    cond = scale / np.min(np.abs(lam))
+    if cond > 1e8:
+        return
+    b = np.random.default_rng(seed + 1).standard_normal(n)
+    x = sla.solve(A, b, assume_a="sym")
+    np.testing.assert_allclose(
+        split.solve(b), x, rtol=0, atol=1e-13 * cond * np.max(np.abs(x))
+    )
+
+
+@pytest.mark.parametrize(
+    "A",
+    [
+        np.diag([1.0, 2.0, 3.0, 4.0]),  # even n, corner blocks differ
+        np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 2.0]]),  # middle row only
+        np.array([[1.0, 0.0, 0.3, 0.0], [0.0, 1.0, 0.0, 0.1],
+                  [0.3, 0.0, 1.0, 0.0], [0.0, 0.1, 0.0, 1.0]]),  # off-diagonal blocks only
+    ],
+)
+def test_even_odd_split_rejects_non_centrosymmetric(A):
+    with pytest.raises(ContractViolationError):
+        _EvenOddSplit(A)

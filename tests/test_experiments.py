@@ -1,8 +1,15 @@
 """Cell runner, table reproduction and figure data."""
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from graphtik import experiments
+from graphtik.discretization import (
+    Grid,
+    _EvenOddSplit,
+    build_schrodinger_operator,
+    pseudo_inverse,
+)
 from graphtik.errors import IllPosedProblemError, ParameterError
 from graphtik.experiments import (
     ExperimentConfig,
@@ -14,6 +21,8 @@ from graphtik.experiments import (
     run_cell,
     run_table,
 )
+from graphtik.metrics import max_abs_error
+from graphtik.problems import EXAMPLES, get_test_function, synthesize_data
 from graphtik.regularization import AlphaGrid
 
 
@@ -71,6 +80,36 @@ def test_diagnostic_matrix_scaling():
     np.testing.assert_array_equal(
         diagnostic_matrix(2, n, "graph").matrix, forward_matrix(2, n, "graph").matrix
     )
+
+
+def test_graph_forward_matrix_inverts_the_cached_lattice_matrix():
+    for ex_id in (1, 2):
+        ex = EXAMPLES[ex_id]
+        K = pseudo_inverse(build_schrodinger_operator(ex.problem.potential, 100)).matrix
+        np.testing.assert_array_equal(forward_matrix(ex_id, 100, "graph").matrix, ex.green_sign * K)
+
+
+@pytest.mark.parametrize("n", [2, 3, 101, 1000])
+def test_registered_operators_split_like_full_lapack(n):
+    b = np.cos(np.arange(n))  # neither even nor odd
+    for ex_id in (1, 2):
+        L = experiments._schrodinger_matrix(ex_id, n)
+        G = diagnostic_matrix(ex_id, n, "galerkin").matrix
+        for A in (L, G):
+            lam = np.linalg.eigvalsh(A)
+            assert np.max(np.abs(_EvenOddSplit(A).eigvalsh() / lam - 1.0)) <= 1e-9
+        x = sla.solve(L, b, assume_a="sym")
+        assert np.max(np.abs(_EvenOddSplit(L).solve(b) - x)) <= 1e-9 * np.max(np.abs(x))
+
+
+def test_table1_graph_image_error_matches_full_solve():
+    n = 1000
+    ex, f = EXAMPLES[2], get_test_function(3)
+    grid = Grid(n, "interior")
+    L = experiments._schrodinger_matrix(2, n)
+    image = ex.green_sign * sla.solve(L, f.eval(grid.nodes), assume_a="sym")
+    want = max_abs_error(image, synthesize_data(ex, f, grid, "analytic"))
+    assert abs(forward_image_error(2, n, 3, "graph") / want - 1.0) <= 1e-9
 
 
 def test_discrete_spectrum_sorted_positive():

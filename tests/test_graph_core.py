@@ -5,6 +5,7 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphtik.discretization import toeplitz_stencil
 from graphtik.errors import (
     InsufficientSpecificationError,
     InvalidGraphError,
@@ -158,6 +159,27 @@ def test_alternating_transform_matches_stencil_row():
     row = [np.pi**2 / 3.0, -2.0, 0.5, -2.0 / 9.0]
     np.testing.assert_allclose(A[0], row, rtol=0, atol=1e-14)
     np.testing.assert_allclose(A, A.T, atol=0)
+
+
+def test_analytic_line_sum_equals_stencil_toeplitz_exactly():
+    n = 1000
+    A = transformed_path_laplacian(line_interior(n), alternating_inverse_square_transform(), "analytic")
+    np.testing.assert_array_equal(A, sla.toeplitz(toeplitz_stencil(n)))
+
+
+@pytest.mark.parametrize("truncation", [1, 3, 7, "analytic"])
+def test_line_sum_on_scattered_nodes_matches_entrywise_definition(truncation):
+    t = alternating_inverse_square_transform()
+    idx = (-4, 1, 2, 5, 9)
+    A = transformed_path_laplacian(DirichletSubsetSpec(INTEGER_LINE, idx), t, truncation)
+    if truncation == "analytic":
+        M, diag = np.inf, 2.0 * t.tail_rule(0)
+    else:
+        M, diag = truncation, 2.0 * sum(t.phi(m) for m in range(1, truncation + 1)) + 2.0 * t.tail_rule(truncation)
+    want = np.array(
+        [[diag if a == b else (-t.phi(abs(a - b)) if abs(a - b) <= M else 0.0) for b in idx] for a in idx]
+    )
+    np.testing.assert_array_equal(A, want)
 
 
 def test_transform_single_term():

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 import graphtik.cli as cli
+from graphtik import experiments
 from graphtik.errors import NumericalError
+from graphtik.experiments import continuous_spectrum, diagnostic_matrix
 from graphtik.reporting import (
     ExperimentReport,
     FORMAT_VERSION,
@@ -65,6 +67,24 @@ def test_cli_spectrum(tmp_path):
     assert len(rows) == 32
     first = rows[2].split(",")
     assert first[0] == "1" and float(first[3]) < 0.1
+
+
+@pytest.mark.parametrize("method", ["graph", "galerkin"])
+def test_cli_spectrum_odd_n_matches_full_eigvalsh(tmp_path, method):
+    n = 101
+    out = tmp_path / "spec.csv"
+    assert cli.main(["spectrum", "--example", "2", "--n", str(n), "--method", method, "--out", str(out)]) == 0
+    got = np.array([[float(v) for v in r.split(",")] for r in out.read_text().splitlines()[2:]])
+    if method == "graph":
+        lam = np.abs(1.0 / np.linalg.eigvalsh(experiments._schrodinger_matrix(2, n)))
+    else:
+        lam = np.abs(np.linalg.eigvalsh(diagnostic_matrix(2, n, method).matrix))
+    lam = np.sort(lam)[::-1]
+    lam_true = continuous_spectrum(2, n)
+    m = np.arange(1, n + 1)
+    want = np.column_stack([m, lam, lam_true, np.abs(lam / lam_true - 1.0)])
+    # rows are printed to 9 significant digits: half a unit is 5e-9 relative
+    np.testing.assert_allclose(got, want, rtol=6e-9, atol=1e-9)
 
 
 def test_cli_approx_error(tmp_path):
