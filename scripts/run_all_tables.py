@@ -9,9 +9,8 @@ import pathlib
 import sys
 import time
 
-from graphtik.cli import _FIELD_ORDER
 from graphtik.experiments import run_table
-from graphtik.reporting import write_csv, write_report_json
+from graphtik.reporting import write_report_json, write_table_csv
 
 TABLE_IDS = (1, 2, 3, 4, 5, 6, 7)
 
@@ -31,9 +30,7 @@ def main(argv=None) -> int:
     for tid in ids:
         t0 = time.time()
         report = run_table(tid, seeds)
-        keys = [k for k in _FIELD_ORDER if any(k in c for c in report.cells)]
-        rows = [[c.get(k, "") for k in keys] for c in report.cells]
-        write_csv(str(out_dir / f"table{tid}.csv"), keys, rows, report.config_hash)
+        write_table_csv(str(out_dir / f"table{tid}.csv"), report)
         write_report_json(str(out_dir / f"table{tid}.json"), report)
         print(f"table {tid}: {len(report.cells)} cells in {time.time() - t0:.1f}s")
     return 0

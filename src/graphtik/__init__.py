@@ -12,14 +12,10 @@ from .discretization import (
     ContinuousProblem,
     DiscreteOperator,
     Grid,
-    SpectralDecomposition,
     build_galerkin_operator,
     build_schrodinger_operator,
     continuous_eigenvalues,
-    project_function,
     pseudo_inverse,
-    reconstruct_function,
-    symmetric_eigendecomposition,
     toeplitz_stencil,
 )
 from .errors import GraphtikError
@@ -44,7 +40,6 @@ from .graph_core import (
 )
 from .metrics import lsre, max_abs_error, msre, rre
 from .penalty import (
-    PenaltySpec,
     SimilarityParams,
     data_graph_laplacian,
     dirichlet_penalty,
@@ -59,7 +54,6 @@ from .problems import (
     TEST_FUNCTIONS,
     TestFunction,
     add_noise,
-    evaluate_test_function,
     get_example,
     get_test_function,
     synthesize_data,

@@ -28,21 +28,7 @@ from .experiments import (
 from .metrics import lsre
 from .problems import get_test_function
 from .regularization import AlphaGrid
-from .reporting import config_hash, write_csv, write_report_json
-
-_FIELD_ORDER = (
-    "table",
-    "f",
-    "method",
-    "penalty",
-    "n",
-    "m",
-    "metric",
-    "value",
-    "alpha_median",
-    "seeds_used",
-    "error",
-)
+from .reporting import config_hash, write_csv, write_report_json, write_table_csv
 
 
 class _Parser(argparse.ArgumentParser):
@@ -164,9 +150,7 @@ def _cmd_table(args) -> int:
     if args.out and str(args.out).endswith(".json"):
         write_report_json(args.out, report)
         return 0
-    keys = [k for k in _FIELD_ORDER if any(k in c for c in report.cells)]
-    rows = [[c.get(k, "") for k in keys] for c in report.cells]
-    write_csv(args.out, keys, rows, report.config_hash)
+    write_table_csv(args.out, report)
     return 0
 
 

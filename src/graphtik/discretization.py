@@ -6,6 +6,8 @@ stencil t[0] = pi^2/3, t[k] = (-1)^k * 2/k^2, and inverts it.  Its spectrum
 converges to the continuous one uniformly in the eigenvalue index, which is
 the property the experiments quantify.  The second is the standard Galerkin
 projection onto orthonormal box functions, kept as the comparison baseline.
+Both are centrosymmetric, and their spectra and solves go through the
+half-size even and odd blocks of ``_EvenOddSplit``.
 """
 from __future__ import annotations
 
@@ -28,16 +30,15 @@ __all__ = [
     "ContinuousProblem",
     "Grid",
     "DiscreteOperator",
-    "SpectralDecomposition",
     "toeplitz_stencil",
     "build_schrodinger_operator",
     "pseudo_inverse",
     "build_galerkin_operator",
-    "project_function",
-    "reconstruct_function",
-    "symmetric_eigendecomposition",
     "continuous_eigenvalues",
 ]
+
+_PINV_REL_TOL = 1e-12  # singular values below this times sigma_max count as zero
+_QUAD_POINTS = 8  # Gauss-Legendre points per cell and direction
 
 
 @dataclass(frozen=True)
@@ -62,8 +63,9 @@ class ContinuousProblem:
 class Grid:
     """n nodes in (0, 1), either lattice convention.
 
-    interior: x_i = i/(n+1), i = 1..n (spacing 1/(n+1))
-    midpoint: x_i = (i - 1/2)/n, i = 1..n (cell centers, width 1/n)
+    interior: x_i = i/(n+1), i = 1..n (the lattice of the graph operator)
+    midpoint: x_i = (i - 1/2)/n, i = 1..n (cell centers of the Galerkin
+    box functions, width 1/n)
     """
 
     n: int
@@ -82,10 +84,6 @@ class Grid:
             return i / (self.n + 1)
         return (i - 0.5) / self.n
 
-    @property
-    def spacing(self) -> float:
-        return 1.0 / (self.n + 1) if self.convention == "interior" else 1.0 / self.n
-
 
 @dataclass(frozen=True)
 class DiscreteOperator:
@@ -101,13 +99,6 @@ class DiscreteOperator:
             raise ContractViolationError(
                 f"matrix shape {m.shape} does not match grid size {self.grid.n}"
             )
-
-
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    eigenvalues: np.ndarray  # ascending
-    eigenvectors: np.ndarray  # orthonormal columns
-    residual: float  # max_k ||A v_k - lam_k v_k||_2
 
 
 def toeplitz_stencil(n: int) -> np.ndarray:
@@ -138,14 +129,14 @@ def build_schrodinger_operator(q: Callable, n: int) -> DiscreteOperator:
     return DiscreteOperator(L, grid, "graph")
 
 
-def pseudo_inverse(op: DiscreteOperator, rel_tol: float = 1e-12) -> DiscreteOperator:
+def pseudo_inverse(op: DiscreteOperator) -> DiscreteOperator:
     """Moore-Penrose pseudoinverse by SVD, singular values below
-    rel_tol * sigma_max treated as zero."""
+    1e-12 * sigma_max treated as zero."""
     try:
         U, s, Vt = np.linalg.svd(np.asarray(op.matrix, dtype=float))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD failed on {op.tag!r} operator") from exc
-    cutoff = rel_tol * (s[0] if s.size else 0.0)
+    cutoff = _PINV_REL_TOL * (s[0] if s.size else 0.0)
     s_inv = np.zeros_like(s)
     keep = s > cutoff
     s_inv[keep] = 1.0 / s[keep]
@@ -153,28 +144,20 @@ def pseudo_inverse(op: DiscreteOperator, rel_tol: float = 1e-12) -> DiscreteOper
     return DiscreteOperator(K, op.grid, op.tag if op.tag == "graph" else "derived")
 
 
-def _gauss_cells(n: int, quad_points: int):
-    gx, gw = np.polynomial.legendre.leggauss(quad_points)
+def build_galerkin_operator(p: ContinuousProblem, n: int) -> DiscreteOperator:
+    """Box-function Galerkin matrix, entries n * int int_{cell_i x cell_j} h.
+
+    Tensor 8-point Gauss-Legendre per cell pair; diagonal cells are split at
+    y = x because the kernels of interest have a kink there.
+    """
+    q = _QUAD_POINTS
+    gx, gw = np.polynomial.legendre.leggauss(q)
     mids = (np.arange(n) + 0.5) / n
     half = 0.5 / n
     nodes = mids[:, None] + half * gx[None, :]  # (n, q) nodes per cell
-    return mids, half, gx, gw, nodes, half * gw
-
-
-def build_galerkin_operator(
-    p: ContinuousProblem, n: int, quad_points: int = 8
-) -> DiscreteOperator:
-    """Box-function Galerkin matrix, entries n * int int_{cell_i x cell_j} h.
-
-    Tensor Gauss-Legendre per cell pair; diagonal cells are split at y = x
-    because the kernels of interest have a kink there.
-    """
-    if quad_points < 4:
-        raise ParameterError("quad_points must be >= 4")
-    _, half, gx, gw, nodes, w = _gauss_cells(n, quad_points)
+    w = half * gw
     flat = nodes.reshape(-1)
     K = np.empty((n, n))
-    q = quad_points
     chunk = max(1, 4_000_000 // max(1, n * q * q))
     for i0 in range(0, n, chunk):
         i1 = min(n, i0 + chunk)
@@ -185,12 +168,11 @@ def build_galerkin_operator(
             raise EvaluationError("kernel not finite inside a quadrature cell")
         K[i0:i1] = np.einsum("a,b,iajb->ij", w, w, H) * n
     # redo the diagonal with the inner integral split at the kink y = x
-    mids = (np.arange(n) + 0.5) / n
     for i in range(n):
         xs = mids[i] + half * gx
         blo, bhi = mids[i] - half, mids[i] + half
         acc = 0.0
-        for xa, wa in zip(xs, half * gw):
+        for xa, wa in zip(xs, w):
             h1 = 0.5 * (xa - blo)
             h2 = 0.5 * (bhi - xa)
             y1 = blo + h1 * (gx + 1.0)
@@ -201,40 +183,6 @@ def build_galerkin_operator(
             )
         K[i, i] = acc * n
     return DiscreteOperator(K, Grid(n, "midpoint"), "galerkin")
-
-
-def project_function(f: Callable, grid: Grid) -> np.ndarray:
-    """Samples on the interior lattice; box-basis coefficients f(x_i)/sqrt(n)
-    on the midpoint grid."""
-    vals = np.asarray(f(grid.nodes), dtype=float)
-    if grid.convention == "midpoint":
-        return vals / np.sqrt(grid.n)
-    return vals
-
-
-def reconstruct_function(coef: np.ndarray, grid: Grid) -> np.ndarray:
-    """Inverse of project_function: point values at the grid nodes."""
-    coef = np.asarray(coef, dtype=float)
-    if grid.convention == "midpoint":
-        return coef * np.sqrt(grid.n)
-    return coef
-
-
-def symmetric_eigendecomposition(op: DiscreteOperator) -> SpectralDecomposition:
-    A = np.asarray(op.matrix, dtype=float)
-    if A.size and np.max(np.abs(A - A.T)) > 1e-12:
-        raise ContractViolationError("matrix is not symmetric to 1e-12")
-    A = 0.5 * (A + A.T)
-    try:
-        lam, V = np.linalg.eigh(A)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigendecomposition failed on {op.tag!r}") from exc
-    residual = float(np.max(np.linalg.norm(A @ V - V * lam, axis=0))) if A.size else 0.0
-    defect = float(np.max(np.abs(V.T @ V - np.eye(A.shape[0])))) if A.size else 0.0
-    scale = float(np.max(np.abs(A))) if A.size else 0.0
-    if defect > 1e-10 or residual > 1e-8 * max(scale, 1e-300):
-        raise NumericalError("eigendecomposition does not meet its accuracy contract")
-    return SpectralDecomposition(lam, V, residual)
 
 
 class _EvenOddSplit:

@@ -17,7 +17,7 @@ the reference results this package reproduces:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import lru_cache
 from math import ceil, sqrt
 
@@ -101,48 +101,22 @@ class ExperimentConfig:
         return self
 
     def to_dict(self) -> dict:
-        return {
-            "example": self.example,
-            "test_function": self.test_function,
-            "n": self.n,
-            "epsilon": self.epsilon,
-            "seeds": list(self.seeds),
-            "method": self.method,
-            "penalty": self.penalty,
-            "alpha_grid": {
-                "max": self.alpha_grid.max,
-                "min": self.alpha_grid.min,
-                "count": self.alpha_grid.count,
-            },
-            "r_fraction": self.r_fraction,
-            "sigma": self.sigma,
-            "data_mode": self.data_mode,
-        }
+        d = asdict(self)
+        d["seeds"] = list(self.seeds)
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        """Inverse of to_dict; missing fields, and missing alpha_grid
+        entries, take their defaults."""
         d = dict(d)
-        unknown = set(d) - {
-            "example",
-            "test_function",
-            "n",
-            "epsilon",
-            "seeds",
-            "method",
-            "penalty",
-            "alpha_grid",
-            "r_fraction",
-            "sigma",
-            "data_mode",
-        }
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ParameterError(f"unknown config fields {sorted(unknown)}")
         if "alpha_grid" in d:
             ag = d["alpha_grid"]
             d["alpha_grid"] = AlphaGrid(
-                max=float(ag.get("max", 1e3)),
-                min=float(ag.get("min", 1e-6)),
-                count=int(ag.get("count", 50)),
+                **{f.name: type(f.default)(ag[f.name]) for f in fields(AlphaGrid) if f.name in ag}
             )
         if "seeds" in d:
             d["seeds"] = tuple(int(s) for s in d["seeds"])

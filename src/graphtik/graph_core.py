@@ -174,49 +174,45 @@ def laplacian_matrix(g: Graph) -> np.ndarray:
     return np.diag(W.sum(axis=1)) - W + np.diag(kappa)
 
 
+def _distance_table(W: np.ndarray, starts) -> np.ndarray:
+    """BFS edge-path lengths from each start node to every node (inf when
+    unreachable), one row per start; edges are the positive weights."""
+    n = W.shape[0]
+    adj = [np.nonzero(W[k] > 0.0)[0] for k in range(n)]
+    table = np.full((len(starts), n), np.inf)
+    for row, start in zip(table, starts):
+        row[start] = 0
+        queue = deque([start])
+        while queue:
+            k = queue.popleft()
+            for nb in adj[k]:
+                if row[nb] == np.inf:
+                    row[nb] = row[k] + 1
+                    queue.append(nb)
+    return table
+
+
 def combinatorial_distance(g: Graph, i: int, j: int) -> float:
     """Shortest edge-path length between nodes i and j; inf if disconnected."""
-    if i == j:
-        return 0
-    W = g.weight_matrix()
-    adj = [np.nonzero(W[k] > 0.0)[0] for k in range(g.n_nodes())]
-    dist = {i: 0}
-    queue = deque([i])
-    while queue:
-        k = queue.popleft()
-        for nb in adj[k]:
-            nb = int(nb)
-            if nb not in dist:
-                dist[nb] = dist[k] + 1
-                if nb == j:
-                    return dist[nb]
-                queue.append(nb)
-    return float("inf")
-
-
-def _all_distances_from(adj, start: int, n: int) -> np.ndarray:
-    dist = np.full(n, np.inf)
-    dist[start] = 0
-    queue = deque([start])
-    while queue:
-        k = queue.popleft()
-        for nb in adj[k]:
-            if dist[nb] == np.inf:
-                dist[nb] = dist[k] + 1
-                queue.append(nb)
-    return dist
+    return float(_distance_table(g.weight_matrix(), [i])[0, j])
 
 
 def _finite_graph_distances(spec: DirichletSubsetSpec):
     """(interior x all) distance table for a finite unweighted ambient graph."""
-    g = spec.ambient
-    W = g.weight_matrix()
+    W = spec.ambient.weight_matrix()
     vals = W[W > 0.0]
     if vals.size and not np.all(vals == 1.0):
         raise UnsupportedGraphError("m-path Laplacians are defined for unweighted graphs")
-    n = g.n_nodes()
-    adj = [list(np.nonzero(W[k] > 0.0)[0]) for k in range(n)]
-    return np.vstack([_all_distances_from(adj, int(i), n) for i in spec.interior_indices])
+    return _distance_table(W, [int(i) for i in spec.interior_indices])
+
+
+def _m_path_from_distances(dist: np.ndarray, idx: np.ndarray, m: int) -> np.ndarray:
+    """Distance-m Dirichlet Laplacian from an (interior x all) distance table:
+    -1 between interior nodes at distance m, and on the diagonal the count of
+    all ambient nodes at distance m (outside ones are the boundary potential)."""
+    A = np.where(dist[:, idx] == m, -1.0, 0.0)
+    np.fill_diagonal(A, 0.0)
+    return A + np.diag((dist == m).sum(axis=1).astype(float))
 
 
 def m_path_dirichlet_laplacian(spec: DirichletSubsetSpec, m: int) -> np.ndarray:
@@ -236,12 +232,7 @@ def m_path_dirichlet_laplacian(spec: DirichletSubsetSpec, m: int) -> np.ndarray:
         A = np.where(gap == m, -1.0, 0.0)
         np.fill_diagonal(A, 2.0)
         return A
-    dist = _finite_graph_distances(spec)
-    sub = dist[:, idx]
-    A = np.where(sub == m, -1.0, 0.0)
-    np.fill_diagonal(A, 0.0)
-    total_at_m = (dist == m).sum(axis=1)  # inside + outside
-    return A + np.diag(total_at_m.astype(float))
+    return _m_path_from_distances(_finite_graph_distances(spec), idx, m)
 
 
 def _line_gap_matrix(idx: np.ndarray, phi: Callable[[int], float], max_gap) -> np.ndarray:
@@ -271,7 +262,6 @@ def transformed_path_laplacian(
     """
     t.check_summable()
     idx = np.asarray(spec.interior_indices)
-    k = idx.size
 
     if truncation == "analytic":
         if not spec.is_line:
@@ -296,13 +286,9 @@ def transformed_path_laplacian(
         return A
 
     dist = _finite_graph_distances(spec)
-    sub = dist[:, idx]
-    A = np.zeros((k, k))
+    A = np.zeros((idx.size, idx.size))
     finite = dist[np.isfinite(dist)]
     m_max = int(finite.max()) if finite.size else 0
     for m in range(1, min(M, m_max) + 1):
-        p = t.phi(m)
-        off = np.where(sub == m, -p, 0.0)
-        np.fill_diagonal(off, 0.0)
-        A += off + np.diag(p * (dist == m).sum(axis=1).astype(float))
+        A += t.phi(m) * _m_path_from_distances(dist, idx, m)
     return A

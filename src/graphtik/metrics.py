@@ -1,29 +1,16 @@
 """Error functionals: spectral relative errors and restoration errors."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ParameterError
 
 __all__ = [
-    "SpectralErrorReport",
     "lsre",
     "msre",
-    "spectral_error_report",
     "rre",
     "max_abs_error",
 ]
-
-
-@dataclass(frozen=True)
-class SpectralErrorReport:
-    """Per-index relative eigenvalue errors and their maximum."""
-
-    lsre: dict  # m -> |lam_hat_m / lam_m - 1|
-    msre: float
-    n: int
 
 
 def lsre(discrete_eigs, continuous_eigs, m: int) -> float:
@@ -50,12 +37,6 @@ def msre(discrete_eigs, continuous_eigs) -> float:
     if np.any(c == 0.0):
         raise ParameterError("continuous eigenvalue is zero")
     return float(np.max(np.abs(d / c - 1.0)))
-
-
-def spectral_error_report(discrete_eigs, continuous_eigs) -> SpectralErrorReport:
-    d = np.asarray(discrete_eigs, dtype=float)
-    per_m = {m: lsre(discrete_eigs, continuous_eigs, m) for m in range(1, d.size + 1)}
-    return SpectralErrorReport(per_m, max(per_m.values()), d.size)
 
 
 def rre(f, f_true) -> float:

@@ -19,7 +19,6 @@ from .errors import DegenerateAnchorError, ParameterError
 
 __all__ = [
     "SimilarityParams",
-    "PenaltySpec",
     "dirichlet_penalty",
     "neumann_penalty",
     "similarity_weights",
@@ -40,33 +39,6 @@ class SimilarityParams:
             raise ParameterError(f"radius r={self.r} outside 1..{n}")
         if not (self.sigma > 0.0):
             raise ParameterError("sigma must be positive")
-
-
-@dataclass(frozen=True)
-class PenaltySpec:
-    """kind in {identity, dirichlet_laplacian, neumann_laplacian, data_graph,
-    kernel_matched}; params required for the data-driven kinds; anchor
-    (all entries nonzero) required for kernel_matched."""
-
-    kind: str
-    params: SimilarityParams | None = None
-    anchor: np.ndarray | None = None
-
-    def __post_init__(self):
-        kinds = (
-            "identity",
-            "dirichlet_laplacian",
-            "neumann_laplacian",
-            "data_graph",
-            "kernel_matched",
-        )
-        if self.kind not in kinds:
-            raise ParameterError(f"unknown penalty kind {self.kind!r}")
-        if self.kind in ("data_graph", "kernel_matched") and self.params is None:
-            raise ParameterError(f"{self.kind} needs SimilarityParams")
-        if self.kind == "kernel_matched":
-            if self.anchor is None or np.any(np.asarray(self.anchor) == 0.0):
-                raise DegenerateAnchorError("kernel_matched needs a nowhere-zero anchor")
 
 
 def dirichlet_penalty(n: int) -> DiscreteOperator:

@@ -27,7 +27,6 @@ __all__ = [
     "EXAMPLES",
     "get_example",
     "get_test_function",
-    "evaluate_test_function",
     "synthesize_data",
     "add_noise",
 ]
@@ -89,10 +88,6 @@ def get_test_function(fid: int) -> TestFunction:
         return TEST_FUNCTIONS[int(fid)]
     except (KeyError, ValueError, TypeError):
         raise ParameterError(f"unknown test function id {fid!r}") from None
-
-
-def evaluate_test_function(fid: int, x):
-    return get_test_function(fid).eval(x)
 
 
 def _kernel_example1(x, y):

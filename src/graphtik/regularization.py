@@ -5,14 +5,15 @@ min_f ||K f - g||^2 + w ||A f||^2 is defined by the normal equations
 least squares if that misses the optimality bound), and ``filter_solution``
 is the SVD shortcut for A = I.
 
-The sweep evaluates a log grid of candidate parameters and returns the
-solution whose restoration error against a supplied reference is smallest;
-this is the oracle rule used throughout the experiments.  It does not
-factor K'K + w A'A per weight.  ``TikhonovProblem`` takes one symmetric
-eigendecomposition of K'K + A'A and builds from it a basis V of the pencil
-(K'K, A'A), V'(K'K + A'A)V = I with V'A'AV diagonal (the GSVD filter-factor
-view: Paige & Saunders 1981; Hansen 1998), so every weight is a diagonal
-solve in V and the whole grid is one batched product.  One batched
+The sweep evaluates a log grid of candidate parameters alpha, each applied
+as the weight w = alpha^2, and returns the solution whose restoration error
+against a supplied reference is smallest; this is the oracle rule used
+throughout the experiments.  It does not factor K'K + w A'A per weight.
+``TikhonovProblem`` takes one symmetric eigendecomposition of K'K + A'A
+and builds from it a basis V of the pencil (K'K, A'A), V'(K'K + A'A)V = I
+with V'A'AV diagonal (the GSVD filter-factor view: Paige & Saunders 1981;
+Hansen 1998), so every weight is a diagonal solve in V and the whole grid
+is one batched product.  One batched
 refinement step against the normal equations follows.  A column is
 certified when the next refinement correction is at most 1e-8 times its
 distance to the reference, so its error is settled far below any printed
@@ -148,7 +149,8 @@ def _solve_normal_equations(p: TikhonovProblem, weight: float) -> np.ndarray:
             return f
     except sla.LinAlgError:
         pass
-    # stacked least squares is slower but does not square the conditioning
+    # stacked least squares is slower but does not square the conditioning;
+    # kept because Cholesky does fail on wide grids (test_lstsq_rescues_cell)
     K = np.asarray(p.forward.matrix, dtype=float)
     A = np.asarray(p.penalty.matrix, dtype=float)
     top = np.vstack([K, np.sqrt(weight) * A])
@@ -190,19 +192,13 @@ def filter_solution(svd, g: np.ndarray, alpha: float) -> np.ndarray:
     return Vt.T @ coef
 
 
-def alpha_sweep(
-    p: TikhonovProblem,
-    grid: AlphaGrid,
-    reference: np.ndarray,
-    weight_rule: str = "squared",
-):
+def alpha_sweep(p: TikhonovProblem, grid: AlphaGrid, reference: np.ndarray):
     """Solve at every grid point, score by RRE against the reference.
 
-    weight_rule "squared" passes alpha^2 as the normal-equation weight
-    (each grid value acts like a standard-deviation-style parameter),
-    "direct" passes alpha itself.  Returns (best solution, curve) where
-    curve is the list of (alpha, rre) in grid order and ties go to the
-    smallest alpha.
+    Each grid value alpha enters the normal equations as the weight
+    w = alpha^2 (a standard-deviation-style parameter).  Returns (best
+    solution, curve) where curve is the list of (alpha, rre) in grid order
+    and ties go to the smallest alpha.
 
     All weights are solved at once in the problem's pencil basis V: with
     D[i, j] = v_i'K'Kv_i + w_j v_i'A'Av_i, column j is V((V'K'g) / D[:, j]).
@@ -212,13 +208,11 @@ def alpha_sweep(
     digit) and its residual meets the optimality bound of
     ``tikhonov_solve``; every other column is solved by ``tikhonov_solve``.
     """
-    if weight_rule not in ("squared", "direct"):
-        raise ParameterError(f"unknown weight rule {weight_rule!r}")
     reference = np.asarray(reference, dtype=float)
     if reference.shape != p.data.shape or not np.all(np.isfinite(reference)):
         raise ParameterError("reference must be a finite vector on the grid")
     alphas = grid.values
-    weights = alphas**2 if weight_rule == "squared" else alphas
+    weights = alphas**2
     KtK, AtA, Ktg, V = p._KtK, p._AtA, p._Ktg, p._basis
     K = np.asarray(p.forward.matrix, dtype=float)
     A = np.asarray(p.penalty.matrix, dtype=float)

@@ -11,8 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from dataclasses import dataclass
 
 FORMAT_VERSION = "graphtik v1"
 
@@ -22,6 +21,7 @@ __all__ = [
     "config_hash",
     "format_float",
     "write_csv",
+    "write_table_csv",
     "report_to_json",
     "write_report_json",
 ]
@@ -49,9 +49,6 @@ class ExperimentReport:
     config_hash: str
     roundtrip: dict | None = None
     format_version: str = FORMAT_VERSION
-    created: str = field(
-        default_factory=lambda: datetime.now(timezone.utc).isoformat(timespec="seconds")
-    )
 
 
 def _open_out(path):
@@ -75,11 +72,33 @@ def write_csv(path, header: list, rows: list, cfg_hash: str, comments: list = ()
             out.close()
 
 
+# column order of table CSVs; columns that no cell has are left out
+_TABLE_COLUMNS = (
+    "table",
+    "f",
+    "method",
+    "penalty",
+    "n",
+    "m",
+    "metric",
+    "value",
+    "alpha_median",
+    "seeds_used",
+    "error",
+)
+
+
+def write_table_csv(path, report: ExperimentReport):
+    """One row per cell of a table report, under its config-hash header."""
+    keys = [k for k in _TABLE_COLUMNS if any(k in c for c in report.cells)]
+    rows = [[c.get(k, "") for k in keys] for c in report.cells]
+    write_csv(path, keys, rows, report.config_hash)
+
+
 def report_to_json(report: ExperimentReport) -> str:
     payload = {
         "format_version": report.format_version,
         "config_hash": report.config_hash,
-        "created": report.created,
         "config": report.config,
         "seeds": report.seeds,
         "cells": report.cells,

@@ -1,4 +1,8 @@
-"""Cell runner, table reproduction and figure data."""
+"""Cell runner, table reproduction, figure data and the README quick start."""
+import json
+import pathlib
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -24,12 +28,39 @@ from graphtik.experiments import (
 from graphtik.metrics import max_abs_error
 from graphtik.problems import EXAMPLES, get_test_function, synthesize_data
 from graphtik.regularization import AlphaGrid
+from graphtik.reporting import config_hash, report_to_json
 
 
 def test_config_roundtrip():
     cfg = ExperimentConfig(example=1, test_function=2, n=64, epsilon=0.05, seeds=(1, 2))
     again = ExperimentConfig.from_dict(cfg.to_dict())
     assert again == cfg
+
+
+@pytest.mark.parametrize(
+    "cfg,digest",
+    [
+        (ExperimentConfig(), "e8c2fea1e9db"),
+        (
+            ExperimentConfig(
+                example=1,
+                test_function=2,
+                n=64,
+                epsilon=0.05,
+                seeds=(1, 2),
+                method="galerkin",
+                penalty="a3",
+                alpha_grid=AlphaGrid(max=10.0, min=1e-3, count=7),
+            ),
+            "09039032f962",
+        ),
+    ],
+)
+def test_config_hash_pinned(cfg, digest):
+    # the deblur CSV header hashes to_dict(); these digests are what earlier
+    # releases wrote, so the codec must keep every field, key and type
+    assert config_hash(cfg.to_dict()) == digest
+    assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
 
 
 def test_config_partial_alpha_grid():
@@ -160,6 +191,15 @@ def test_run_table_roundtrip():
     assert len(report.config_hash) == 12
 
 
+def test_run_table_json_is_reproducible():
+    first, second = (report_to_json(run_table(4, (0,))) for _ in range(2))
+    assert first == second
+    # no wall-clock field: every key is a function of the configuration
+    assert set(json.loads(first)) == {
+        "format_version", "config_hash", "config", "seeds", "cells", "roundtrip"
+    }
+
+
 def test_run_table_keeps_every_failing_seed(monkeypatch):
     real = experiments.run_cell
 
@@ -193,3 +233,11 @@ def test_figure1_columns():
     np.testing.assert_allclose(data[:, 0], np.arange(1, 31) / 30.0)
     with pytest.raises(ParameterError):
         emit_figure_data(4)
+
+
+def test_readme_quick_start_runs(capsys):
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    block = re.search(r"```python\n(.*?)```", readme.read_text(), re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    median = float(capsys.readouterr().out)
+    assert 0.0 < median < 1.0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from graphtik.errors import ParameterError
-from graphtik.metrics import lsre, max_abs_error, msre, rre, spectral_error_report
+from graphtik.metrics import lsre, max_abs_error, msre, rre
 
 
 def test_lsre_basic():
@@ -32,13 +32,6 @@ def test_msre_validation():
         msre([1.0, 2.0], [1.0])
     with pytest.raises(ParameterError):
         msre([1.0, 2.0], [1.0, 0.0])
-
-
-def test_spectral_error_report():
-    rep = spectral_error_report([2.0, 2.0], [1.0, 4.0])
-    assert rep.lsre == {1: 1.0, 2: 0.5}
-    assert rep.msre == 1.0
-    assert rep.n == 2
 
 
 def test_rre_values():

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from graphtik.errors import DegenerateAnchorError, ParameterError
 from graphtik.graph_core import line_interior, m_path_dirichlet_laplacian
 from graphtik.penalty import (
-    PenaltySpec,
     SimilarityParams,
     data_graph_laplacian,
     dirichlet_penalty,
@@ -120,16 +119,6 @@ def test_matched_penalty_ones_anchor():
 def test_matched_penalty_rejects_zero_anchor():
     with pytest.raises(DegenerateAnchorError):
         kernel_matched_penalty(dirichlet_penalty(3), np.array([1.0, 0.0, 1.0]))
-
-
-def test_penalty_spec_validation():
-    PenaltySpec("identity")
-    with pytest.raises(ParameterError):
-        PenaltySpec("sobolev")
-    with pytest.raises(ParameterError):
-        PenaltySpec("data_graph")
-    with pytest.raises(DegenerateAnchorError):
-        PenaltySpec("kernel_matched", params=SimilarityParams(1, 1.0), anchor=np.zeros(3))
 
 
 @settings(max_examples=40, deadline=None)

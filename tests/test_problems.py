@@ -9,7 +9,6 @@ from graphtik.problems import (
     EXAMPLES,
     NoiseModel,
     add_noise,
-    evaluate_test_function,
     get_example,
     get_test_function,
     synthesize_data,
@@ -18,15 +17,15 @@ from graphtik.problems import (
 
 def test_f1_center_value():
     # at x = 1/2: p1 = 1/4, p2 = 0, p3 = 2/p1^2 = 32, exponent 4 - 4 = 0
-    assert evaluate_test_function(1, 0.5) == -32.0
+    assert get_test_function(1).eval(0.5) == -32.0
 
 
 def test_f1_support():
-    assert evaluate_test_function(1, 0.0) == 0.0
-    assert evaluate_test_function(1, 1.0) == 0.0
-    assert evaluate_test_function(1, -2.0) == 0.0
+    assert get_test_function(1).eval(0.0) == 0.0
+    assert get_test_function(1).eval(1.0) == 0.0
+    assert get_test_function(1).eval(-2.0) == 0.0
     x = np.linspace(0.02, 0.98, 49)
-    assert np.all(np.isfinite(evaluate_test_function(1, x)))
+    assert np.all(np.isfinite(get_test_function(1).eval(x)))
 
 
 def test_f1_is_second_derivative_of_bump():
@@ -38,23 +37,23 @@ def test_f1_is_second_derivative_of_bump():
     h = 1e-5
     for x in (0.3, 0.5, 0.62):
         dd = (bump(x + h) - 2.0 * bump(x) + bump(x - h)) / h**2
-        np.testing.assert_allclose(dd, evaluate_test_function(1, x), rtol=1e-4)
+        np.testing.assert_allclose(dd, get_test_function(1).eval(x), rtol=1e-4)
 
 
 def test_f2_values():
-    assert evaluate_test_function(2, 0.0) == 0.0
-    np.testing.assert_allclose(evaluate_test_function(2, 1.0), -1.0 / 6.0, rtol=1e-15)
-    np.testing.assert_allclose(evaluate_test_function(2, 0.5), -1.0 / 12.0, rtol=1e-15)
+    assert get_test_function(2).eval(0.0) == 0.0
+    np.testing.assert_allclose(get_test_function(2).eval(1.0), -1.0 / 6.0, rtol=1e-15)
+    np.testing.assert_allclose(get_test_function(2).eval(0.5), -1.0 / 12.0, rtol=1e-15)
     # stationary endpoints: f2' = x^2 - x
     h = 1e-7
-    assert abs(evaluate_test_function(2, h) / h) < 1e-5
-    assert abs((evaluate_test_function(2, 1.0) - evaluate_test_function(2, 1.0 - h)) / h) < 1e-5
+    assert abs(get_test_function(2).eval(h) / h) < 1e-5
+    assert abs((get_test_function(2).eval(1.0) - get_test_function(2).eval(1.0 - h)) / h) < 1e-5
 
 
 def test_f3_f4():
     x = np.linspace(0.0, 1.0, 11)
-    np.testing.assert_array_equal(evaluate_test_function(3, x), x)
-    np.testing.assert_array_equal(evaluate_test_function(4, x), np.exp(x))
+    np.testing.assert_array_equal(get_test_function(3).eval(x), x)
+    np.testing.assert_array_equal(get_test_function(4).eval(x), np.exp(x))
 
 
 def test_unknown_ids():

@@ -1,5 +1,7 @@
 """Output formats and the command line front end (exit codes, overrides)."""
+import importlib.util
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -128,6 +130,19 @@ def test_cli_table_csv_stdout(capsys):
     lines = outerr.out.splitlines()
     assert lines[0].startswith(f"# {FORMAT_VERSION}")
     assert lines[1].split(",")[:4] == ["table", "f", "method", "penalty"]
+
+
+def test_table_script_writes_the_cli_csv(tmp_path):
+    # scripts/run_all_tables.py and `graphtik table` share one row builder
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "run_all_tables.py"
+    spec = importlib.util.spec_from_file_location("run_all_tables", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["--out-dir", str(tmp_path), "--tables", "4", "--seeds", "0"]) == 0
+    assert cli.main(["table", "--id", "4", "--seeds", "0", "--out", str(tmp_path / "cli.csv")]) == 0
+    text = (tmp_path / "table4.csv").read_text()
+    assert text == (tmp_path / "cli.csv").read_text()
+    assert text.splitlines()[1] == "table,f,method,penalty,metric,value,alpha_median,seeds_used"
 
 
 def test_cli_figure(tmp_path):
