@@ -61,6 +61,7 @@ from .problems import (
 from .regularization import (
     AlphaGrid,
     RegularizedSolution,
+    TikhonovPencil,
     TikhonovProblem,
     alpha_sweep,
     filter_solution,

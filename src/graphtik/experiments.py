@@ -13,13 +13,17 @@ the reference results this package reproduces:
   the same interior lattice.
 - The parameter sweep squares the grid value before it multiplies the
   penalty norm (a 50-point log grid from 1e3 down to 1e-6).
-- Noisy cells aggregate as the median over the seed list.
+- Noisy cells aggregate as the median over the seed list.  A table cell
+  whose penalty does not depend on the data (identity, a1, a2) decomposes
+  its (K, A) pencil once and reuses it for every seed; a3 and matched build
+  theirs from each seed's noisy data.
 """
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import lru_cache
 from math import ceil, sqrt
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -42,7 +46,7 @@ from .penalty import (
     neumann_penalty,
 )
 from .problems import NoiseModel, add_noise, get_example, get_test_function, synthesize_data
-from .regularization import AlphaGrid, TikhonovProblem, alpha_sweep
+from .regularization import AlphaGrid, TikhonovPencil, TikhonovProblem, alpha_sweep
 from .reporting import ExperimentReport, config_hash
 
 __all__ = [
@@ -108,19 +112,51 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         """Inverse of to_dict; missing fields, and missing alpha_grid
-        entries, take their defaults."""
+        entries, take their defaults.  Every field is type-checked against
+        its default, so a mistyped value is a ParameterError."""
+        if not isinstance(d, dict):
+            raise ParameterError("a config must be a JSON object")
         d = dict(d)
-        unknown = set(d) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ParameterError(f"unknown config fields {sorted(unknown)}")
+        _check_fields("config", d, fields(cls))
         if "alpha_grid" in d:
             ag = d["alpha_grid"]
+            if not isinstance(ag, dict):
+                raise ParameterError(f"config field 'alpha_grid' must be an object, got {ag!r}")
+            _check_fields("alpha_grid", ag, fields(AlphaGrid))
             d["alpha_grid"] = AlphaGrid(
                 **{f.name: type(f.default)(ag[f.name]) for f in fields(AlphaGrid) if f.name in ag}
             )
         if "seeds" in d:
-            d["seeds"] = tuple(int(s) for s in d["seeds"])
+            seeds = d["seeds"]
+            if not isinstance(seeds, (list, tuple)) or not all(_is_int(s) for s in seeds):
+                raise ParameterError(f"config field 'seeds' must be a list of integers, got {seeds!r}")
+            d["seeds"] = tuple(int(s) for s in seeds)
         return cls(**d).validate()
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, Integral) and not isinstance(x, bool)
+
+
+def _check_fields(where: str, d: dict, known) -> None:
+    """Reject unknown keys and scalars whose type does not match the
+    field's default (an int is accepted where a float is expected)."""
+    known = {f.name: f for f in known}
+    unknown = set(d) - set(known)
+    if unknown:
+        raise ParameterError(f"unknown {where} fields {sorted(unknown)}")
+    for name, value in d.items():
+        kind = type(known[name].default)
+        if kind is int:
+            ok = _is_int(value)
+        elif kind is float:
+            ok = isinstance(value, Real) and not isinstance(value, bool)
+        elif kind is str:
+            ok = isinstance(value, str)
+        else:
+            continue  # seeds and alpha_grid are checked by the caller
+        if not ok:
+            raise ParameterError(f"{where} field {name!r} must be {kind.__name__}, got {value!r}")
 
 
 # ---------------------------------------------------------------- operators
@@ -225,6 +261,10 @@ def forward_image_error(example_id: int, n: int, fid: int, method: str) -> float
 # ------------------------------------------------------------------- cells
 
 
+# penalties built from the noisy data: their pencil changes with the seed
+_DATA_PENALTIES = ("a3", "matched")
+
+
 def _penalty_operator(config: ExperimentConfig, g_eps: np.ndarray, reference: np.ndarray):
     n = config.n
     if config.penalty == "identity":
@@ -240,16 +280,19 @@ def _penalty_operator(config: ExperimentConfig, g_eps: np.ndarray, reference: np
     return kernel_matched_penalty(delta, reference)
 
 
-def run_cell(config: ExperimentConfig, seed: int | None = None):
-    """Solve one deblurring cell; returns (best RegularizedSolution, rre).
+def _cell_pencil(config: ExperimentConfig) -> TikhonovPencil | None:
+    """The pencil every seed of a cell shares, or None for a data penalty."""
+    if config.penalty in _DATA_PENALTIES:
+        return None
+    K = forward_matrix(config.example, config.n, config.method)
+    return TikhonovPencil(K, _penalty_operator(config, None, None))
 
-    Data and reference are interior-lattice samples at coefficient scale;
-    the returned solution vector is at that scale too (multiply by sqrt(n)
-    for point values).
+
+def _solve_seed(config: ExperimentConfig, seed: int, pencil: TikhonovPencil | None):
+    """One noisy draw of a cell on the cell's pencil: (best, rre).
+
+    A data penalty (pencil None) builds this seed's pencil from its data.
     """
-    config.validate()
-    if seed is None:
-        seed = config.seeds[0]
     n = config.n
     grid = Grid(n, "interior")
     root = sqrt(n)
@@ -257,11 +300,48 @@ def run_cell(config: ExperimentConfig, seed: int | None = None):
     g_clean = g_clean / root
     reference = get_test_function(config.test_function).eval(grid.nodes) / root
     g_eps = add_noise(g_clean, NoiseModel(config.epsilon, int(seed)))
-    K = forward_matrix(config.example, n, config.method)
-    A = _penalty_operator(config, g_eps, reference)
-    problem = TikhonovProblem(K, A, g_eps)
+    if pencil is None:
+        K = forward_matrix(config.example, n, config.method)
+        pencil = TikhonovPencil(K, _penalty_operator(config, g_eps, reference))
+    problem = TikhonovProblem(pencil.forward, pencil.penalty, g_eps, pencil)
     best, _curve = alpha_sweep(problem, config.alpha_grid, reference)
     return best, best.rre
+
+
+def run_cell(config: ExperimentConfig, seed: int | None = None):
+    """Solve one deblurring cell; returns (best RegularizedSolution, rre).
+
+    Data and reference are interior-lattice samples at coefficient scale;
+    the returned solution vector is at that scale too (multiply by sqrt(n)
+    for point values).  The cell's pencil is built for this one call; a
+    table shares one across a cell's seeds and gets the same values.
+    """
+    config.validate()
+    if seed is None:
+        seed = config.seeds[0]
+    return _solve_seed(config, seed, _cell_pencil(config))
+
+
+def _solve_cell(config: ExperimentConfig, seeds: tuple) -> list:
+    """(seed, (best, rre) or the GraphtikError it raised) for every seed.
+
+    A cell whose penalty does not depend on the data (identity, a1, a2)
+    decomposes its pencil once and every seed reuses it; if that pencil
+    cannot be built, every seed fails with its error.  The pencil lives only
+    as long as this call: caching it across cells would hold about 24 MB
+    per (K, A) pair at n = 1000.
+    """
+    try:
+        pencil = _cell_pencil(config)
+    except GraphtikError as exc:
+        return [(s, exc) for s in seeds]
+    results = []
+    for s in seeds:
+        try:
+            results.append((s, _solve_seed(config, s, pencil)))
+        except GraphtikError as exc:
+            results.append((s, exc))
+    return results
 
 
 # ------------------------------------------------------------------ tables
@@ -349,12 +429,11 @@ def _deblur_cells(table_id: int, seeds: tuple):
                 )
                 errs, alphas = [], []
                 failures = []
-                for s in use_seeds:
-                    try:
-                        sol, err = run_cell(config, s)
-                    except GraphtikError as exc:
-                        failures.append(f"seed {s}: {exc}")
+                for s, result in _solve_cell(config, use_seeds):
+                    if isinstance(result, GraphtikError):
+                        failures.append(f"seed {s}: {result}")
                         continue
+                    sol, err = result
                     errs.append(err)
                     alphas.append(sol.alpha)
                     if sample is None:

@@ -8,33 +8,45 @@ is the SVD shortcut for A = I.
 The sweep evaluates a log grid of candidate parameters alpha, each applied
 as the weight w = alpha^2, and returns the solution whose restoration error
 against a supplied reference is smallest; this is the oracle rule used
-throughout the experiments.  It does not factor K'K + w A'A per weight.
-``TikhonovProblem`` takes one symmetric eigendecomposition of K'K + A'A
-and builds from it a basis V of the pencil (K'K, A'A), V'(K'K + A'A)V = I
-with V'A'AV diagonal (the GSVD filter-factor view: Paige & Saunders 1981;
-Hansen 1998), so every weight is a diagonal solve in V and the whole grid
-is one batched product.  One batched
-refinement step against the normal equations follows.  A column is
-certified when the next refinement correction is at most 1e-8 times its
-distance to the reference, so its error is settled far below any printed
-digit, and when its residual meets the solver's optimality bound.  Every
-other column, typically at the ill-conditioned ends of the grid and in
-cells whose error curve is flat below roundoff, falls back to
-``tikhonov_solve``, so it keeps the per-weight solve's value.  The returned
-curve keeps its (alpha, rre) format.
+throughout the experiments.  It does not factor K'K + w A'A per weight, and
+its work falls into two stages (the GSVD filter-factor view: Paige &
+Saunders 1981; Hansen 1998, where the pencil is factored once and each data
+vector needs only a projection).
+
+- The pencil stage, ``TikhonovPencil``, depends only on (K, A).  It takes
+  one symmetric eigendecomposition of K'K + A'A and builds from it a basis V
+  of the pencil (K'K, A'A), V'(K'K + A'A)V = I with V'A'AV diagonal, so
+  every weight is a diagonal solve in V.  It also keeps ||KV||^2 and
+  ||AV||^2 by column and the Frobenius products that bound ||K'K + w A'A||.
+- The data stage, ``TikhonovProblem`` and ``alpha_sweep``, runs once per
+  data vector: it checks the data, projects K'g, solves the whole grid as
+  one batched product, certifies it and scores it.
+
+Data vectors on the same (K, A), such as the noise seeds of one table
+cell, share one pencil.  The caller holds it only as long as those vectors
+last; nothing here caches it.
+
+In the data stage one batched refinement step against the normal equations
+follows the batched solve.  A column is certified when the next refinement
+correction is at most 1e-8 times its distance to the reference, so its
+error is settled far below any printed digit, and when its residual meets
+the solver's optimality bound.  Every other column, typically at the
+ill-conditioned ends of the grid and in cells whose error curve is flat
+below roundoff, falls back to ``tikhonov_solve``, so it keeps the
+per-weight solve's value.  The returned curve keeps its (alpha, rre) format.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
 
 from .discretization import DiscreteOperator
 from .errors import IllPosedProblemError, ParameterError
-from .metrics import rre
 
 __all__ = [
+    "TikhonovPencil",
     "TikhonovProblem",
     "AlphaGrid",
     "RegularizedSolution",
@@ -46,48 +58,88 @@ __all__ = [
 _KERNEL_TOL = 1e-12  # relative floor for eigmin(K'K + A'A)
 
 
-@dataclass
-class TikhonovProblem:
-    """Forward operator, penalty operator and a data vector on one grid.
+def _pencil_basis(KtK: np.ndarray, AtA: np.ndarray) -> np.ndarray:
+    """V with V'(K'K + A'A)V = I and V'A'AV diagonal, from two eigh calls."""
+    lam, Q = np.linalg.eigh(KtK + AtA)
+    if lam[0] <= _KERNEL_TOL * float(np.abs(lam).max()):
+        raise IllPosedProblemError(
+            "penalty and forward operator share a near-null direction"
+        )
+    W = Q / np.sqrt(lam)
+    _, U = np.linalg.eigh(W.T @ AtA @ W)
+    return W @ U
 
-    Construction rejects non-finite operators or data, then takes one
-    symmetric eigendecomposition M = Q diag(lam) Q' of M = K'K + A'A.  It
-    verifies that ker(penalty) and ker(forward) intersect trivially: the
-    smallest eigenvalue must clear a relative floor, otherwise no weight
-    makes the normal equations solvable.  The same decomposition gives the
-    pencil basis V used by ``alpha_sweep``: whitening by lam^(-1/2) and
-    diagonalizing the whitened A'A yields V'MV = I with V'A'AV diagonal,
-    so V simultaneously diagonalizes K'K + w A'A for every weight w.
+
+@dataclass(eq=False)
+class TikhonovPencil:
+    """The pencil stage: everything that depends on (K, A) and not on data.
+
+    Construction rejects operators on different grids or with non-finite
+    entries, then takes one symmetric eigendecomposition M = Q diag(lam) Q'
+    of M = K'K + A'A.  It verifies that ker(penalty) and ker(forward)
+    intersect trivially: the smallest eigenvalue must clear a relative
+    floor, otherwise no weight makes the normal equations solvable.  The
+    same decomposition gives the basis V used by ``alpha_sweep``: whitening
+    by lam^(-1/2) and diagonalizing the whitened A'A yields V'MV = I with
+    V'A'AV diagonal, so V simultaneously diagonalizes K'K + w A'A for every
+    weight w.  The pencil also keeps the column norms ||KV||^2 and ||AV||^2
+    and the three Frobenius products that give ||K'K + w A'A||_F.
+
+    Every ``TikhonovProblem`` on the same (K, A) can share one pencil.  At
+    n = 1000 it holds about 24 MB (K'K, A'A and V), so callers keep it only
+    as long as its data vectors last instead of caching it.
     """
 
     forward: DiscreteOperator
     penalty: DiscreteOperator
-    data: np.ndarray
 
     def __post_init__(self):
         if self.forward.grid != self.penalty.grid:
             raise ParameterError(
                 "forward and penalty operators live on different grids"
             )
+        K = np.asarray(self.forward.matrix, dtype=float)
+        A = np.asarray(self.penalty.matrix, dtype=float)
+        for name, x in (("forward operator", K), ("penalty operator", A)):
+            if not np.all(np.isfinite(x)):
+                raise ParameterError(f"{name} has non-finite entries")
+        self._K, self._A = K, A
+        self._KtK = KtK = K.T @ K
+        self._AtA = AtA = A.T @ A
+        self._basis = V = _pencil_basis(KtK, AtA)
+        self._kk = np.sum((K @ V) ** 2, axis=0)  # v_i'K'Kv_i
+        self._aa = np.sum((A @ V) ** 2, axis=0)  # v_i'A'Av_i
+        # ||K'K + w A'A||_F^2 = kk_f + 2 w ka_f + w^2 aa_f
+        self._frobenius = (np.sum(KtK * KtK), np.sum(KtK * AtA), np.sum(AtA * AtA))
+
+
+@dataclass
+class TikhonovProblem:
+    """The data stage: a data vector on the pencil of (forward, penalty).
+
+    Construction checks that the data is a finite vector on the grid, so a
+    bad data vector costs no decomposition, and projects it to K'g.
+    Without ``pencil`` it builds the pencil of (forward, penalty); a pencil
+    passed in must have been built from these same operator objects, and
+    its decomposition is reused as it is.
+    """
+
+    forward: DiscreteOperator
+    penalty: DiscreteOperator
+    data: np.ndarray
+    pencil: TikhonovPencil | None = field(default=None, repr=False)
+
+    def __post_init__(self):
         self.data = np.asarray(self.data, dtype=float)
         if self.data.shape != (self.forward.grid.n,):
             raise ParameterError("data length does not match the grid")
-        K = np.asarray(self.forward.matrix, dtype=float)
-        A = np.asarray(self.penalty.matrix, dtype=float)
-        for name, x in (("forward operator", K), ("penalty operator", A), ("data", self.data)):
-            if not np.all(np.isfinite(x)):
-                raise ParameterError(f"{name} has non-finite entries")
-        self._KtK = K.T @ K
-        self._AtA = A.T @ A
-        self._Ktg = K.T @ self.data
-        lam, Q = np.linalg.eigh(self._KtK + self._AtA)
-        if lam[0] <= _KERNEL_TOL * float(np.abs(lam).max()):
-            raise IllPosedProblemError(
-                "penalty and forward operator share a near-null direction"
-            )
-        W = Q / np.sqrt(lam)
-        _, U = np.linalg.eigh(W.T @ self._AtA @ W)
-        self._basis = W @ U
+        if not np.all(np.isfinite(self.data)):
+            raise ParameterError("data has non-finite entries")
+        if self.pencil is None:
+            self.pencil = TikhonovPencil(self.forward, self.penalty)
+        elif self.pencil.forward is not self.forward or self.pencil.penalty is not self.penalty:
+            raise ParameterError("pencil was built from other operators")
+        self._Ktg = self.pencil._K.T @ self.data
 
 
 @dataclass(frozen=True)
@@ -134,7 +186,8 @@ def _optimal(gap, norm_Ktg, norm_M, norm_f):
 
 
 def _solve_normal_equations(p: TikhonovProblem, weight: float) -> np.ndarray:
-    M = p._KtK + weight * p._AtA
+    pen = p.pencil
+    M = pen._KtK + weight * pen._AtA
     norm_M = float(np.linalg.norm(M, "fro"))
     norm_Ktg = float(np.linalg.norm(p._Ktg))
 
@@ -151,8 +204,7 @@ def _solve_normal_equations(p: TikhonovProblem, weight: float) -> np.ndarray:
         pass
     # stacked least squares is slower but does not square the conditioning;
     # kept because Cholesky does fail on wide grids (test_lstsq_rescues_cell)
-    K = np.asarray(p.forward.matrix, dtype=float)
-    A = np.asarray(p.penalty.matrix, dtype=float)
+    K, A = pen._K, pen._A
     top = np.vstack([K, np.sqrt(weight) * A])
     rhs = np.concatenate([p.data, np.zeros(A.shape[0])])
     f = np.linalg.lstsq(top, rhs, rcond=None)[0]
@@ -168,8 +220,7 @@ def tikhonov_solve(p: TikhonovProblem, alpha: float) -> RegularizedSolution:
     if not (alpha > 0.0):
         raise ParameterError("alpha must be positive")
     f = _solve_normal_equations(p, alpha)
-    K = np.asarray(p.forward.matrix, dtype=float)
-    A = np.asarray(p.penalty.matrix, dtype=float)
+    K, A = p.pencil._K, p.pencil._A
     return RegularizedSolution(
         solution=f,
         alpha=float(alpha),
@@ -200,25 +251,28 @@ def alpha_sweep(p: TikhonovProblem, grid: AlphaGrid, reference: np.ndarray):
     solution, curve) where curve is the list of (alpha, rre) in grid order
     and ties go to the smallest alpha.
 
-    All weights are solved at once in the problem's pencil basis V: with
-    D[i, j] = v_i'K'Kv_i + w_j v_i'A'Av_i, column j is V((V'K'g) / D[:, j]).
-    One batched refinement step against the normal equations follows.  A
-    column is certified when the next refinement correction is at most
-    1e-8 ||f - reference|| (so its RRE is settled far below any printed
-    digit) and its residual meets the optimality bound of
+    This is the per-data half of the work; everything that depends only on
+    (K, A) comes from ``p.pencil``.  All weights are solved at once in the
+    pencil basis V: with D[i, j] = v_i'K'Kv_i + w_j v_i'A'Av_i, column j is
+    V((V'K'g) / D[:, j]).  One batched refinement step against the normal
+    equations follows.  A column is certified when the next refinement
+    correction is at most 1e-8 ||f - reference|| (so its RRE is settled far
+    below any printed digit) and its residual meets the optimality bound of
     ``tikhonov_solve``; every other column is solved by ``tikhonov_solve``.
+    Each column is scored as ``metrics.rre`` defines it, with the reference
+    checked and its norm taken once for the whole grid.
     """
     reference = np.asarray(reference, dtype=float)
     if reference.shape != p.data.shape or not np.all(np.isfinite(reference)):
         raise ParameterError("reference must be a finite vector on the grid")
+    norm_ref = np.linalg.norm(reference)
+    if norm_ref == 0.0:
+        raise ParameterError("reference vector is zero")
     alphas = grid.values
     weights = alphas**2
-    KtK, AtA, Ktg, V = p._KtK, p._AtA, p._Ktg, p._basis
-    K = np.asarray(p.forward.matrix, dtype=float)
-    A = np.asarray(p.penalty.matrix, dtype=float)
-    kk = np.sum((K @ V) ** 2, axis=0)  # v_i'K'Kv_i
-    aa = np.sum((A @ V) ** 2, axis=0)  # v_i'A'Av_i
-    D = kk[:, None] + aa[:, None] * weights
+    pen = p.pencil
+    KtK, AtA, V, Ktg = pen._KtK, pen._AtA, pen._basis, p._Ktg
+    D = pen._kk[:, None] + pen._aa[:, None] * weights
 
     def residual(F):
         return Ktg[:, None] - KtK @ F - (AtA @ F) * weights
@@ -231,15 +285,15 @@ def alpha_sweep(p: TikhonovProblem, grid: AlphaGrid, reference: np.ndarray):
     R = residual(F)
     step = np.linalg.norm(correction(R), axis=0)
     norm_f = np.linalg.norm(F, axis=0)
-    # ||K'K + w A'A||_F from the three Frobenius inner products
-    kk_f, ka_f, aa_f = np.sum(KtK * KtK), np.sum(KtK * AtA), np.sum(AtA * AtA)
+    kk_f, ka_f, aa_f = pen._frobenius
     norm_M = np.sqrt(kk_f + 2.0 * weights * ka_f + weights**2 * aa_f)
     ok = _optimal(np.linalg.norm(R, axis=0), float(np.linalg.norm(Ktg)), norm_M, norm_f)
     ok &= step <= 1e-8 * np.linalg.norm(F - reference[:, None], axis=0)
     sols = np.ascontiguousarray(F.T)
     for j in np.flatnonzero(~ok):
         sols[j] = tikhonov_solve(p, float(weights[j])).solution
-    errs = np.array([rre(f, reference) for f in sols])
+    # metrics.rre column by column, with the same operations in the same order
+    errs = np.array([np.linalg.norm(f - reference) for f in sols]) / norm_ref
     curve = [(float(a), float(e)) for a, e in zip(alphas, errs)]
     tied = np.flatnonzero(errs == errs.min())
     best = min(tied, key=lambda i: alphas[i])
@@ -248,8 +302,8 @@ def alpha_sweep(p: TikhonovProblem, grid: AlphaGrid, reference: np.ndarray):
         RegularizedSolution(
             solution=f,
             alpha=float(alphas[best]),  # the grid value, not the applied weight
-            residual_norm=float(np.linalg.norm(K @ f - p.data)),
-            penalty_norm=float(np.linalg.norm(A @ f)),
+            residual_norm=float(np.linalg.norm(pen._K @ f - p.data)),
+            penalty_norm=float(np.linalg.norm(pen._A @ f)),
             rre=float(errs[best]),
         ),
         curve,

@@ -13,6 +13,7 @@ from graphtik.metrics import rre
 from graphtik.penalty import neumann_penalty
 from graphtik.regularization import (
     AlphaGrid,
+    TikhonovPencil,
     TikhonovProblem,
     alpha_sweep,
     filter_solution,
@@ -91,8 +92,9 @@ def test_shared_null_direction_rejected():
         (np.eye(2), np.eye(2), [np.inf, 1.0]),
         (np.eye(2), np.array([[1.0, np.inf], [0.0, 1.0]]), [1.0, 1.0]),
         (np.array([[np.nan, 0.0], [0.0, 1.0]]), np.eye(2), [1.0, 1.0]),
+        (np.diag([1.0, 0.0]), np.diag([1.0, 0.0]), [1.0, np.nan]),
     ],
-    ids=["nan-data", "inf-data", "inf-penalty", "nan-forward"],
+    ids=["nan-data", "inf-data", "inf-penalty", "nan-forward", "nan-data-singular-pencil"],
 )
 def test_non_finite_input_rejected(K, A, g):
     # a configuration error (exit 1), raised before any decomposition
@@ -180,6 +182,42 @@ def test_sweep_tie_takes_smallest_alpha():
     assert best.alpha == grid.values.min()
 
 
+def test_shared_pencil_sweeps_like_a_fresh_problem():
+    # the pencil stage depends only on (K, A): reusing it for another data
+    # vector changes no bit of the sweep
+    rng = np.random.default_rng(4)
+    K, A = _op(rng.standard_normal((9, 9))), _op(neumann_penalty(9).matrix)
+    pencil = TikhonovPencil(K, A)
+    reference = rng.standard_normal(9)
+    for _ in range(3):
+        g = K.matrix @ reference + 0.1 * rng.standard_normal(9)
+        shared, shared_curve = alpha_sweep(TikhonovProblem(K, A, g, pencil), _SWEEP_GRID, reference)
+        fresh, fresh_curve = alpha_sweep(TikhonovProblem(K, A, g), _SWEEP_GRID, reference)
+        assert shared_curve == fresh_curve
+        np.testing.assert_array_equal(shared.solution, fresh.solution)
+
+
+def test_pencil_must_come_from_the_problem_operators():
+    K, A = _op(np.eye(2)), _op(np.eye(2))
+    with pytest.raises(ParameterError, match="other operators"):
+        TikhonovProblem(K, _op(np.eye(2)), np.ones(2), TikhonovPencil(K, A))
+
+
+def test_sweep_scores_like_rre():
+    # the sweep scores its columns itself; the chosen one must carry exactly
+    # the value metrics.rre gives
+    rng = np.random.default_rng(6)
+    for n in range(2, 30, 3):
+        K = rng.standard_normal((n, n))
+        reference = rng.standard_normal(n)
+        p = _problem(K, neumann_penalty(n).matrix, K @ reference + 0.05 * rng.standard_normal(n))
+        best, curve = alpha_sweep(p, _SWEEP_GRID, reference)
+        assert best.rre == rre(best.solution, reference)
+        assert (best.alpha, best.rre) in curve
+    with pytest.raises(ParameterError, match="zero"):
+        alpha_sweep(p, _SWEEP_GRID, np.zeros(n))
+
+
 @pytest.mark.parametrize("reference", [np.ones(3), np.array([1.0, np.nan])])
 def test_sweep_rejects_bad_reference(reference):
     p = _problem(np.eye(2), np.eye(2), np.ones(2))
@@ -210,7 +248,7 @@ def _per_weight_curve(p, grid, reference):
 
 def _meets_solver_bound(p, weight, f):
     # the optimality bound of the normal-equation solver
-    M = p._KtK + weight * p._AtA
+    M = p.pencil._KtK + weight * p.pencil._AtA
     gap = np.linalg.norm(M @ f - p._Ktg)
     eps = np.finfo(float).eps
     bound = 1e-8 * np.linalg.norm(p._Ktg) + 128.0 * eps * np.linalg.norm(M, "fro") * np.linalg.norm(f)
@@ -255,7 +293,7 @@ def test_sweep_matches_per_weight_solves(n, seed, penalty, decay):
     for a in _SWEEP_GRID.values:
         one, _ = alpha_sweep(p, AlphaGrid(max=a, min=a / 10.0, count=1), reference)
         assert _meets_solver_bound(p, a**2, one.solution)
-    conds = [np.linalg.cond(p._KtK + a**2 * p._AtA) for a in _SWEEP_GRID.values]
+    conds = [np.linalg.cond(p.pencil._KtK + a**2 * p.pencil._AtA) for a in _SWEEP_GRID.values]
     if max(conds) > 1e6:
         return  # RRE decided by roundoff: only the residual bound applies
     loop = np.array(_per_weight_curve(p, _SWEEP_GRID, reference))

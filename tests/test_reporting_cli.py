@@ -183,6 +183,15 @@ def test_cli_exit_code_bad_config(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("raw", [{"n": "100"}, {"alpha_grid": 5}], ids=["string-n", "scalar-alpha-grid"])
+def test_cli_exit_code_mistyped_config(tmp_path, capsys, raw):
+    # a configuration error (exit 1 with a message), not a traceback
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    assert cli.main(["deblur", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("error: config field ")
+
+
 def test_cli_exit_code_bad_parameter(capsys):
     rc = cli.main(
         ["deblur", "--example", "1", "--f", "3", "--n", "40", "--eps", "0.1",
