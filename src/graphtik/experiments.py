@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import lru_cache
-from math import ceil, sqrt
+from math import ceil, isfinite, sqrt
 from numbers import Integral, Real
 
 import numpy as np
@@ -88,8 +88,8 @@ class ExperimentConfig:
             raise ParameterError(f"test function must be 1..4, got {self.test_function!r}")
         if self.n < 2:
             raise ParameterError("n must be >= 2")
-        if self.epsilon < 0.0:
-            raise ParameterError("epsilon must be >= 0")
+        if not (isfinite(self.epsilon) and self.epsilon >= 0.0):
+            raise ParameterError(f"epsilon must be finite and >= 0, got {self.epsilon!r}")
         if len(self.seeds) == 0:
             raise ParameterError("need at least one seed")
         if self.method not in _METHODS:
@@ -98,8 +98,8 @@ class ExperimentConfig:
             raise ParameterError(f"penalty must be one of {PENALTY_NAMES}")
         if not (0.0 < self.r_fraction <= 1.0):
             raise ParameterError("r_fraction must be in (0, 1]")
-        if self.sigma <= 0.0:
-            raise ParameterError("sigma must be positive")
+        if not (isfinite(self.sigma) and self.sigma > 0.0):
+            raise ParameterError(f"sigma must be finite and positive, got {self.sigma!r}")
         if self.data_mode not in ("quadrature", "analytic"):
             raise ParameterError(f"unknown data mode {self.data_mode!r}")
         return self
@@ -219,10 +219,10 @@ def discrete_spectrum(example_id: int, n: int, method: str) -> np.ndarray:
     Both operators are centrosymmetric (JAJ = A, with J the flip of the
     lattice): the potential q is even about x = 1/2 (constant in both
     examples), so the lattice matrix L is symmetric Toeplitz plus an even
-    diagonal; the Green kernels satisfy h(1 - x, 1 - y) = h(x, y) and the
-    grid is symmetric about 1/2, so the Galerkin matrix is too.  The
-    spectrum is therefore the union of the spectra of the half-size even and
-    odd blocks, which is how it is computed.
+    diagonal; the kernel factors satisfy v(t) = c u(1 - t), c constant, so
+    h(1 - x, 1 - y) = h(x, y) and, the grid being symmetric about 1/2, the
+    Galerkin matrix is too.  The spectrum is therefore the union of the
+    spectra of the half-size even and odd blocks, which is how it is computed.
     """
     if method == "graph":
         delta = _EvenOddSplit(_schrodinger_matrix(example_id, n)).eigvalsh()

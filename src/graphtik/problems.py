@@ -1,11 +1,12 @@
 """Benchmark problems: two Green-type kernels, four target signals, data
 synthesis by quadrature or registered closed forms, and seeded noise.
 
+Each kernel is given by its factors (u, v), h(x, y) = u(min(x, y)) v(max(x, y)).
 Example 1 is the second-derivative model problem; its printed kernel is the
 sign-flipped Green function of -u'' with zero boundary values, so the graph
 forward operator carries green_sign = -1 to match the data orientation.
-Example 2 is the Helmholtz-type operator -u'' - u, whose kernel is built
-from sines; there the kernel and the inverse-potential orientation agree.
+Example 2 is the Helmholtz-type operator -u'' - u, whose factors are sines;
+there the kernel and the inverse-potential orientation agree.
 """
 from __future__ import annotations
 
@@ -90,17 +91,8 @@ def get_test_function(fid: int) -> TestFunction:
         raise ParameterError(f"unknown test function id {fid!r}") from None
 
 
-def _kernel_example1(x, y):
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return np.where(y < x, y * (x - 1.0), x * (y - 1.0))
-
-
-def _kernel_example2(x, y):
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    c = 1.0 / np.sin(1.0)
-    return c * np.where(y < x, np.sin(1.0 - x) * np.sin(y), np.sin(x) * np.sin(1.0 - y))
+_FACTORS_EXAMPLE1 = (lambda t: t, lambda t: t - 1.0)
+_FACTORS_EXAMPLE2 = (np.sin, lambda t: np.sin(1.0 - t) / np.sin(1.0))
 
 
 def _law_const_q(c: float):
@@ -151,7 +143,7 @@ EXAMPLES = {
     1: ExampleProblem(
         "example1",
         ContinuousProblem(
-            kernel=_kernel_example1,
+            factors=_FACTORS_EXAMPLE1,
             potential=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
             eigenvalue_law=_law_const_q(0.0),
             forward_oracle=_oracle_example1,
@@ -161,7 +153,7 @@ EXAMPLES = {
     2: ExampleProblem(
         "example2",
         ContinuousProblem(
-            kernel=_kernel_example2,
+            factors=_FACTORS_EXAMPLE2,
             potential=lambda x: -np.ones_like(np.asarray(x, dtype=float)),
             eigenvalue_law=_law_const_q(-1.0),
             forward_oracle=_oracle_example2,
@@ -240,8 +232,8 @@ class NoiseModel:
     seed: int
 
     def __post_init__(self):
-        if self.epsilon < 0.0:
-            raise ParameterError("epsilon must be >= 0")
+        if not (np.isfinite(self.epsilon) and self.epsilon >= 0.0):
+            raise ParameterError(f"epsilon must be finite and >= 0, got {self.epsilon!r}")
 
 
 def add_noise(g_n: np.ndarray, m: NoiseModel) -> np.ndarray:

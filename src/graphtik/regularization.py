@@ -151,6 +151,9 @@ class AlphaGrid:
     count: int = 50
 
     def __post_init__(self):
+        for name, value in (("max", self.max), ("min", self.min)):
+            if not np.isfinite(value):
+                raise ParameterError(f"alpha_grid {name} must be finite, got {value!r}")
         if not (self.max > self.min > 0.0):
             raise ParameterError("need max > min > 0")
         if self.count < 1:

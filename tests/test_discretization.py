@@ -112,9 +112,41 @@ def test_pseudo_inverse_penrose():
     np.testing.assert_allclose(K @ A, (K @ A).T, atol=1e-10)
 
 
+def _tensor_galerkin(p, n, q=8):
+    """The Galerkin matrix by its definition: q x q Gauss-Legendre points on
+    every cell pair, the diagonal cells split at the kink y = x."""
+    gx, gw = np.polynomial.legendre.leggauss(q)
+    mids = (np.arange(n) + 0.5) / n
+    half = 0.5 / n
+    nodes = mids[:, None] + half * gx[None, :]
+    w = half * gw
+    H = p.kernel(nodes[:, :, None, None], nodes[None, None, :, :])
+    K = np.einsum("a,b,iajb->ij", w, w, H) * n
+    for i in range(n):
+        blo, bhi = mids[i] - half, mids[i] + half
+        acc = 0.0
+        for xa, wa in zip(nodes[i], w):
+            h1, h2 = 0.5 * (xa - blo), 0.5 * (bhi - xa)
+            acc += wa * (
+                h1 * np.dot(gw, p.kernel(xa, blo + h1 * (gx + 1.0)))
+                + h2 * np.dot(gw, p.kernel(xa, xa + h2 * (gx + 1.0)))
+            )
+        K[i, i] = acc * n
+    return K
+
+
+@pytest.mark.parametrize("ex_id", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 7, 40])
+def test_galerkin_matches_tensor_quadrature(ex_id, n):
+    p = EXAMPLES[ex_id].problem
+    want = _tensor_galerkin(p, n)
+    got = build_galerkin_operator(p, n).matrix
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def test_galerkin_constant_kernel():
     # int int over cell x cell of 1 is n^-2; times n gives 1/n in every entry
-    p = ContinuousProblem(kernel=lambda x, y: np.ones_like(x * y), potential=lambda x: x)
+    p = ContinuousProblem(factors=(np.ones_like, np.ones_like), potential=lambda x: x)
     op = build_galerkin_operator(p, 3)
     np.testing.assert_allclose(op.matrix, np.full((3, 3), 1.0 / 3.0), atol=1e-14)
     assert op.grid == Grid(3, "midpoint")
@@ -122,24 +154,26 @@ def test_galerkin_constant_kernel():
 
 
 def test_galerkin_product_kernel():
-    # h = x y separates: entry_ij = n * (int_cell_i x)(int_cell_j y);
-    # at n = 2 the cell integrals are 1/8 and 3/8
-    p = ContinuousProblem(kernel=lambda x, y: x * y, potential=lambda x: x)
+    # u = v = t gives h = x y, which separates: entry_ij =
+    # n * (int_cell_i x)(int_cell_j y); at n = 2 the cell integrals are 1/8 and 3/8
+    p = ContinuousProblem(factors=(lambda t: t, lambda t: t), potential=lambda x: x)
     op = build_galerkin_operator(p, 2)
     want = 2.0 * np.outer([1.0 / 8.0, 3.0 / 8.0], [1.0 / 8.0, 3.0 / 8.0])
     np.testing.assert_allclose(op.matrix, want, atol=1e-14)
 
 
 def test_galerkin_kink_diagonal():
-    # |x - y| has a kink on the diagonal cells; split quadrature must be
-    # exact for it: int int over (0,1)^2 cell of |x-y| with n=1 is 1/3
-    p = ContinuousProblem(kernel=lambda x, y: np.abs(x - y), potential=lambda x: x)
+    # min(x, y) (1 - max(x, y)) has a kink on the diagonal cells; split
+    # quadrature must be exact for it: its integral over (0,1)^2 (n = 1) is 1/12
+    p = ContinuousProblem(factors=(lambda t: t, lambda t: 1.0 - t), potential=lambda x: x)
     op = build_galerkin_operator(p, 1)
-    np.testing.assert_allclose(op.matrix, [[1.0 / 3.0]], atol=1e-12)
+    np.testing.assert_allclose(op.matrix, [[1.0 / 12.0]], atol=1e-14)
 
 
 def test_galerkin_validation():
-    bad = ContinuousProblem(kernel=lambda x, y: np.full_like(x * y, np.nan), potential=lambda x: x)
+    bad = ContinuousProblem(
+        factors=(np.ones_like, lambda t: np.full_like(t, np.nan)), potential=lambda x: x
+    )
     with pytest.raises(EvaluationError):
         build_galerkin_operator(bad, 2)
 
@@ -166,7 +200,7 @@ def test_continuous_eigenvalues():
 def test_continuous_eigenvalues_validation():
     with pytest.raises(ParameterError):
         continuous_eigenvalues(EXAMPLES[1].problem, -1)
-    p = ContinuousProblem(kernel=lambda x, y: x * y, potential=lambda x: x)
+    p = ContinuousProblem(factors=(lambda t: t, lambda t: t), potential=lambda x: x)
     with pytest.raises(UnsupportedProblemError):
         continuous_eigenvalues(p, 2)
 

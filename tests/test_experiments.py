@@ -117,6 +117,10 @@ def test_config_accepts_an_integer_where_a_float_is_expected():
         ("r_fraction", 1.5),
         ("sigma", 0.0),
         ("data_mode", "exact"),
+        ("epsilon", float("nan")),
+        ("epsilon", float("inf")),
+        ("sigma", float("nan")),
+        ("sigma", float("inf")),
     ],
 )
 def test_config_validation(field, value):

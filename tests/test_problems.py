@@ -71,6 +71,13 @@ def test_kernels_pointwise():
     want = np.sin(0.25) * np.sin(1.0 - 0.75) / np.sin(1.0)
     assert h2(0.25, 0.75) == pytest.approx(want)
     assert h2(0.75, 0.25) == pytest.approx(want)
+    # the kernels derived from the factors, on a grid that includes y = x
+    t = np.linspace(0.0, 1.0, 11)
+    x, y = t[:, None], t[None, :]
+    want1 = np.where(y <= x, y * (x - 1.0), x * (y - 1.0))
+    np.testing.assert_array_equal(EXAMPLES[1].problem.kernel(x, y), want1)
+    want2 = np.where(y <= x, np.sin(1.0 - x) * np.sin(y), np.sin(x) * np.sin(1.0 - y)) / np.sin(1.0)
+    np.testing.assert_allclose(EXAMPLES[2].problem.kernel(x, y), want2, rtol=1e-15, atol=0)
 
 
 def test_example_orientation_signs():
@@ -132,8 +139,9 @@ def test_noise_zero_epsilon_copies():
     ge = add_noise(g, NoiseModel(0.0, seed=1))
     np.testing.assert_array_equal(ge, g)
     assert ge is not g
-    with pytest.raises(ParameterError):
-        NoiseModel(-0.1, seed=0)
+    for eps in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ParameterError, match="epsilon"):
+            NoiseModel(eps, seed=0)
 
 
 def test_eigenvalue_laws():

@@ -156,6 +156,10 @@ def test_alpha_grid_validation():
         AlphaGrid(min=-1.0)
     with pytest.raises(ParameterError):
         AlphaGrid(count=0)
+    for name in ("max", "min"):
+        for value in (float("inf"), float("nan")):
+            with pytest.raises(ParameterError, match=f"alpha_grid {name} must be finite"):
+                AlphaGrid(**{name: value})
 
 
 def test_sweep_reports_grid_value():
@@ -360,7 +364,9 @@ _WIDE_GRID = AlphaGrid(max=1e12, min=1e6, count=20)
 
 def test_lstsq_rescues_cell(monkeypatch):
     # on this wide grid Cholesky of K'K + w A'A fails at one weight and the
-    # stacked least-squares solve is what keeps the cell alive
+    # stacked least-squares solve is what keeps the cell alive.  Which seed
+    # fails is decided by the last bits of the data, so the seed and the
+    # pinned values follow the data synthesis.
     calls = []
     real = np.linalg.lstsq
 
@@ -372,10 +378,10 @@ def test_lstsq_rescues_cell(monkeypatch):
     cfg = experiments.ExperimentConfig(
         example=2, test_function=3, n=200, epsilon=0.01, penalty="a3", alpha_grid=_WIDE_GRID
     )
-    sol, err = experiments.run_cell(cfg, 1)
+    sol, err = experiments.run_cell(cfg, 9)
     assert calls
     assert sol.alpha in _WIDE_GRID.values
-    np.testing.assert_allclose([sol.alpha, err], [7.85e7, 0.4981], rtol=1e-3)
+    np.testing.assert_allclose([sol.alpha, err], [3.793e7, 0.4981], rtol=1e-3)
 
 
 def test_wide_grid_beyond_rescue_is_ill_posed():

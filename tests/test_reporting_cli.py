@@ -192,6 +192,19 @@ def test_cli_exit_code_mistyped_config(tmp_path, capsys, raw):
     assert capsys.readouterr().err.startswith("error: config field ")
 
 
+@pytest.mark.parametrize(
+    "raw,field",
+    [('{"epsilon": NaN}', "epsilon"), ('{"alpha_grid": {"max": Infinity}}', "alpha_grid max")],
+    ids=["nan-epsilon", "infinite-alpha-max"],
+)
+def test_cli_exit_code_nonfinite_config(tmp_path, capsys, raw, field):
+    # the error names the config field, not the data it would have spoiled
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(raw)
+    assert cli.main(["deblur", "--config", str(cfg)]) == 1
+    assert field in capsys.readouterr().err
+
+
 def test_cli_exit_code_bad_parameter(capsys):
     rc = cli.main(
         ["deblur", "--example", "1", "--f", "3", "--n", "40", "--eps", "0.1",
