@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .discretization import ContinuousProblem, Grid
 from .errors import ParameterError, ToleranceError, UnsupportedProblemError
@@ -40,21 +39,22 @@ def _f1(x):
 
     p1 = 1/4 - (x - 1/2)^2, p2 = d(1/p1)/dx, p3 = d(p2)/dx, which makes the
     whole thing (exp(4 - 1/p1))''.  Zero outside the support and wherever
-    1/p1 would overflow the exponential.
+    1/p1 >= 700, where the exponential is near its underflow.
+
+    One mask-free evaluation serves arrays and 0-d input, which quadrature
+    passes point by point.  A value keeps its bits on either path: squares
+    are explicit products (the array loop squares, a numpy scalar's ``**``
+    calls libm pow) and the cube and exponential stay numpy ufuncs.
     """
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    p1 = 0.25 - (x - 0.5) ** 2
-    out = np.zeros_like(x)
-    ok = p1 > 0.0
-    inv = np.zeros_like(x)
-    inv[ok] = 1.0 / p1[ok]
-    ok &= inv < 700.0
-    p2 = 2.0 * (x - 0.5) * inv**2
-    p3 = 2.0 * inv**2 + 8.0 * (x - 0.5) ** 2 * inv**3
-    val = (p2**2 - p3) * np.exp(np.where(ok, 4.0 - inv, 0.0))
-    out[ok] = val[ok]
-    return float(out[0]) if scalar else out
+    x = np.asarray(x, dtype=float)
+    d = x - 0.5
+    p1 = 0.25 - d * d
+    # 1/p1 >= 700 wherever p1 <= 1e-3, so clamping p1 there leaves the cutoff
+    # and every value inside it alone, and keeps the dead branch finite
+    inv = 1.0 / np.maximum(p1, 1e-3)
+    p2 = 2.0 * d * (inv * inv)
+    p3 = 2.0 * (inv * inv) + 8.0 * (d * d) * np.power(inv, 3)
+    return np.where(inv < 700.0, (p2 * p2 - p3) * np.exp(4.0 - inv), 0.0)
 
 
 def _f2(x):
@@ -182,6 +182,11 @@ def synthesize_data(
     kernel kink) to tolerance 1e-12; analytic mode looks up a registered
     closed form, which exists only for some (example, f) pairs.  f_true may
     be a TestFunction or any callable.
+
+    The integrand reads the kernel through its factors: u(x_i) and v(x_i)
+    once per node, then one branch per point, v(x_i) u(y) below the kink
+    and u(x_i) v(y) above it.  That is the value ``ContinuousProblem.kernel``
+    gives, bit for bit, without its two-branch ``np.where``.
     """
     if mode not in ("quadrature", "analytic"):
         raise ParameterError(f"unknown data mode {mode!r}")
@@ -197,16 +202,20 @@ def synthesize_data(
             raise UnsupportedProblemError(
                 f"no closed-form image for f{fid} under {example.id}"
             ) from None
+    # only this branch needs scipy.integrate, which pulls in scipy.optimize
+    from scipy.integrate import IntegrationWarning, quad
+
     f = f_true.eval if isinstance(f_true, TestFunction) else f_true
-    h = example.problem.kernel
+    u, v = example.problem.factors
     g = np.empty(grid.n)
     with warnings.catch_warnings():
         warnings.simplefilter("error", IntegrationWarning)
         for i, xi in enumerate(x):
             pts = [xi] if 0.0 < xi < 1.0 else None
+            ux, vx = u(xi), v(xi)
             try:
                 val, abserr = quad(
-                    lambda y: float(h(xi, y)) * float(f(y)),
+                    lambda y: float(vx * u(y) if y < xi else ux * v(y)) * float(f(y)),
                     0.0,
                     1.0,
                     points=pts,

@@ -1,13 +1,21 @@
 """Kernels, target signals, data synthesis and the noise model."""
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphtik.discretization import Grid
-from graphtik.errors import ParameterError, UnsupportedProblemError
+from graphtik.errors import ParameterError, ToleranceError, UnsupportedProblemError
 from graphtik.metrics import max_abs_error
 from graphtik.problems import (
+    _QUAD_TOL,
     EXAMPLES,
     NoiseModel,
+    _f1,
     add_noise,
     get_example,
     get_test_function,
@@ -38,6 +46,59 @@ def test_f1_is_second_derivative_of_bump():
     for x in (0.3, 0.5, 0.62):
         dd = (bump(x + h) - 2.0 * bump(x) + bump(x - h)) / h**2
         np.testing.assert_allclose(dd, get_test_function(1).eval(x), rtol=1e-4)
+
+
+def _f1_masked(x):
+    """f1 by masked assignment on a 1-d array: the reference _f1 must match."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    p1 = 0.25 - (x - 0.5) ** 2
+    out = np.zeros_like(x)
+    ok = p1 > 0.0
+    inv = np.zeros_like(x)
+    inv[ok] = 1.0 / p1[ok]
+    ok &= inv < 700.0
+    p2 = 2.0 * (x - 0.5) * inv**2
+    p3 = 2.0 * inv**2 + 8.0 * (x - 0.5) ** 2 * inv**3
+    val = (p2**2 - p3) * np.exp(np.where(ok, 4.0 - inv, 0.0))
+    out[ok] = val[ok]
+    return out
+
+
+# the support ends where 1/p1 = 700, i.e. at 1/2 -+ sqrt(1/4 - 1/700)
+_F1_CUTOFF = 0.5 - np.sqrt(0.25 - 1.0 / 700.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.sampled_from([0.0, 0.5, 1.0, _F1_CUTOFF, 1.0 - _F1_CUTOFF]),
+            st.floats(-10.0, 11.0),
+            st.floats(_F1_CUTOFF - 1e-6, _F1_CUTOFF + 1e-6),
+            st.floats(1.0 - _F1_CUTOFF - 1e-6, 1.0 - _F1_CUTOFF + 1e-6),
+        ),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_f1_scalar_and_array_paths_agree_bitwise(xs):
+    x = np.array(xs)
+    got = _f1(x)
+    want = _f1_masked(x)
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+    for xi, gi in zip(xs, got):
+        si = _f1(xi)
+        assert np.ndim(si) == 0
+        assert si == gi and np.signbit(si) == np.signbit(gi)
+
+
+def test_f1_scalar_path_matches_array_on_dense_sample():
+    # a libm pow in place of a product moves about one value in 2000
+    rng = np.random.default_rng(0)
+    x = np.concatenate([np.linspace(0.0, 1.0, 10001), rng.uniform(0.0, 1.0, 10000)])
+    got = _f1(x)
+    assert np.array_equal(got, _f1_masked(x))
+    assert np.array_equal(np.array([_f1(t) for t in x.tolist()]), got)
 
 
 def test_f2_values():
@@ -103,6 +164,67 @@ def test_quadrature_constant_source():
     # int_0^1 y(x-1) dy + int over y > x of x(y-1) dy collapses to x(x-1)/2
     g = synthesize_data(get_example(1), lambda y: 1.0, Grid(1, "interior"))
     np.testing.assert_allclose(g, [-0.125], atol=1e-12)
+
+
+def _definition_data(ex, f, grid):
+    """The data by the definition: quadrature of h(x_i, y) f(y) with the
+    kernel evaluated through ContinuousProblem.kernel."""
+    from scipy.integrate import quad
+
+    h = ex.problem.kernel
+    f = getattr(f, "eval", f)
+    g = np.empty(grid.n)
+    for i, xi in enumerate(grid.nodes):
+        g[i] = quad(
+            lambda y: float(h(xi, y)) * float(f(y)),
+            0.0,
+            1.0,
+            points=[xi] if 0.0 < xi < 1.0 else None,
+            limit=200,
+            epsabs=_QUAD_TOL,
+            epsrel=_QUAD_TOL,
+        )[0]
+    return g
+
+
+def _smooth(y):
+    return np.cos(3.0 * y) + y * y
+
+
+@pytest.mark.parametrize(
+    "ex_id, n, f",
+    [(ex_id, n, f) for ex_id in (1, 2) for n in (1, 2, 7) for f in (1, 2, 3, 4, _smooth)]
+    # table 4's graph RRE is decided by roundoff in exactly these data
+    + [(1, 100, 1)],
+)
+def test_quadrature_matches_definition_bitwise(ex_id, n, f):
+    ex = get_example(ex_id)
+    f = get_test_function(f) if isinstance(f, int) else f
+    grid = Grid(n, "interior")
+    assert np.array_equal(synthesize_data(ex, f, grid), _definition_data(ex, f, grid))
+
+
+@pytest.mark.parametrize(
+    "f",
+    [lambda y: np.nan, lambda y: np.inf, lambda y: 1.0 / (y - 0.5) ** 2],
+    ids=["nan", "inf", "pole"],
+)
+@pytest.mark.parametrize("ex_id", [1, 2])
+def test_quadrature_failures_are_typed(ex_id, f):
+    with pytest.raises(ToleranceError, match="quadrature"):
+        synthesize_data(get_example(ex_id), f, Grid(3, "interior"))
+
+
+def test_import_leaves_quadrature_module_unloaded():
+    # scipy.integrate (and the scipy.optimize it pulls in) is imported only
+    # by the quadrature branch of synthesize_data
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import graphtik; "
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_analytic_mode_requires_registration():
