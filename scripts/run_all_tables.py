@@ -2,7 +2,7 @@
 
 Tables 1-3 are deterministic (forward image error, LSRE, MSRE); tables 4-7
 are the deblurring benchmarks, aggregated as medians over the seed list.
-The full 20-seed run takes about 8 s on two cores; pass --seeds 0,1,2 for a
+The full 20-seed run takes about 7 s on two cores; pass --seeds 0,1,2 for a
 quick one.
 """
 import argparse

@@ -34,6 +34,15 @@ the solver's optimality bound.  Every other column, typically at the
 ill-conditioned ends of the grid and in cells whose error curve is flat
 below roundoff, falls back to ``tikhonov_solve``, so it keeps the
 per-weight solve's value.  The returned curve keeps its (alpha, rre) format.
+
+numpy and scipy wheels each bundle their own OpenBLAS, and each copy keeps
+its own worker threads, which spin for a while after a call.  A
+factorization in scipy's copy right after numpy's ``eigh`` or ``@`` shares
+the cores with numpy's spinning workers and runs about twice as slow as on
+its own, so every O(n^3) factorization here runs in numpy's copy: the fallback
+Cholesky is ``np.linalg.cholesky(M, upper=True)``, whose factor has the
+bits of scipy's ``cho_factor``, and only the O(n^2) triangular solves of
+``sla.cho_solve`` stay in scipy's.
 """
 from __future__ import annotations
 
@@ -190,20 +199,24 @@ def _optimal(gap, norm_Ktg, norm_M, norm_f):
 
 def _solve_normal_equations(p: TikhonovProblem, weight: float) -> np.ndarray:
     pen = p.pencil
-    M = pen._KtK + weight * pen._AtA
-    norm_M = float(np.linalg.norm(M, "fro"))
+    M = weight * pen._AtA
+    M += pen._KtK
     norm_Ktg = float(np.linalg.norm(p._Ktg))
 
     def optimal(f):
         gap = float(np.linalg.norm(M @ f - p._Ktg))
-        return _optimal(gap, norm_Ktg, norm_M, float(np.linalg.norm(f)))
+        if gap <= 1e-8 * norm_Ktg:
+            return True  # within the bound whatever ||M|| is
+        return _optimal(gap, norm_Ktg, float(np.linalg.norm(M, "fro")), float(np.linalg.norm(f)))
 
     try:
-        c, low = sla.cho_factor(M, check_finite=False)
-        f = sla.cho_solve((c, low), p._Ktg, check_finite=False)
+        # numpy's upper factor has scipy cho_factor's bits; only the O(n^2)
+        # triangular solves run in scipy's OpenBLAS (see the module notes)
+        U = np.linalg.cholesky(M, upper=True)
+        f = sla.cho_solve((U, False), p._Ktg, check_finite=False)
         if optimal(f):
             return f
-    except sla.LinAlgError:
+    except np.linalg.LinAlgError:
         pass
     # stacked least squares is slower but does not square the conditioning;
     # kept because Cholesky does fail on wide grids (test_lstsq_rescues_cell)
@@ -296,7 +309,8 @@ def alpha_sweep(p: TikhonovProblem, grid: AlphaGrid, reference: np.ndarray):
     for j in np.flatnonzero(~ok):
         sols[j] = tikhonov_solve(p, float(weights[j])).solution
     # metrics.rre column by column, with the same operations in the same order
-    errs = np.array([np.linalg.norm(f - reference) for f in sols]) / norm_ref
+    # (for a 1-D float64 vector numpy's norm is sqrt(x.dot(x)))
+    errs = np.sqrt([d.dot(d) for d in sols - reference]) / norm_ref
     curve = [(float(a), float(e)) for a, e in zip(alphas, errs)]
     tied = np.flatnonzero(errs == errs.min())
     best = min(tied, key=lambda i: alphas[i])

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -218,6 +219,12 @@ def test_sweep_scores_like_rre():
         best, curve = alpha_sweep(p, _SWEEP_GRID, reference)
         assert best.rre == rre(best.solution, reference)
         assert (best.alpha, best.rre) in curve
+        # a one-point sweep returns its only column, so every grid value's
+        # score is checked against the definition
+        for a in _SWEEP_GRID.values:
+            one, one_curve = alpha_sweep(p, AlphaGrid(max=a, min=a / 10.0, count=1), reference)
+            assert one.rre == rre(one.solution, reference)
+            assert one_curve == [(a, one.rre)]
     with pytest.raises(ParameterError, match="zero"):
         alpha_sweep(p, _SWEEP_GRID, np.zeros(n))
 
@@ -390,3 +397,98 @@ def test_wide_grid_beyond_rescue_is_ill_posed():
     )
     with pytest.raises(IllPosedProblemError):
         experiments.run_cell(cfg, 0)
+
+
+def _cho_factor_solve(p, weight):
+    """The normal-equation solve as scipy's cho_factor/cho_solve define it,
+    stacked least squares if that misses the optimality bound."""
+    pen = p.pencil
+    M = pen._KtK + weight * pen._AtA
+    norm_M, norm_Ktg = np.linalg.norm(M, "fro"), np.linalg.norm(p._Ktg)
+
+    def optimal(f):
+        gap = np.linalg.norm(M @ f - p._Ktg)
+        return regularization._optimal(gap, norm_Ktg, norm_M, np.linalg.norm(f))
+
+    try:
+        f = sla.cho_solve(sla.cho_factor(M, check_finite=False), p._Ktg, check_finite=False)
+        if optimal(f):
+            return f, "cholesky"
+    except sla.LinAlgError:
+        pass
+    top = np.vstack([pen._K, np.sqrt(weight) * pen._A])
+    rhs = np.concatenate([p.data, np.zeros(pen._A.shape[0])])
+    return np.linalg.lstsq(top, rhs, rcond=None)[0], "lstsq"
+
+
+def _assert_solves_like_cho_factor(p, weight):
+    """numpy's upper Cholesky factor has the bits of scipy's, fails where
+    scipy's fails, and the solve returns the definition's vector bit for bit."""
+    M = p.pencil._KtK + weight * p.pencil._AtA
+    try:
+        c, lower = sla.cho_factor(M, check_finite=False)
+    except sla.LinAlgError:
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(M, upper=True)
+    else:
+        assert not lower
+        np.testing.assert_array_equal(np.linalg.cholesky(M, upper=True), np.triu(c))
+    expected, path = _cho_factor_solve(p, weight)
+    got = tikhonov_solve(p, weight).solution
+    np.testing.assert_array_equal(got, expected)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
+    return path
+
+
+@pytest.mark.parametrize("n", [2, 7, 100, 257])
+def test_cholesky_solve_matches_cho_factor_on_random_spd(n):
+    rng = np.random.default_rng(n)
+    K = rng.standard_normal((n, n))
+    p = _problem(K, np.eye(n), rng.standard_normal(n))
+    for weight in (1e-3, 1.0, 1e3):
+        assert _assert_solves_like_cho_factor(p, weight) == "cholesky"
+
+
+def test_cholesky_solve_matches_cho_factor_on_pipeline_pencils(monkeypatch):
+    # the table-cell pencils at both ends of the default alpha grid
+    captured = []
+    real = experiments.alpha_sweep
+
+    def spy(p, grid, reference):
+        captured.append(p)
+        return real(p, grid, reference)
+
+    monkeypatch.setattr(experiments, "alpha_sweep", spy)
+    base = experiments.ExperimentConfig(example=2, test_function=3, n=100, epsilon=0.02)
+    ends = (base.alpha_grid.max**2, base.alpha_grid.min**2)
+    paths = set()
+    for method in ("graph", "galerkin"):
+        for penalty in ("identity", "a1", "a2", "a3"):
+            experiments.run_cell(replace(base, method=method, penalty=penalty), 0)
+            for weight in ends:
+                paths.add(_assert_solves_like_cho_factor(captured[-1], weight))
+    assert "cholesky" in paths
+
+
+def test_non_positive_definite_fails_on_both_sides_and_reaches_lstsq(monkeypatch):
+    # at weight 1e20 the identity vanishes in K'K + w A'A below roundoff,
+    # so the computed M is singular although the pencil is not
+    calls = []
+    real = np.linalg.lstsq
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    p = _problem(np.eye(2), [[1.0, 1.0], [0.0, 0.0]], [1.0, -2.0])
+    M = p.pencil._KtK + 1e20 * p.pencil._AtA
+    with pytest.raises(sla.LinAlgError):
+        sla.cho_factor(M, check_finite=False)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(M, upper=True)
+    monkeypatch.setattr(regularization.np.linalg, "lstsq", spy)
+    f = tikhonov_solve(p, 1e20).solution
+    assert calls
+    expected, path = _cho_factor_solve(p, 1e20)
+    assert path == "lstsq"
+    np.testing.assert_array_equal(f, expected)
