@@ -28,12 +28,8 @@ from .experiments import (
 )
 from .graph_core import (
     DirichletSubsetSpec,
-    Graph,
-    INTEGER_LINE,
     PathTransform,
     alternating_inverse_square_transform,
-    combinatorial_distance,
-    laplacian_matrix,
     line_interior,
     m_path_dirichlet_laplacian,
     transformed_path_laplacian,

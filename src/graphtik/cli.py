@@ -12,9 +12,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
+from .discretization import Grid
 from .errors import ConfigurationError, NumericalFailure
 from .experiments import (
     ExperimentConfig,
@@ -27,7 +29,6 @@ from .experiments import (
 )
 from .metrics import lsre
 from .problems import get_test_function
-from .regularization import AlphaGrid
 from .reporting import config_hash, write_csv, write_report_json, write_table_csv
 
 
@@ -51,8 +52,6 @@ def _load_config(path) -> ExperimentConfig:
 
 def _merge(base: ExperimentConfig, args, mapping: dict) -> ExperimentConfig:
     """Overlay explicitly given flags (non-None) onto the base config."""
-    from dataclasses import replace
-
     updates = {}
     for flag, fieldname in mapping.items():
         val = getattr(args, flag, None)
@@ -67,12 +66,7 @@ def _merge(base: ExperimentConfig, args, mapping: dict) -> ExperimentConfig:
         if val is not None:
             grid_updates[key] = val
     if grid_updates:
-        g = base.alpha_grid
-        updates["alpha_grid"] = AlphaGrid(
-            max=grid_updates.get("max", g.max),
-            min=grid_updates.get("min", g.min),
-            count=grid_updates.get("count", g.count),
-        )
+        updates["alpha_grid"] = replace(base.alpha_grid, **grid_updates)
     return replace(base, **updates).validate()
 
 
@@ -130,7 +124,7 @@ def _cmd_deblur(args) -> int:
         },
     )
     sol, err = run_cell(cfg)
-    x = np.arange(1, cfg.n + 1) / (cfg.n + 1)
+    x = Grid(cfg.n, "interior").nodes
     f_true = get_test_function(cfg.test_function).eval(x)
     restored = np.asarray(sol.solution) * np.sqrt(cfg.n)
     rows = list(zip(x, f_true, restored))

@@ -18,14 +18,6 @@ class NumericalFailure(GraphtikError):
     """A numerical routine failed on a valid request."""
 
 
-class InvalidGraphError(ConfigurationError):
-    """Asymmetric or negative weights, nonzero diagonal, bad node data."""
-
-
-class UnsupportedGraphError(ConfigurationError):
-    """Operation defined only for unweighted graphs got a weighted one."""
-
-
 class InsufficientSpecificationError(ConfigurationError):
     """Closed-form result requested without the data needed to produce it."""
 

@@ -19,6 +19,7 @@ from graphtik.discretization import (
 from graphtik.errors import IllPosedProblemError, ParameterError
 from graphtik.experiments import (
     ExperimentConfig,
+    continuous_spectrum,
     diagnostic_matrix,
     discrete_spectrum,
     emit_figure_data,
@@ -27,7 +28,7 @@ from graphtik.experiments import (
     run_cell,
     run_table,
 )
-from graphtik.metrics import max_abs_error
+from graphtik.metrics import lsre, max_abs_error, msre
 from graphtik.problems import EXAMPLES, get_test_function, synthesize_data
 from graphtik.regularization import AlphaGrid
 from graphtik.reporting import config_hash, report_to_json
@@ -330,6 +331,57 @@ def test_run_table_validation():
         run_table(9)
     with pytest.raises(ParameterError):
         run_table(4, seeds=())
+
+
+@pytest.mark.parametrize(
+    "table,keys,count",
+    [
+        (1, {"table", "method", "n", "f", "metric", "value"}, 6),
+        (2, {"table", "method", "n", "m", "metric", "value"}, 18),
+        (3, {"table", "method", "n", "metric", "value"}, 8),
+    ],
+    ids=["table1", "table2", "table3"],
+)
+def test_spectral_tables_equal_their_direct_metrics(table, keys, count):
+    # tables 1-3 take no seeds; each cell is one metric of the second example
+    cells = run_table(table).cells
+    assert len(cells) == count
+    for cell in cells:
+        assert set(cell) == keys and cell["table"] == table
+        n, method = cell["n"], cell["method"]
+        if table == 1:
+            assert (cell["f"], cell["metric"]) == (3, "max_abs_error")
+            want = forward_image_error(2, n, 3, method)
+        elif table == 2:
+            assert cell["metric"] == "lsre"
+            want = lsre(discrete_spectrum(2, n, method), continuous_spectrum(2, n), cell["m"])
+        else:
+            assert cell["metric"] == "msre"
+            want = msre(discrete_spectrum(2, n, method), continuous_spectrum(2, n))
+        assert cell["value"] == want
+    coords = {tuple(cell[k] for k in ("n", "method", "m") if k in cell) for cell in cells}
+    assert len(coords) == count
+
+
+@pytest.mark.parametrize(
+    "fig,base",
+    [
+        (2, ExperimentConfig(example=1, test_function=1, epsilon=0.01)),
+        (3, ExperimentConfig(example=2, test_function=1, epsilon=0.02)),
+    ],
+    ids=["figure2", "figure3"],
+)
+def test_restoration_figures_are_run_cell_solutions(fig, base):
+    names, data = emit_figure_data(fig)
+    pairs = [(m, p) for m in ("graph", "galerkin") for p in ("identity", "a1", "a2", "a3")]
+    assert names == ["x", "f_true"] + [f"{m}_{p}" for m, p in pairs]
+    assert data.shape == (100, 10)
+    x = Grid(100, "interior").nodes
+    np.testing.assert_array_equal(data[:, 0], x)
+    np.testing.assert_array_equal(data[:, 1], get_test_function(1).eval(x))
+    for col, (method, pen) in enumerate(pairs, start=2):
+        sol, _ = run_cell(replace(base, method=method, penalty=pen))
+        np.testing.assert_array_equal(data[:, col], np.asarray(sol.solution) * np.sqrt(100))
 
 
 def test_figure1_columns():

@@ -9,7 +9,7 @@ import pytest
 import graphtik.cli as cli
 from graphtik import experiments
 from graphtik.errors import NumericalError
-from graphtik.experiments import continuous_spectrum, diagnostic_matrix
+from graphtik.experiments import ExperimentConfig, continuous_spectrum, diagnostic_matrix, run_cell
 from graphtik.reporting import (
     ExperimentReport,
     FORMAT_VERSION,
@@ -112,6 +112,31 @@ def test_cli_deblur(tmp_path):
     data = np.array([[float(v) for v in r.split(",")] for r in rows[4:]])
     assert data[0, 0] == pytest.approx(1.0 / 41.0)
     assert np.max(np.abs(data[:, 1] - data[:, 2])) < 1e-2
+
+
+def _deblur_comments(tmp_path, *flags):
+    out = tmp_path / "deblur.csv"
+    base = ["deblur", "--example", "1", "--f", "3", "--n", "40", "--eps", "0.05", "--penalty", "a2"]
+    assert cli.main(base + list(flags) + ["--out", str(out)]) == 0
+    return out.read_text().splitlines()[1:3]
+
+
+def test_cli_deblur_alpha_grid_flags(tmp_path):
+    # a one-point grid holds only its max, so that is the chosen alpha
+    assert _deblur_comments(tmp_path, "--alpha-count", "1", "--alpha-max", "5")[1] == "# alpha=5"
+
+
+def test_cli_deblur_rejects_alpha_min_above_max(capsys):
+    # the default max is 1e3, so this grid has max < min
+    assert cli.main(["deblur", "--n", "40", "--alpha-min", "2000"]) == 1
+    assert "max > min" in capsys.readouterr().err
+
+
+def test_cli_deblur_seed_flag(tmp_path):
+    cfg = ExperimentConfig(example=1, test_function=3, n=40, epsilon=0.05, penalty="a2")
+    rre_line = _deblur_comments(tmp_path, "--seed", "3")[0]
+    assert rre_line == f"# rre={run_cell(cfg, 3)[1]:.9g}"
+    assert rre_line != f"# rre={run_cell(cfg, 0)[1]:.9g}"
 
 
 def test_cli_table_json(tmp_path):
