@@ -2,7 +2,7 @@
 
 Tables 1-3 are deterministic (forward image error, LSRE, MSRE); tables 4-7
 are the deblurring benchmarks, aggregated as medians over the seed list.
-The full 20-seed run takes about 7 s on two cores; pass --seeds 0,1,2 for a
+The full 20-seed run takes about 6 s on two cores; pass --seeds 0,1,2 for a
 quick one.
 """
 import argparse
@@ -23,7 +23,10 @@ def main(argv=None) -> int:
     ap.add_argument("--tables", default=None, help='subset to run, e.g. "1,4,6"')
     args = ap.parse_args(argv)
 
-    seeds = tuple(int(s) for s in args.seeds.split(",")) if args.seeds else tuple(range(20))
+    if args.seeds is None:
+        seeds = tuple(range(20))
+    else:  # "" is an empty list, which run_table rejects like a repeated seed
+        seeds = tuple(int(s) for s in args.seeds.split(",")) if args.seeds else ()
     ids = tuple(int(t) for t in args.tables.split(",")) if args.tables else TABLE_IDS
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

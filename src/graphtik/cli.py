@@ -139,7 +139,10 @@ def _cmd_deblur(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    seeds = tuple(int(s) for s in args.seeds.split(",")) if args.seeds else tuple(range(20))
+    if args.seeds is None:
+        seeds = tuple(range(20))
+    else:  # "" is an empty list, which run_table rejects like a repeated seed
+        seeds = tuple(int(s) for s in args.seeds.split(",")) if args.seeds else ()
     report = run_table(args.id, seeds)
     if args.out and str(args.out).endswith(".json"):
         write_report_json(args.out, report)

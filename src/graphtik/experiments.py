@@ -13,10 +13,10 @@ the reference results this package reproduces:
   the same interior lattice.
 - The parameter sweep squares the grid value before it multiplies the
   penalty norm (a 50-point log grid from 1e3 down to 1e-6).
-- Noisy cells aggregate as the median over the seed list.  A table cell
-  whose penalty does not depend on the data (identity, a1, a2) decomposes
-  its (K, A) pencil once and reuses it for every seed; a3 and matched build
-  theirs from each seed's noisy data.
+- Noisy cells aggregate as the median over the seed list.  A table
+  decomposes the (K, A) pencil of each fixed penalty (identity, a1, a2) and
+  method once and reuses it for every seed of every test function; a3 and
+  matched build theirs from each seed's noisy data.
 """
 from __future__ import annotations
 
@@ -322,19 +322,27 @@ def run_cell(config: ExperimentConfig, seed: int | None = None):
     return _solve_seed(config, seed, _cell_pencil(config))
 
 
-def _solve_cell(config: ExperimentConfig, seeds: tuple) -> list:
+def _solve_cell(config: ExperimentConfig, seeds: tuple, pencils: dict) -> list:
     """(seed, (best, rre) or the GraphtikError it raised) for every seed.
 
-    A cell whose penalty does not depend on the data (identity, a1, a2)
-    decomposes its pencil once and every seed reuses it; if that pencil
-    cannot be built, every seed fails with its error.  The pencil lives only
-    as long as this call: caching it across cells would hold about 24 MB
-    per (K, A) pair at n = 1000.
+    ``pencils`` maps (example, n, method, penalty) to that pencil, or to the
+    GraphtikError its build raised, and is filled on first use.  A pencil
+    does not depend on the test function, so the cells of one table that
+    pass the same dict share it: a penalty that does not depend on the data
+    (identity, a1, a2) is decomposed once per table and method, and if it
+    cannot be built every seed of every cell sharing it fails with its
+    error.  The dict lives only as long as the table: caching pencils for
+    the process would hold about 24 MB per (K, A) pair at n = 1000.
     """
-    try:
-        pencil = _cell_pencil(config)
-    except GraphtikError as exc:
-        return [(s, exc) for s in seeds]
+    key = (config.example, config.n, config.method, config.penalty)
+    if key not in pencils:
+        try:
+            pencils[key] = _cell_pencil(config)
+        except GraphtikError as exc:
+            pencils[key] = exc
+    pencil = pencils[key]
+    if isinstance(pencil, GraphtikError):
+        return [(s, pencil) for s in seeds]
     results = []
     for s in seeds:
         try:
@@ -417,6 +425,7 @@ def _deblur_cells(table_id: int, seeds: tuple):
         fids = (1, 2, 3, 4)
         penalties = ("identity", "a1", "a2", "a3")
     use_seeds = (0,) if table_id == 4 else seeds  # noise-free table ignores seeds
+    pencils = {}
     for fid in fids:
         for method in _METHODS:
             for pen in penalties:
@@ -429,7 +438,7 @@ def _deblur_cells(table_id: int, seeds: tuple):
                 )
                 errs, alphas = [], []
                 failures = []
-                for s, result in _solve_cell(config, use_seeds):
+                for s, result in _solve_cell(config, use_seeds, pencils):
                     if isinstance(result, GraphtikError):
                         failures.append(f"seed {s}: {result}")
                         continue
@@ -486,6 +495,8 @@ def run_table(table_id: int, seeds=tuple(range(20))) -> ExperimentReport:
     seeds = tuple(int(s) for s in seeds)
     if not seeds:
         raise ParameterError("need at least one seed")
+    if len(set(seeds)) != len(seeds):
+        raise ParameterError(f"seeds must not repeat, got {list(seeds)}")
     sample = None
     if table_id == 1:
         cells = _forward_cells()

@@ -285,10 +285,28 @@ def test_fixed_penalty_cell_decomposes_once(monkeypatch):
     # one pencil is two eigh calls; a3 is built from each seed's noisy data
     for penalty, pencils in (("identity", 1), ("a1", 1), ("a2", 1), ("a3", len(seeds))):
         calls.clear()
-        results = experiments._solve_cell(replace(template, penalty=penalty, seeds=seeds), seeds)
+        results = experiments._solve_cell(replace(template, penalty=penalty, seeds=seeds), seeds, {})
         assert [s for s, _ in results] == list(seeds)
         assert not any(isinstance(r, Exception) for _, r in results)
         assert len(calls) == 2 * pencils, penalty
+
+
+def test_table_decomposes_each_fixed_penalty_pencil_once(monkeypatch):
+    # a pencil depends on (method, penalty), not on the test function: table
+    # 6 builds the 6 fixed-penalty pencils once for its 24 fixed-penalty
+    # cells, and one a3 pencil per seed of each of its 8 a3 cells
+    built = []
+    real = experiments.TikhonovPencil
+
+    def counting(K, A):
+        built.append(1)
+        return real(K, A)
+
+    monkeypatch.setattr(experiments, "TikhonovPencil", counting)
+    seeds = (0, 1, 2)
+    report = run_table(6, seeds)
+    assert all(cell["seeds_used"] == len(seeds) for cell in report.cells)
+    assert len(built) == 6 + 8 * len(seeds)
 
 
 def test_ill_posed_pencil_fails_every_seed_of_its_cell(monkeypatch):
@@ -331,6 +349,18 @@ def test_run_table_validation():
         run_table(9)
     with pytest.raises(ParameterError):
         run_table(4, seeds=())
+
+
+def test_run_table_rejects_a_repeated_seed(monkeypatch):
+    # a repeated seed would count twice in every median; it is refused
+    # before any cell runs
+    def forbidden(*args):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(experiments, "_solve_cell", forbidden)
+    for table, seeds in ((4, (0, 0, 1)), (6, (3, 1, 3))):
+        with pytest.raises(ParameterError, match="must not repeat"):
+            run_table(table, seeds)
 
 
 @pytest.mark.parametrize(

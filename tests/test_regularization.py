@@ -366,6 +366,72 @@ def test_roundoff_decided_cells_keep_the_normal_equation_solve(monkeypatch, tabl
     np.testing.assert_array_equal(best.solution, direct)
 
 
+def _traced_cell(monkeypatch, config, seed, factor=regularization._FALLBACK_FACTOR):
+    """run_cell with the sweep's fallback factor set to ``factor``: the best
+    solution, the swept (problem, reference) and the weights solved by
+    ``tikhonov_solve``.  An infinite factor solves every uncertified column."""
+    swept, solved = [], []
+    real_sweep, real_solve = experiments.alpha_sweep, regularization.tikhonov_solve
+
+    def sweep(p, grid, reference):
+        swept.append((p, reference))
+        return real_sweep(p, grid, reference)
+
+    def solve(p, weight):
+        solved.append(weight)
+        return real_solve(p, weight)
+
+    with monkeypatch.context() as m:
+        m.setattr(experiments, "alpha_sweep", sweep)
+        m.setattr(regularization, "tikhonov_solve", solve)
+        m.setattr(regularization, "_FALLBACK_FACTOR", factor)
+        best, _ = experiments.run_cell(config, seed)
+    return best, swept[0], solved
+
+
+_EX2_N100 = experiments.ExperimentConfig(example=2, test_function=3, n=100, epsilon=0.02)
+
+
+def test_columns_that_cannot_be_the_minimum_are_not_solved(monkeypatch):
+    # columns 47-49 of this cell are not certified, and their per-weight RRE
+    # is over 200 times the best one: the sweep solves none of them and still
+    # picks the definition's minimum
+    config = replace(_EX2_N100, method="graph", penalty="a1")
+    _, _, every = _traced_cell(monkeypatch, config, 1, np.inf)
+    grid = config.alpha_grid.values
+    assert set(every) == {a**2 for a in grid[47:]}
+    best, (p, reference), solved = _traced_cell(monkeypatch, config, 1)
+    assert solved == []
+    loop = np.array(_per_weight_curve(p, config.alpha_grid, reference))
+    assert np.all(loop[47:] >= 200.0 * loop.min())
+    j = int(np.flatnonzero(loop == loop.min()).max())  # ties: smallest alpha
+    assert best.alpha == grid[j]
+    np.testing.assert_allclose(best.rre, loop[j], rtol=1e-10)
+
+
+def test_skipped_columns_cannot_undercut_the_chosen_one(monkeypatch):
+    # on every method x penalty cell of example 2 and on table 5's cells, the
+    # sweep chooses what solving every uncertified column chooses, bit for
+    # bit, and every column it skips has a per-weight RRE above the chosen one
+    t5 = experiments._deblur_template(5)
+    configs = [
+        replace(_EX2_N100, method=method, penalty=penalty)
+        for method in ("graph", "galerkin")
+        for penalty in ("identity", "a1", "a2", "a3")
+    ] + [replace(t5, method=method) for method in ("graph", "galerkin")]
+    skipped = 0
+    for config in configs:
+        for seed in range(4):
+            best, (p, reference), solved = _traced_cell(monkeypatch, config, seed)
+            every, _, uncertified = _traced_cell(monkeypatch, config, seed, np.inf)
+            assert (best.alpha, best.rre) == (every.alpha, every.rre)
+            np.testing.assert_array_equal(best.solution, every.solution)
+            for weight in set(uncertified) - set(solved):
+                assert rre(tikhonov_solve(p, weight).solution, reference) > best.rre
+                skipped += 1
+    assert skipped > 0
+
+
 _WIDE_GRID = AlphaGrid(max=1e12, min=1e6, count=20)
 
 

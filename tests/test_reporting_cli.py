@@ -8,7 +8,7 @@ import pytest
 
 import graphtik.cli as cli
 from graphtik import experiments
-from graphtik.errors import NumericalError
+from graphtik.errors import NumericalError, ParameterError
 from graphtik.experiments import ExperimentConfig, continuous_spectrum, diagnostic_matrix, run_cell
 from graphtik.reporting import (
     ExperimentReport,
@@ -157,17 +157,33 @@ def test_cli_table_csv_stdout(capsys):
     assert lines[1].split(",")[:4] == ["table", "f", "method", "penalty"]
 
 
-def test_table_script_writes_the_cli_csv(tmp_path):
-    # scripts/run_all_tables.py and `graphtik table` share one row builder
+def _table_script():
     path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "run_all_tables.py"
     spec = importlib.util.spec_from_file_location("run_all_tables", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_table_script_writes_the_cli_csv(tmp_path):
+    # scripts/run_all_tables.py and `graphtik table` share one row builder
+    script = _table_script()
     assert script.main(["--out-dir", str(tmp_path), "--tables", "4", "--seeds", "0"]) == 0
     assert cli.main(["table", "--id", "4", "--seeds", "0", "--out", str(tmp_path / "cli.csv")]) == 0
     text = (tmp_path / "table4.csv").read_text()
     assert text == (tmp_path / "cli.csv").read_text()
     assert text.splitlines()[1] == "table,f,method,penalty,metric,value,alpha_median,seeds_used"
+
+
+@pytest.mark.parametrize("seeds,message", [("", "need at least one seed"), ("0,1,0", "must not repeat")])
+def test_table_seed_list_must_be_non_empty_and_distinct(tmp_path, capsys, seeds, message):
+    # an empty --seeds is not the default list, and a repeated seed would
+    # count twice in every median
+    assert cli.main(["table", "--id", "4", "--seeds", seeds]) == 1
+    assert message in capsys.readouterr().err
+    with pytest.raises(ParameterError, match=message):
+        _table_script().main(["--out-dir", str(tmp_path), "--tables", "4", "--seeds", seeds])
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_figure(tmp_path):
