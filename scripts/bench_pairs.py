@@ -6,8 +6,9 @@
 Each pair runs one workload seed once in each checkout, with that checkout's
 own perfbench/run.py and nothing else; the first pair of a workload runs the
 parent first and the order alternates from pair to pair.  Every run lands in
---out with its side, pair, order, seed, wall time and its two output lines
-(the environment record and the result).  Runs already in --out are kept, so
+--out with its side, pair, order, seed, wall time, the checkout's commit
+(``git rev-parse HEAD``) and whether its tree was dirty, and its two output
+lines (the environment record and the result).  Runs already in --out are kept, so
 several workloads accumulate in one file, and the summary is rebuilt over all
 of them: per workload and metric, each side's median and quartiles, and the
 number of pairs the change won.  Ties count for neither side, and whether
@@ -24,6 +25,19 @@ import time
 SIDES = ("parent", "change")
 
 
+def checkout_state(root: str) -> dict:
+    """The commit a checkout is at and whether its tree differs from it
+    (None for both outside a git checkout)."""
+
+    def git(*args):
+        proc = subprocess.run(["git", "-C", root, *args], capture_output=True, text=True)
+        return proc.stdout.strip() if proc.returncode == 0 else None
+
+    head = git("rev-parse", "HEAD")
+    status = git("status", "--porcelain") if head else None
+    return {"head": head, "dirty": None if status is None else bool(status)}
+
+
 def run_once(root: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", workload,
@@ -32,6 +46,7 @@ def run_once(root: str, workload: str, seed: int, seconds: float, trace: int) ->
     start = time.perf_counter()
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     run = {"returncode": proc.returncode, "wall_s": time.perf_counter() - start}
+    run.update(checkout_state(root))
     lines = proc.stdout.strip().splitlines()
     try:
         run["record"], run["result"] = json.loads(lines[-2]), json.loads(lines[-1])

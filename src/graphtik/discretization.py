@@ -9,7 +9,8 @@ projection onto orthonormal box functions, kept as the comparison baseline.
 It reads each kernel through its semiseparable factors,
 h(x, y) = u(min(x, y)) v(max(x, y)).
 Both are centrosymmetric, and their spectra and solves go through the
-half-size even and odd blocks of ``_EvenOddSplit``.
+half-size even and odd blocks of ``_EvenOddSplit``, as do the Tikhonov
+pencils of ``regularization`` whose penalty is centrosymmetric too.
 """
 from __future__ import annotations
 
@@ -185,6 +186,35 @@ def build_galerkin_operator(p: ContinuousProblem, n: int) -> DiscreteOperator:
     return DiscreteOperator(K, Grid(n, "midpoint"), "galerkin")
 
 
+def _is_centrosymmetric(A: np.ndarray) -> bool:
+    """Whether JAJ = A (J the flip) to 1e-10 of the largest |entry| of A.
+
+    Row i of JAJ is row n - 1 - i of A reversed, so comparing the top rows
+    (with the middle one for odd n) covers every entry.  This is the contract of
+    ``_EvenOddSplit``; a caller that can also work without the split tests
+    it first.
+    """
+    c = A.shape[0] - A.shape[0] // 2
+    d = A[:c] - A[::-1, ::-1][:c]
+    np.abs(d, out=d)
+    defect = float(d.max())
+    scale = max(float(A.max()), -float(A.min()))
+    return defect <= 1e-10 * scale
+
+
+def _from_even_odd(y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The vectors with even coordinates y and odd coordinates z.
+
+    The inverse change of basis of ``_EvenOddSplit``: with m = n // 2 rows
+    in z and n - m in y, and r = 1/sqrt(2), the result is
+    [r(y[:m] + z); y[m:]; J r(y[:m] - z)], where y[m:] is the middle node
+    for odd n.  y and z are vectors or matrices of columns.
+    """
+    m = z.shape[0]
+    r = 1.0 / sqrt(2.0)
+    return np.concatenate([r * (y[:m] + z), y[m:], (r * (y[:m] - z))[::-1]])
+
+
 class _EvenOddSplit:
     """A symmetric centrosymmetric matrix (JAJ = A, J the flip) as two
     half-size blocks.
@@ -197,25 +227,19 @@ class _EvenOddSplit:
     average removes the antisymmetric defect; its first-order effect on every
     eigenvalue is zero, because each eigenvector is even or odd.  Both
     blocks are formed from quarter blocks of A, with no n x n temporary.
+    ``_from_even_odd`` maps even and odd coordinates back to the n nodes;
+    the solve here and the pencil basis of ``regularization`` both use it.
+    A matrix that fails ``_is_centrosymmetric`` is a ContractViolationError.
     """
 
     def __init__(self, matrix: np.ndarray):
         A = np.asarray(matrix, dtype=float)
+        if not _is_centrosymmetric(A):
+            raise ContractViolationError("matrix is not centrosymmetric to 1e-10 of its largest entry")
         n = A.shape[0]
-        m, c = n // 2, n - n // 2  # bottom rows and columns start at c
-        a11, a22 = A[:m, :m], A[c:, c:][::-1, ::-1]
-        a12, a21 = A[:m, c:][:, ::-1], A[c:, :m][::-1, :]  # A12 J and J A21
-        pairs = [(a11, a22), (a12, a21)]
-        if c > m:
-            pairs += [(A[:m, m], A[c:, m][::-1]), (A[m, :m], A[m, c:][::-1])]
-        defect = max(float(np.max(np.abs(x - y), initial=0.0)) for x, y in pairs)
-        scale = max(float(A.max()), -float(A.min()))
-        if defect > 1e-10 * scale:
-            raise ContractViolationError(
-                f"matrix is not centrosymmetric to 1e-10 (defect {defect:.2e}, scale {scale:.2e})"
-            )
-        s = a11 + a22
-        d = a12 + a21
+        m, c = n // 2, n - n // 2
+        s = A[:m, :m] + A[c:, c:][::-1, ::-1]
+        d = A[:m, c:][:, ::-1] + A[c:, :m][::-1, :]
         self.even = np.empty((c, c))
         np.add(s, d, out=self.even[:m, :m])
         self.even[:m, :m] *= 0.5
@@ -245,7 +269,7 @@ class _EvenOddSplit:
         minus = r * (top - bottom)
         y = sla.solve(self.even, plus, assume_a="sym")
         z = sla.solve(self.odd, minus, assume_a="sym")
-        return np.concatenate([r * (y[:m] + z), y[m:], (r * (y[:m] - z))[::-1]])
+        return _from_even_odd(y, z)
 
 
 def continuous_eigenvalues(p: ContinuousProblem, count: int) -> np.ndarray:

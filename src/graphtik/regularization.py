@@ -16,8 +16,14 @@ vector needs only a projection).
 - The pencil stage, ``TikhonovPencil``, depends only on (K, A).  It takes
   one symmetric eigendecomposition of K'K + A'A and builds from it a basis V
   of the pencil (K'K, A'A), V'(K'K + A'A)V = I with V'A'AV diagonal, so
-  every weight is a diagonal solve in V.  It also keeps ||KV||^2 and
-  ||AV||^2 by column and the Frobenius products that bound ||K'K + w A'A||.
+  every weight is a diagonal solve in V.  When K'K and A'A are both
+  centrosymmetric (both forward operators, with the identity, a1 or a2
+  penalty), the pencil splits into the half-size even and odd blocks of
+  ``discretization._EvenOddSplit``; each block gets the same recipe, at
+  about an eighth of the full-size cost, and V joins the two block bases.
+  A data penalty (a3, matched) is not centrosymmetric and is one block.
+  It also keeps ||KV||^2 and ||AV||^2 by column and the Frobenius products
+  that bound ||K'K + w A'A||, all from the unsplit K and A.
 - The data stage, ``TikhonovProblem`` and ``alpha_sweep``, runs once per
   data vector: it checks the data, projects K'g, solves the whole grid as
   one batched product, certifies it and scores it.
@@ -52,11 +58,12 @@ bits of scipy's ``cho_factor``, and only the O(n^2) triangular solves of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 import scipy.linalg as sla
 
-from .discretization import DiscreteOperator
+from .discretization import DiscreteOperator, _EvenOddSplit, _from_even_odd, _is_centrosymmetric
 from .errors import IllPosedProblemError, ParameterError
 
 __all__ = [
@@ -85,15 +92,40 @@ _FALLBACK_FACTOR = 2.0
 
 
 def _pencil_basis(KtK: np.ndarray, AtA: np.ndarray) -> np.ndarray:
-    """V with V'(K'K + A'A)V = I and V'A'AV diagonal, from two eigh calls."""
-    lam, Q = np.linalg.eigh(KtK + AtA)
-    if lam[0] <= _KERNEL_TOL * float(np.abs(lam).max()):
+    """V with V'(K'K + A'A)V = I and V'A'AV diagonal, two eigh calls per block.
+
+    When K'K and A'A are both centrosymmetric, the blocks are the even and
+    odd blocks of ``_EvenOddSplit`` and V joins their bases; otherwise the
+    pencil is one block.  The floor is checked on the eigenvalues of all
+    blocks before any whitening.  Each temporary is dropped once used up
+    and W is whitened in place, because a build's transient arrays set the
+    peak memory of an n = 1000 run.
+    """
+    if _is_centrosymmetric(KtK) and _is_centrosymmetric(AtA):
+        M, pen = _EvenOddSplit(KtK), _EvenOddSplit(AtA)
+        M.even += pen.even  # the blocks of K'K + A'A
+        M.odd += pen.odd
+        eigs = [np.linalg.eigh(M.even), np.linalg.eigh(M.odd)]
+        penalties = [pen.even, pen.odd]
+        del M, pen
+    else:
+        eigs = [np.linalg.eigh(KtK + AtA)]
+        penalties = [AtA]
+    spectrum = np.concatenate([lam for lam, _ in eigs])
+    if spectrum.min() <= _KERNEL_TOL * float(np.abs(spectrum).max()):
         raise IllPosedProblemError(
             "penalty and forward operator share a near-null direction"
         )
-    W = Q / np.sqrt(lam)
-    _, U = np.linalg.eigh(W.T @ AtA @ W)
-    return W @ U
+    bases = []
+    for (lam, W), AtA_block in zip(eigs, penalties):
+        W /= np.sqrt(lam)  # whitened in place: W'MW = I
+        _, U = np.linalg.eigh(W.T @ AtA_block @ W)
+        bases.append(W @ U)
+    del eigs, penalties
+    if len(bases) == 1:
+        return bases[0]
+    # V = P diag(V_even, V_odd), P the even/odd change of basis
+    return _from_even_odd(*np.vsplit(sla.block_diag(*bases), [len(bases[0])]))
 
 
 @dataclass(eq=False)
@@ -102,14 +134,19 @@ class TikhonovPencil:
 
     Construction rejects operators on different grids or with non-finite
     entries, then takes one symmetric eigendecomposition M = Q diag(lam) Q'
-    of M = K'K + A'A.  It verifies that ker(penalty) and ker(forward)
-    intersect trivially: the smallest eigenvalue must clear a relative
-    floor, otherwise no weight makes the normal equations solvable.  The
-    same decomposition gives the basis V used by ``alpha_sweep``: whitening
-    by lam^(-1/2) and diagonalizing the whitened A'A yields V'MV = I with
-    V'A'AV diagonal, so V simultaneously diagonalizes K'K + w A'A for every
-    weight w.  The pencil also keeps the column norms ||KV||^2 and ||AV||^2
-    and the three Frobenius products that give ||K'K + w A'A||_F.
+    of M = K'K + A'A per block: the even and the odd block when K'K and A'A
+    are both centrosymmetric, else M itself.  It verifies that ker(penalty)
+    and ker(forward) intersect trivially: the smallest eigenvalue of all
+    blocks must clear a relative floor, otherwise no weight makes the
+    normal equations solvable.  The same decompositions give the basis V
+    used by ``alpha_sweep``: whitening each block by lam^(-1/2) and
+    diagonalizing its whitened A'A yields V'MV = I with V'A'AV diagonal, so
+    V simultaneously diagonalizes K'K + w A'A for every weight w.  A split
+    basis is exact for the blocks of the averages (X + JXJ)/2, within the
+    1e-10 centrosymmetry test of the true ones; the sweep certifies and
+    falls back against the unsplit K'K and A'A.  The pencil also keeps the
+    column norms ||KV||^2 and ||AV||^2 and the three Frobenius products
+    that give ||K'K + w A'A||_F.
 
     Every ``TikhonovProblem`` on the same (K, A) can share one pencil.  At
     n = 1000 it holds about 24 MB (K'K, A'A and V), so callers keep it only
@@ -178,10 +215,14 @@ class AlphaGrid:
 
     def __post_init__(self):
         for name, value in (("max", self.max), ("min", self.min)):
+            if not isinstance(value, Real) or isinstance(value, bool):
+                raise ParameterError(f"alpha_grid {name} must be a real number, got {value!r}")
             if not np.isfinite(value):
                 raise ParameterError(f"alpha_grid {name} must be finite, got {value!r}")
         if not (self.max > self.min > 0.0):
             raise ParameterError("need max > min > 0")
+        if not isinstance(self.count, Integral) or isinstance(self.count, bool):
+            raise ParameterError(f"alpha_grid count must be an integer, got {self.count!r}")
         if self.count < 1:
             raise ParameterError("need count >= 1")
 

@@ -282,13 +282,17 @@ def test_fixed_penalty_cell_decomposes_once(monkeypatch):
     monkeypatch.setattr(regularization.np.linalg, "eigh", counting)
     seeds = tuple(range(5))
     template = experiments._deblur_template(6)
-    # one pencil is two eigh calls; a3 is built from each seed's noisy data
-    for penalty, pencils in (("identity", 1), ("a1", 1), ("a2", 1), ("a3", len(seeds))):
+    # a pencil is two eigh calls per block: the centrosymmetric fixed
+    # penalties split into an even and an odd block, while a3 is one block
+    # built from each seed's noisy data
+    for penalty, pencils, blocks in (
+        ("identity", 1, 2), ("a1", 1, 2), ("a2", 1, 2), ("a3", len(seeds), 1)
+    ):
         calls.clear()
         results = experiments._solve_cell(replace(template, penalty=penalty, seeds=seeds), seeds, {})
         assert [s for s, _ in results] == list(seeds)
         assert not any(isinstance(r, Exception) for _, r in results)
-        assert len(calls) == 2 * pencils, penalty
+        assert len(calls) == 2 * blocks * pencils, penalty
 
 
 def test_table_decomposes_each_fixed_penalty_pencil_once(monkeypatch):

@@ -4,14 +4,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from graphtik import experiments, regularization
 from graphtik.discretization import DiscreteOperator, Grid
 from graphtik.errors import IllPosedProblemError, ParameterError
 from graphtik.metrics import rre
-from graphtik.penalty import neumann_penalty
+from graphtik.penalty import (
+    SimilarityParams,
+    data_graph_laplacian,
+    dirichlet_penalty,
+    neumann_penalty,
+)
 from graphtik.regularization import (
     AlphaGrid,
     TikhonovPencil,
@@ -161,6 +166,16 @@ def test_alpha_grid_validation():
         for value in (float("inf"), float("nan")):
             with pytest.raises(ParameterError, match=f"alpha_grid {name} must be finite"):
                 AlphaGrid(**{name: value})
+        # a mistyped bound is a configuration error, not numpy's TypeError
+        for value in ("1e3", None, True, 1 + 0j):
+            with pytest.raises(ParameterError, match=f"alpha_grid {name} must be a real number"):
+                AlphaGrid(**{name: value})
+    # a float or bool count would reach np.logspace, or make a one-point grid
+    for count in (2.5, 3.0, True, "3", None):
+        with pytest.raises(ParameterError, match="alpha_grid count must be an integer"):
+            AlphaGrid(count=count)
+    assert AlphaGrid(count=np.int64(3)).values.shape == (3,)
+    assert AlphaGrid(max=np.float64(10.0), min=1).values[-1] == pytest.approx(1.0)
 
 
 def test_sweep_reports_grid_value():
@@ -348,6 +363,145 @@ def test_sweep_on_two_nodes():
         assert np.isfinite(err) and sol.alpha in cfg.alpha_grid.values
 
 
+def _centrosymmetric(n, seed):
+    B = np.random.default_rng(seed).standard_normal((n, n))
+    B = B + B.T
+    return 0.5 * (B + B[::-1, ::-1])  # exactly symmetric and centrosymmetric
+
+
+def _counted(build, split=True):
+    """build() with np.linalg.eigh counted: (its value or the
+    IllPosedProblemError it raised, eigh calls).  split=False makes every
+    pencil take the one-block path."""
+    calls = []
+    real = np.linalg.eigh
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(regularization.np.linalg, "eigh", counting)
+        if not split:
+            m.setattr(regularization, "_is_centrosymmetric", lambda matrix: False)
+        try:
+            value = build()
+        except IllPosedProblemError as exc:
+            value = exc
+    return value, len(calls)
+
+
+def _assert_pencil_basis(pencil):
+    """V'(K'K + A'A)V = I and V'A'AV diagonal, to roundoff times cond."""
+    V = pencil._basis
+    M = pencil._KtK + pencil._AtA
+    lam = np.linalg.eigvalsh(M)
+    tol = 1e3 * np.finfo(float).eps * lam[-1] / lam[0]
+    assert np.max(np.abs(V.T @ M @ V - np.eye(len(V)))) <= tol
+    D = V.T @ pencil._AtA @ V
+    assert np.max(np.abs(D - np.diag(np.diag(D)))) <= tol
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=0, max_value=2**32 - 2),
+    st.sampled_from(["identity", "dirichlet", "neumann", "random"]),
+    st.floats(min_value=0.0, max_value=4.0),
+    st.sampled_from([None, "even", "odd"]),
+)
+def test_split_pencil_matches_the_definition(n, seed, penalty, decay, null):
+    # a symmetric centrosymmetric K with eigenvalues 1 down to 10^-decay
+    _, Q = np.linalg.eigh(_centrosymmetric(n, seed))
+    K = (Q * np.logspace(0.0, -decay, n)) @ Q.T
+    K = 0.5 * (K + K.T)
+    K = 0.5 * (K + K[::-1, ::-1])
+    if penalty == "identity":
+        A = np.eye(n)
+    elif penalty == "random":
+        A = _centrosymmetric(n, seed + 1)
+    else:
+        assume(n >= 2)
+        A = (dirichlet_penalty if penalty == "dirichlet" else neumann_penalty)(n).matrix
+    if null is not None:
+        # project an even or an odd vector out of both K and A: the pencil
+        # is singular, and the floor must reject it on either path
+        assume(null == "even" or n >= 2)
+        u = np.ones(n) if null == "even" else np.sign(n - 1 - 2.0 * np.arange(n))
+        u /= np.linalg.norm(u)
+        P = np.eye(n) - np.outer(u, u)
+        K, A = P @ K @ P, A @ P
+    pencil, calls = _counted(lambda: TikhonovPencil(_op(K), _op(A)))
+    one_block, one_block_calls = _counted(lambda: TikhonovPencil(_op(K), _op(A)), split=False)
+    if null is not None:
+        assert isinstance(pencil, IllPosedProblemError)
+        assert isinstance(one_block, IllPosedProblemError)
+        # the floor is checked on both blocks before any whitening
+        assert (calls, one_block_calls) == (2, 1)
+        return
+    assert (calls, one_block_calls) == (4, 2)  # the split was taken
+    V = pencil._basis
+    assert np.all(np.all(V[::-1] == V, axis=0) | np.all(V[::-1] == -V, axis=0))
+    _assert_pencil_basis(pencil)
+    rng = np.random.default_rng(seed + 2)
+    reference = rng.standard_normal(n)
+    g = K @ reference + 0.1 * rng.standard_normal(n)
+    p = TikhonovProblem(pencil.forward, pencil.penalty, g, pencil)
+    best, curve = alpha_sweep(p, _SWEEP_GRID, reference)
+    assert _meets_solver_bound(p, best.alpha**2, best.solution)
+    conds = [np.linalg.cond(p.pencil._KtK + a**2 * p.pencil._AtA) for a in _SWEEP_GRID.values]
+    if max(conds) > 1e6:
+        return  # RRE decided by roundoff: only the residual bound applies
+    loop = np.array(_per_weight_curve(p, _SWEEP_GRID, reference))
+    np.testing.assert_allclose([e for _, e in curve], loop, rtol=1e-8)
+    j = int(np.flatnonzero(loop == loop.min()).max())  # ties: smallest alpha
+    i = list(_SWEEP_GRID.values).index(best.alpha)
+    assert i == j or abs(loop[i] - loop[j]) <= 1e-8 * loop[j]
+    np.testing.assert_allclose(best.rre, loop[j], rtol=1e-8)
+
+
+def test_data_penalty_pencil_is_one_block():
+    # a3 is built from the noisy data, so its A'A is not centrosymmetric and
+    # the pencil keeps the one-block recipe: two eigh calls
+    K = experiments.forward_matrix(2, 100, "graph")
+    rng = np.random.default_rng(0)
+    g = K.matrix @ np.sin(np.pi * K.grid.nodes) + 0.02 * rng.standard_normal(100)
+    A = data_graph_laplacian(g, SimilarityParams(r=20, sigma=0.01))
+    assert regularization._is_centrosymmetric(K.matrix.T @ K.matrix)
+    assert not regularization._is_centrosymmetric(A.matrix.T @ A.matrix)
+    pencil, calls = _counted(lambda: TikhonovPencil(K, A))
+    assert calls == 2
+    _assert_pencil_basis(pencil)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_smallest_fixed_penalty_cells_split_their_pencils(n):
+    # run_cell on the fixed penalties at n = 2 and 3 (one odd/even pair each,
+    # and a middle node at n = 3) takes the split and chooses what the
+    # per-weight definition chooses
+    captured = []
+    real = experiments.alpha_sweep
+
+    def spy(p, grid, reference):
+        captured.append((p, reference))
+        return real(p, grid, reference)
+
+    cfg = experiments.ExperimentConfig(example=2, test_function=3, n=n, epsilon=0.02)
+    for method in ("graph", "galerkin"):
+        for penalty in ("identity", "a1", "a2"):
+            config = replace(cfg, method=method, penalty=penalty)
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(experiments, "alpha_sweep", spy)
+                (best, err), calls = _counted(lambda: experiments.run_cell(config, 0))
+            assert calls == 4, (method, penalty)
+            p, reference = captured[-1]
+            _assert_pencil_basis(p.pencil)
+            loop = np.array(_per_weight_curve(p, config.alpha_grid, reference))
+            j = int(np.flatnonzero(loop == loop.min()).max())  # ties: smallest alpha
+            assert best.alpha == config.alpha_grid.values[j], (method, penalty)
+            np.testing.assert_allclose(err, loop[j], rtol=1e-8)
+
+
 @pytest.mark.parametrize("table,penalty", [(4, "identity"), (5, "matched")])
 def test_roundoff_decided_cells_keep_the_normal_equation_solve(monkeypatch, table, penalty):
     # the RRE curves of these cells are flat below float64 roundoff of the
@@ -393,17 +547,17 @@ _EX2_N100 = experiments.ExperimentConfig(example=2, test_function=3, n=100, epsi
 
 
 def test_columns_that_cannot_be_the_minimum_are_not_solved(monkeypatch):
-    # columns 47-49 of this cell are not certified, and their per-weight RRE
-    # is over 200 times the best one: the sweep solves none of them and still
-    # picks the definition's minimum
+    # columns 48-49 of this cell are not certified, and their per-weight RRE
+    # is over 200 times the best one: the sweep solves neither of them and
+    # still picks the definition's minimum
     config = replace(_EX2_N100, method="graph", penalty="a1")
     _, _, every = _traced_cell(monkeypatch, config, 1, np.inf)
     grid = config.alpha_grid.values
-    assert set(every) == {a**2 for a in grid[47:]}
+    assert set(every) == {a**2 for a in grid[48:]}
     best, (p, reference), solved = _traced_cell(monkeypatch, config, 1)
     assert solved == []
     loop = np.array(_per_weight_curve(p, config.alpha_grid, reference))
-    assert np.all(loop[47:] >= 200.0 * loop.min())
+    assert np.all(loop[48:] >= 200.0 * loop.min())
     j = int(np.flatnonzero(loop == loop.min()).max())  # ties: smallest alpha
     assert best.alpha == grid[j]
     np.testing.assert_allclose(best.rre, loop[j], rtol=1e-10)
