@@ -190,9 +190,9 @@ def _is_centrosymmetric(A: np.ndarray) -> bool:
     """Whether JAJ = A (J the flip) to 1e-10 of the largest |entry| of A.
 
     Row i of JAJ is row n - 1 - i of A reversed, so comparing the top rows
-    (with the middle one for odd n) covers every entry.  This is the contract of
-    ``_EvenOddSplit``; a caller that can also work without the split tests
-    it first.
+    (with the middle one for odd n) covers every entry.  This is the
+    contract of ``_EvenOddSplit``; a caller that can also work without the
+    split tests it first.
     """
     c = A.shape[0] - A.shape[0] // 2
     d = A[:c] - A[::-1, ::-1][:c]
@@ -235,7 +235,9 @@ class _EvenOddSplit:
     def __init__(self, matrix: np.ndarray):
         A = np.asarray(matrix, dtype=float)
         if not _is_centrosymmetric(A):
-            raise ContractViolationError("matrix is not centrosymmetric to 1e-10 of its largest entry")
+            raise ContractViolationError(
+                "matrix is not centrosymmetric to 1e-10 of its largest entry"
+            )
         n = A.shape[0]
         m, c = n // 2, n - n // 2
         s = A[:m, :m] + A[c:, c:][::-1, ::-1]
