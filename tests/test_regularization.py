@@ -312,6 +312,12 @@ def test_sweep_matches_per_weight_solves(n, seed, penalty, decay):
         A = _graph_laplacian(rng, n)
     reference = rng.standard_normal(n)
     p = _problem(K, A, K @ reference + 0.1 * rng.standard_normal(n))
+    _assert_sweep_matches_per_weight_solves(p, reference)
+
+
+def _assert_sweep_matches_per_weight_solves(p, reference):
+    """The sweep over _SWEEP_GRID against the definition, one normal-equation
+    solve per weight."""
     best, curve = alpha_sweep(p, _SWEEP_GRID, reference)
     assert [a for a, _ in curve] == list(_SWEEP_GRID.values)
     assert _meets_solver_bound(p, best.alpha**2, best.solution)
@@ -446,18 +452,9 @@ def test_split_pencil_matches_the_definition(n, seed, penalty, decay, null):
     rng = np.random.default_rng(seed + 2)
     reference = rng.standard_normal(n)
     g = K @ reference + 0.1 * rng.standard_normal(n)
-    p = TikhonovProblem(pencil.forward, pencil.penalty, g, pencil)
-    best, curve = alpha_sweep(p, _SWEEP_GRID, reference)
-    assert _meets_solver_bound(p, best.alpha**2, best.solution)
-    conds = [np.linalg.cond(p.pencil._KtK + a**2 * p.pencil._AtA) for a in _SWEEP_GRID.values]
-    if max(conds) > 1e6:
-        return  # RRE decided by roundoff: only the residual bound applies
-    loop = np.array(_per_weight_curve(p, _SWEEP_GRID, reference))
-    np.testing.assert_allclose([e for _, e in curve], loop, rtol=1e-8)
-    j = int(np.flatnonzero(loop == loop.min()).max())  # ties: smallest alpha
-    i = list(_SWEEP_GRID.values).index(best.alpha)
-    assert i == j or abs(loop[i] - loop[j]) <= 1e-8 * loop[j]
-    np.testing.assert_allclose(best.rre, loop[j], rtol=1e-8)
+    _assert_sweep_matches_per_weight_solves(
+        TikhonovProblem(pencil.forward, pencil.penalty, g, pencil), reference
+    )
 
 
 def test_data_penalty_pencil_is_one_block():
