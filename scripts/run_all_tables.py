@@ -2,14 +2,15 @@
 
 Tables 1-3 are deterministic (forward image error, LSRE, MSRE); tables 4-7
 are the deblurring benchmarks, aggregated as medians over the seed list.
-The full 20-seed run takes about 6 s on two cores; pass --seeds 0,1,2 for a
-quick one.
+The full 20-seed run takes about 7 s on two cores, 6 s of it in the tables;
+pass --seeds 0,1,2 for a quick one.
 """
 import argparse
 import pathlib
 import sys
 import time
 
+from graphtik.cli import parse_seeds
 from graphtik.experiments import run_table
 from graphtik.reporting import write_report_json, write_table_csv
 
@@ -23,10 +24,7 @@ def main(argv=None) -> int:
     ap.add_argument("--tables", default=None, help='subset to run, e.g. "1,4,6"')
     args = ap.parse_args(argv)
 
-    if args.seeds is None:
-        seeds = tuple(range(20))
-    else:  # "" is an empty list, which run_table rejects like a repeated seed
-        seeds = tuple(int(s) for s in args.seeds.split(",")) if args.seeds else ()
+    seeds = parse_seeds(args.seeds)
     ids = tuple(int(t) for t in args.tables.split(",")) if args.tables else TABLE_IDS
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -138,12 +138,16 @@ def _cmd_deblur(args) -> int:
     return 0
 
 
+def parse_seeds(text: str | None) -> tuple:
+    """A --seeds value ("0,1,2") as integers; None is seeds 0..19."""
+    if text is None:
+        return tuple(range(20))
+    # "" is an empty list, which run_table rejects like a repeated seed
+    return tuple(int(s) for s in text.split(",")) if text else ()
+
+
 def _cmd_table(args) -> int:
-    if args.seeds is None:
-        seeds = tuple(range(20))
-    else:  # "" is an empty list, which run_table rejects like a repeated seed
-        seeds = tuple(int(s) for s in args.seeds.split(",")) if args.seeds else ()
-    report = run_table(args.id, seeds)
+    report = run_table(args.id, parse_seeds(args.seeds))
     if args.out and str(args.out).endswith(".json"):
         write_report_json(args.out, report)
         return 0

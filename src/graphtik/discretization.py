@@ -192,7 +192,7 @@ def _is_centrosymmetric(A: np.ndarray) -> bool:
     Row i of JAJ is row n - 1 - i of A reversed, so comparing the top rows
     (with the middle one for odd n) covers every entry.  This is the
     contract of ``_EvenOddSplit``; a caller that can also work without the
-    split tests it first.
+    split catches the split's ContractViolationError.
     """
     c = A.shape[0] - A.shape[0] // 2
     d = A[:c] - A[::-1, ::-1][:c]

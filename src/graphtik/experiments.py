@@ -82,6 +82,24 @@ class ExperimentConfig:
     data_mode: str = "quadrature"
 
     def validate(self) -> "ExperimentConfig":
+        """Check every field's type, then its range; returns self.
+
+        A scalar must have its default's type (an int is accepted where a
+        float is expected, a bool never), and the seeds must be integers."""
+        for f in fields(self):
+            value, kind = getattr(self, f.name), type(f.default)
+            if kind is int:
+                ok = _is_int(value)
+            elif kind is float:
+                ok = isinstance(value, Real) and not isinstance(value, bool)
+            elif kind is str:
+                ok = isinstance(value, str)
+            else:
+                continue  # seeds below; alpha_grid checks its own fields
+            if not ok:
+                raise ParameterError(f"config field {f.name!r} must be {kind.__name__}, got {value!r}")
+        if not isinstance(self.seeds, (list, tuple)) or not all(_is_int(s) for s in self.seeds):
+            raise ParameterError(f"config field 'seeds' must be a list of integers, got {self.seeds!r}")
         if self.example not in (1, 2):
             raise ParameterError(f"example must be 1 or 2, got {self.example!r}")
         if self.test_function not in (1, 2, 3, 4):
@@ -112,51 +130,36 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         """Inverse of to_dict; missing fields, and missing alpha_grid
-        entries, take their defaults.  Every field is type-checked against
-        its default, so a mistyped value is a ParameterError."""
+        entries, take their defaults.  The types are checked by validate()
+        and AlphaGrid, so a mistyped value is a ParameterError."""
         if not isinstance(d, dict):
             raise ParameterError("a config must be a JSON object")
         d = dict(d)
-        _check_fields("config", d, fields(cls))
+        _reject_unknown("config", d, fields(cls))
         if "alpha_grid" in d:
             ag = d["alpha_grid"]
             if not isinstance(ag, dict):
                 raise ParameterError(f"config field 'alpha_grid' must be an object, got {ag!r}")
-            _check_fields("alpha_grid", ag, fields(AlphaGrid))
-            d["alpha_grid"] = AlphaGrid(
-                **{f.name: type(f.default)(ag[f.name]) for f in fields(AlphaGrid) if f.name in ag}
-            )
-        if "seeds" in d:
-            seeds = d["seeds"]
-            if not isinstance(seeds, (list, tuple)) or not all(_is_int(s) for s in seeds):
-                raise ParameterError(f"config field 'seeds' must be a list of integers, got {seeds!r}")
-            d["seeds"] = tuple(int(s) for s in seeds)
-        return cls(**d).validate()
+            _reject_unknown("alpha_grid", ag, fields(AlphaGrid))
+            d["alpha_grid"] = AlphaGrid(**ag)
+        config = cls(**d).validate()
+        # to the field types, so that {"max": 100} and {"max": 100.0} hash alike
+        grid = config.alpha_grid
+        return replace(
+            config,
+            seeds=tuple(int(s) for s in config.seeds),
+            alpha_grid=AlphaGrid(float(grid.max), float(grid.min), int(grid.count)),
+        )
 
 
 def _is_int(x) -> bool:
     return isinstance(x, Integral) and not isinstance(x, bool)
 
 
-def _check_fields(where: str, d: dict, known) -> None:
-    """Reject unknown keys and scalars whose type does not match the
-    field's default (an int is accepted where a float is expected)."""
-    known = {f.name: f for f in known}
-    unknown = set(d) - set(known)
+def _reject_unknown(where: str, d: dict, known) -> None:
+    unknown = set(d) - {f.name for f in known}
     if unknown:
         raise ParameterError(f"unknown {where} fields {sorted(unknown)}")
-    for name, value in d.items():
-        kind = type(known[name].default)
-        if kind is int:
-            ok = _is_int(value)
-        elif kind is float:
-            ok = isinstance(value, Real) and not isinstance(value, bool)
-        elif kind is str:
-            ok = isinstance(value, str)
-        else:
-            continue  # seeds and alpha_grid are checked by the caller
-        if not ok:
-            raise ParameterError(f"{where} field {name!r} must be {kind.__name__}, got {value!r}")
 
 
 # ---------------------------------------------------------------- operators
@@ -206,11 +209,11 @@ def diagnostic_matrix(example_id: int, n: int, method: str) -> DiscreteOperator:
 
 
 @lru_cache(maxsize=None)
-def _clean_data(example_id: int, fid: int, n: int, mode: str) -> tuple:
-    ex = get_example(example_id)
-    f = get_test_function(fid)
-    g = synthesize_data(ex, f, Grid(n, "interior"), mode)
-    return tuple(g)
+def _clean_data(example_id: int, fid: int, n: int, mode: str) -> np.ndarray:
+    """The synthesized data, read-only: every caller shares the one array."""
+    g = synthesize_data(get_example(example_id), get_test_function(fid), Grid(n, "interior"), mode)
+    g.flags.writeable = False
+    return g
 
 
 def discrete_spectrum(example_id: int, n: int, method: str) -> np.ndarray:
@@ -254,7 +257,7 @@ def forward_image_error(example_id: int, n: int, fid: int, method: str) -> float
     try:
         u = synthesize_data(ex, f, Grid(n, "interior"), "analytic")
     except GraphtikError:
-        u = np.array(_clean_data(example_id, fid, n, "quadrature"))
+        u = _clean_data(example_id, fid, n, "quadrature")
     return max_abs_error(image, u)
 
 
@@ -280,76 +283,49 @@ def _penalty_operator(config: ExperimentConfig, g_eps: np.ndarray, reference: np
     return kernel_matched_penalty(delta, reference)
 
 
-def _cell_pencil(config: ExperimentConfig) -> TikhonovPencil | None:
-    """The pencil every seed of a cell shares, or None for a data penalty."""
-    if config.penalty in _DATA_PENALTIES:
-        return None
-    K = forward_matrix(config.example, config.n, config.method)
-    return TikhonovPencil(K, _penalty_operator(config, None, None))
-
-
-def _solve_seed(config: ExperimentConfig, seed: int, pencil: TikhonovPencil | None):
-    """One noisy draw of a cell on the cell's pencil: (best, rre).
-
-    A data penalty (pencil None) builds this seed's pencil from its data.
-    """
-    n = config.n
-    grid = Grid(n, "interior")
-    root = sqrt(n)
-    g_clean = np.array(_clean_data(config.example, config.test_function, n, config.data_mode))
-    g_clean = g_clean / root
-    reference = get_test_function(config.test_function).eval(grid.nodes) / root
-    g_eps = add_noise(g_clean, NoiseModel(config.epsilon, int(seed)))
-    if pencil is None:
-        K = forward_matrix(config.example, n, config.method)
-        pencil = TikhonovPencil(K, _penalty_operator(config, g_eps, reference))
-    problem = TikhonovProblem(pencil.forward, pencil.penalty, g_eps, pencil)
-    best, _curve = alpha_sweep(problem, config.alpha_grid, reference)
-    return best, best.rre
-
-
-def run_cell(config: ExperimentConfig, seed: int | None = None):
-    """Solve one deblurring cell; returns (best RegularizedSolution, rre).
+def run_cell(config: ExperimentConfig, seed: int | None = None, pencils: dict | None = None):
+    """Solve one deblurring cell at one seed (default: the config's first);
+    returns (best RegularizedSolution, rre).
 
     Data and reference are interior-lattice samples at coefficient scale;
     the returned solution vector is at that scale too (multiply by sqrt(n)
-    for point values).  The cell's pencil is built for this one call; a
-    table shares one across a cell's seeds and gets the same values.
+    for point values).  A fixed penalty's pencil (identity, a1, a2) is taken
+    from ``pencils``, keyed (example, n, method, penalty), and built on
+    first use, or built for this call only without a dict; a GraphtikError
+    its build raised is kept in its place and raised again.  A table shares
+    one dict across its cells and seeds, for the values of separate calls
+    bit for bit; caching pencils for the process instead would hold about
+    24 MB per (K, A) pair at n = 1000.  a3 and matched pencils are built
+    from this seed's noisy data.
     """
     config.validate()
     if seed is None:
         seed = config.seeds[0]
-    return _solve_seed(config, seed, _cell_pencil(config))
-
-
-def _solve_cell(config: ExperimentConfig, seeds: tuple, pencils: dict) -> list:
-    """(seed, (best, rre) or the GraphtikError it raised) for every seed.
-
-    ``pencils`` maps (example, n, method, penalty) to that pencil, or to the
-    GraphtikError its build raised, and is filled on first use.  A pencil
-    does not depend on the test function, so the cells of one table that
-    pass the same dict share it: a penalty that does not depend on the data
-    (identity, a1, a2) is decomposed once per table and method, and if it
-    cannot be built every seed of every cell sharing it fails with its
-    error.  The dict lives only as long as the table: caching pencils for
-    the process would hold about 24 MB per (K, A) pair at n = 1000.
-    """
-    key = (config.example, config.n, config.method, config.penalty)
-    if key not in pencils:
-        try:
-            pencils[key] = _cell_pencil(config)
-        except GraphtikError as exc:
-            pencils[key] = exc
-    pencil = pencils[key]
-    if isinstance(pencil, GraphtikError):
-        return [(s, pencil) for s in seeds]
-    results = []
-    for s in seeds:
-        try:
-            results.append((s, _solve_seed(config, s, pencil)))
-        except GraphtikError as exc:
-            results.append((s, exc))
-    return results
+    n = config.n
+    K = forward_matrix(config.example, n, config.method)
+    if config.penalty not in _DATA_PENALTIES:
+        pencils = {} if pencils is None else pencils
+        key = (config.example, n, config.method, config.penalty)
+        if key not in pencils:
+            try:
+                pencils[key] = TikhonovPencil(K, _penalty_operator(config, None, None))
+            except GraphtikError as exc:
+                pencils[key] = exc
+                raise
+        pencil = pencils[key]
+        if isinstance(pencil, GraphtikError):
+            # a raise appends this call's frames to the traceback, and
+            # they hold its arrays: start from none on every seed
+            raise pencil.with_traceback(None)
+    root = sqrt(n)
+    g_clean = _clean_data(config.example, config.test_function, n, config.data_mode) / root
+    reference = get_test_function(config.test_function).eval(Grid(n, "interior").nodes) / root
+    g_eps = add_noise(g_clean, NoiseModel(config.epsilon, int(seed)))
+    if config.penalty in _DATA_PENALTIES:
+        pencil = TikhonovPencil(K, _penalty_operator(config, g_eps, reference))
+    problem = TikhonovProblem(pencil.forward, pencil.penalty, g_eps, pencil)
+    best, _curve = alpha_sweep(problem, config.alpha_grid, reference)
+    return best, best.rre
 
 
 # ------------------------------------------------------------------ tables
@@ -438,11 +414,12 @@ def _deblur_cells(table_id: int, seeds: tuple):
                 )
                 errs, alphas = [], []
                 failures = []
-                for s, result in _solve_cell(config, use_seeds, pencils):
-                    if isinstance(result, GraphtikError):
-                        failures.append(f"seed {s}: {result}")
+                for s in use_seeds:
+                    try:
+                        sol, err = run_cell(config, s, pencils)
+                    except GraphtikError as exc:
+                        failures.append(f"seed {s}: {exc}")
                         continue
-                    sol, err = result
                     errs.append(err)
                     alphas.append(sol.alpha)
                     if sample is None:

@@ -63,8 +63,8 @@ from numbers import Integral, Real
 import numpy as np
 import scipy.linalg as sla
 
-from .discretization import DiscreteOperator, _EvenOddSplit, _from_even_odd, _is_centrosymmetric
-from .errors import IllPosedProblemError, ParameterError
+from .discretization import DiscreteOperator, _EvenOddSplit, _from_even_odd
+from .errors import ContractViolationError, IllPosedProblemError, ParameterError
 
 __all__ = [
     "TikhonovPencil",
@@ -96,21 +96,25 @@ def _pencil_basis(KtK: np.ndarray, AtA: np.ndarray) -> np.ndarray:
 
     When K'K and A'A are both centrosymmetric, the blocks are the even and
     odd blocks of ``_EvenOddSplit`` and V joins their bases; otherwise the
-    pencil is one block.  The floor is checked on the eigenvalues of all
-    blocks before any whitening.  Each temporary is dropped once used up
-    and W is whitened in place, because a build's transient arrays set the
-    peak memory of an n = 1000 run.
+    pencil is one block.  The split's own test decides, one test per
+    matrix: A'A is split first, so a data penalty, which fails it, costs
+    one test.  The floor is checked on the eigenvalues of all blocks before
+    any whitening.  Each temporary is dropped once used up and W is
+    whitened in place, because a build's transient arrays set the peak
+    memory of an n = 1000 run.
     """
-    if _is_centrosymmetric(KtK) and _is_centrosymmetric(AtA):
-        M, pen = _EvenOddSplit(KtK), _EvenOddSplit(AtA)
+    try:
+        pen = _EvenOddSplit(AtA)
+        M = _EvenOddSplit(KtK)
+    except ContractViolationError:
+        eigs = [np.linalg.eigh(KtK + AtA)]
+        penalties = [AtA]
+    else:
         M.even += pen.even  # the blocks of K'K + A'A
         M.odd += pen.odd
         eigs = [np.linalg.eigh(M.even), np.linalg.eigh(M.odd)]
         penalties = [pen.even, pen.odd]
         del M, pen
-    else:
-        eigs = [np.linalg.eigh(KtK + AtA)]
-        penalties = [AtA]
     spectrum = np.concatenate([lam for lam, _ in eigs])
     if spectrum.min() <= _KERNEL_TOL * float(np.abs(spectrum).max()):
         raise IllPosedProblemError(

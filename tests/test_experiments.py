@@ -2,6 +2,7 @@
 import json
 import pathlib
 import re
+import traceback
 from dataclasses import replace
 
 import numpy as np
@@ -122,6 +123,9 @@ def test_config_accepts_an_integer_where_a_float_is_expected():
         ("epsilon", float("inf")),
         ("sigma", float("nan")),
         ("sigma", float("inf")),
+        ("n", 10.0),
+        ("seeds", (0.5,)),
+        ("example", True),
     ],
 )
 def test_config_validation(field, value):
@@ -236,14 +240,14 @@ def test_run_table_json_is_reproducible():
 
 
 def test_run_table_keeps_every_failing_seed(monkeypatch):
-    real = experiments._solve_seed
+    real = experiments.run_cell
 
-    def flaky(config, seed, pencil):
+    def flaky(config, seed, pencils=None):
         if seed in (1, 3):
             raise IllPosedProblemError(f"injected failure {seed}")
-        return real(config, seed, pencil)
+        return real(config, seed, pencils)
 
-    monkeypatch.setattr(experiments, "_solve_seed", flaky)
+    monkeypatch.setattr(experiments, "run_cell", flaky)
     report = run_table(5, seeds=(0, 1, 2, 3))
     assert len(report.cells) == 2
     for cell in report.cells:
@@ -289,7 +293,8 @@ def test_fixed_penalty_cell_decomposes_once(monkeypatch):
         ("identity", 1, 2), ("a1", 1, 2), ("a2", 1, 2), ("a3", len(seeds), 1)
     ):
         calls.clear()
-        results = experiments._solve_cell(replace(template, penalty=penalty, seeds=seeds), seeds, {})
+        config, cache = replace(template, penalty=penalty, seeds=seeds), {}
+        results = [(s, run_cell(config, s, cache)) for s in seeds]
         assert [s for s, _ in results] == list(seeds)
         assert not any(isinstance(r, Exception) for _, r in results)
         assert len(calls) == 2 * blocks * pencils, penalty
@@ -325,6 +330,33 @@ def test_ill_posed_pencil_fails_every_seed_of_its_cell(monkeypatch):
             assert cell["error"] == want
         else:
             assert cell["seeds_used"] == len(seeds) and "error" not in cell
+    # the a2 pencil's error is built once and raised again for each later
+    # seed, with a traceback that does not grow from seed to seed
+    config, pencils = replace(experiments._deblur_template(6), penalty="a2"), {}
+    raised, depths = [], []
+    for s in range(5):
+        with pytest.raises(IllPosedProblemError) as info:
+            run_cell(config, s, pencils)
+        raised.append(info.value)
+        depths.append(len(traceback.extract_tb(info.value.__traceback__)))
+    assert all(exc is raised[0] for exc in raised)
+    assert depths[1:] == [depths[1]] * 4 and depths[1] < depths[0]
+
+
+def test_run_table_restores_every_cell_and_seed_through_run_cell(monkeypatch):
+    calls = []
+    real = experiments.run_cell
+
+    def counting(config, seed, pencils=None):
+        calls.append((config.test_function, config.method, config.penalty, seed))
+        return real(config, seed, pencils)
+
+    monkeypatch.setattr(experiments, "run_cell", counting)
+    seeds = (0, 1, 2)
+    report = run_table(6, seeds)
+    cells = [(c["f"], c["method"], c["penalty"]) for c in report.cells]
+    assert len(cells) == 32
+    assert sorted(calls) == sorted(cell + (s,) for cell in cells for s in seeds)
 
 
 def test_non_finite_data_fails_only_its_seed(monkeypatch):
@@ -361,7 +393,7 @@ def test_run_table_rejects_a_repeated_seed(monkeypatch):
     def forbidden(*args):
         raise AssertionError("a cell ran")
 
-    monkeypatch.setattr(experiments, "_solve_cell", forbidden)
+    monkeypatch.setattr(experiments, "run_cell", forbidden)
     for table, seeds in ((4, (0, 0, 1)), (6, (3, 1, 3))):
         with pytest.raises(ParameterError, match="must not repeat"):
             run_table(table, seeds)

@@ -7,7 +7,7 @@ import scipy.linalg as sla
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from graphtik import experiments, regularization
+from graphtik import discretization, experiments, regularization
 from graphtik.discretization import DiscreteOperator, Grid
 from graphtik.errors import IllPosedProblemError, ParameterError
 from graphtik.metrics import rre
@@ -389,7 +389,7 @@ def _counted(build, split=True):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(regularization.np.linalg, "eigh", counting)
         if not split:
-            m.setattr(regularization, "_is_centrosymmetric", lambda matrix: False)
+            m.setattr(discretization, "_is_centrosymmetric", lambda matrix: False)
         try:
             value = build()
         except IllPosedProblemError as exc:
@@ -464,11 +464,26 @@ def test_data_penalty_pencil_is_one_block():
     rng = np.random.default_rng(0)
     g = K.matrix @ np.sin(np.pi * K.grid.nodes) + 0.02 * rng.standard_normal(100)
     A = data_graph_laplacian(g, SimilarityParams(r=20, sigma=0.01))
-    assert regularization._is_centrosymmetric(K.matrix.T @ K.matrix)
-    assert not regularization._is_centrosymmetric(A.matrix.T @ A.matrix)
+    assert discretization._is_centrosymmetric(K.matrix.T @ K.matrix)
+    assert not discretization._is_centrosymmetric(A.matrix.T @ A.matrix)
     pencil, calls = _counted(lambda: TikhonovPencil(K, A))
     assert calls == 2
     _assert_pencil_basis(pencil)
+
+
+def test_pencil_tests_each_matrix_for_centrosymmetry_once(monkeypatch):
+    # the split's own test decides, A'A first: a split pencil tests K'K and
+    # A'A once each, and a data penalty only A'A, which fails it
+    calls = []
+    real = discretization._is_centrosymmetric
+    monkeypatch.setattr(discretization, "_is_centrosymmetric", lambda m: calls.append(1) or real(m))
+    K = experiments.forward_matrix(2, 100, "graph")
+    g = K.matrix @ np.sin(np.pi * K.grid.nodes) + 0.02 * np.random.default_rng(0).standard_normal(100)
+    a3 = data_graph_laplacian(g, SimilarityParams(r=20, sigma=0.01))
+    for A, checks in ((_op(np.eye(100)), 2), (neumann_penalty(100), 2), (a3, 1)):
+        calls.clear()
+        TikhonovPencil(K, A)
+        assert len(calls) == checks
 
 
 @pytest.mark.parametrize("n", [2, 3])
