@@ -10,9 +10,14 @@ parent first and the order alternates from pair to pair.  Every run lands in
 (``git rev-parse HEAD``) and whether its tree was dirty, and its two output
 lines (the environment record and the result).  Runs already in --out are kept, so
 several workloads accumulate in one file, and the summary is rebuilt over all
-of them: per workload and metric, each side's median and quartiles, and the
-number of pairs the change won.  Ties count for neither side, and whether
-higher or lower is better comes from the change's BENCHMARK.json.
+of them: per workload and metric, each side's median and quartiles, the
+number of pairs the change won and the number of ties, which count for
+neither side.  Whether higher or lower is better, and each end-to-end
+metric's bound, come from the change's BENCHMARK.json.  An end-to-end metric
+is marked ``unresolved`` when the parent's own quartile spread exceeds its
+bound times the parent's median, unless every run of the change reads better
+than every run of the parent: a regression of the full bound then cannot be
+told from the noise of one commit.
 """
 import argparse
 import json
@@ -63,7 +68,7 @@ def spread(values: list) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "n": len(values)}
 
 
-def summarize(runs: list, better: dict) -> dict:
+def summarize(runs: list, better: dict, bounds: dict) -> dict:
     groups = {}
     for run in runs:
         groups.setdefault((run["workload"], run["trace"]), []).append(run)
@@ -80,16 +85,21 @@ def summarize(runs: list, better: dict) -> dict:
             "metrics": {},
         }
         for name in sorted({m for r in done for m in r["result"]["metrics"]}):
-            row = {}
-            for side in SIDES:
-                values = [r["result"]["metrics"][name]["value"] for r in done if r["side"] == side]
-                row[side] = spread(values) if values else None
+            values = {
+                side: [r["result"]["metrics"][name]["value"] for r in done if r["side"] == side] for side in SIDES
+            }
+            row = {side: spread(v) if v else None for side, v in values.items()}
             sign = 1.0 if better.get(name) == "higher" else -1.0
             both = [p for p in pairs.values() if all(name in p.get(s, {}) for s in SIDES)]
             row["pairs"] = len(both)
-            row["change_wins"] = sum(
-                sign * (p["change"][name]["value"] - p["parent"][name]["value"]) > 0 for p in both
-            )
+            diffs = [sign * (p["change"][name]["value"] - p["parent"][name]["value"]) for p in both]
+            row["change_wins"] = sum(d > 0 for d in diffs)
+            row["ties"] = sum(d == 0 for d in diffs)
+            if name in bounds and all(values.values()):
+                parent = row["parent"]
+                wide = parent["q3"] - parent["q1"] > bounds[name] * abs(parent["median"])
+                apart = min(sign * v for v in values["change"]) > max(sign * v for v in values["parent"])
+                row["unresolved"] = wide and not apart
             entry["metrics"][name] = row
         summary[workload + (" --trace 1" if trace else "")] = entry
     return summary
@@ -111,6 +121,7 @@ def main(argv=None) -> int:
     with open(os.path.join(roots["change"], "BENCHMARK.json")) as fh:
         bench = json.load(fh)
     better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     doc = {"runs": []}
     if os.path.exists(args.out):
         with open(args.out) as fh:
@@ -127,7 +138,7 @@ def main(argv=None) -> int:
             doc["runs"].append(run)
             value = run.get("result", {}).get("metrics", {}).get("cells_per_s", {}).get("value")
             print(f"{args.workload} pair {pair} seed {seed} {side}: cells_per_s={value}", flush=True)
-            doc["summary"] = summarize(doc["runs"], better)
+            doc["summary"] = summarize(doc["runs"], better, bounds)
             with open(args.out, "w") as fh:
                 json.dump(doc, fh, indent=1)
                 fh.write("\n")

@@ -11,10 +11,8 @@ import sys
 import time
 
 from graphtik.cli import parse_seeds
-from graphtik.experiments import run_table
+from graphtik.experiments import TABLES, run_table
 from graphtik.reporting import write_report_json, write_table_csv
-
-TABLE_IDS = (1, 2, 3, 4, 5, 6, 7)
 
 
 def main(argv=None) -> int:
@@ -25,7 +23,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     seeds = parse_seeds(args.seeds)
-    ids = tuple(int(t) for t in args.tables.split(",")) if args.tables else TABLE_IDS
+    ids = tuple(int(t) for t in args.tables.split(",")) if args.tables else tuple(TABLES)
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -2,16 +2,16 @@
 
 Figure 1 compares the reciprocal scaled spectra of both discretizations
 with the continuous operator; figures 2 and 3 show one noisy restoration
-per (method, penalty) pair for the two benchmark kernels.
+per (method, penalty) pair for the two benchmark kernels.  Each file is
+written by `graphtik figure --id <id> --out <file>`, whose exit code a failure
+returns.
 """
 import argparse
 import pathlib
 import sys
 
-from graphtik.experiments import emit_figure_data
-from graphtik.reporting import config_hash, write_csv
-
-FIGURE_IDS = (1, 2, 3)
+from graphtik import cli
+from graphtik.experiments import FIGURES
 
 
 def main(argv=None) -> int:
@@ -20,15 +20,16 @@ def main(argv=None) -> int:
     ap.add_argument("--figures", default=None, help='subset to run, e.g. "1,3"')
     args = ap.parse_args(argv)
 
-    ids = tuple(int(f) for f in args.figures.split(",")) if args.figures else FIGURE_IDS
+    ids = tuple(int(f) for f in args.figures.split(",")) if args.figures else tuple(FIGURES)
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     for fid in ids:
-        names, data = emit_figure_data(fid)
         path = out_dir / f"figure{fid}.csv"
-        write_csv(str(path), names, [tuple(r) for r in data], config_hash({"figure": fid}))
-        print(f"figure {fid}: {data.shape[0]} rows -> {path}")
+        code = cli.main(["figure", "--id", str(fid), "--out", str(path)])
+        if code:
+            return code
+        print(f"figure {fid} -> {path}")
     return 0
 
 

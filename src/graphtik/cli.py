@@ -19,6 +19,8 @@ import numpy as np
 from .discretization import Grid
 from .errors import ConfigurationError, NumericalFailure
 from .experiments import (
+    FIGURES,
+    TABLES,
     ExperimentConfig,
     discrete_spectrum,
     continuous_spectrum,
@@ -39,15 +41,16 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigurationError(message)
 
 
-def _load_config(path) -> ExperimentConfig:
+def _load_config(path, template: ExperimentConfig = ExperimentConfig()) -> ExperimentConfig:
+    """The config file's fields over the template's."""
     if path is None:
-        return ExperimentConfig()
+        return template
     try:
         with open(path) as fh:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigurationError(f"cannot read config file: {exc}") from exc
-    return ExperimentConfig.from_dict(raw)
+    return ExperimentConfig.from_dict(raw, template)
 
 
 def _merge(base: ExperimentConfig, args, mapping: dict) -> ExperimentConfig:
@@ -156,7 +159,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_figure(args) -> int:
-    base = _load_config(args.config) if args.config else None
+    base = _load_config(args.config, FIGURES[args.id].template) if args.config else None
     names, data = emit_figure_data(args.id, base)
     meta = {"command": "figure", "id": args.id}
     if base is not None:
@@ -203,13 +206,13 @@ def build_parser() -> argparse.ArgumentParser:
     dp.set_defaults(func=_cmd_deblur)
 
     tp = sub.add_parser("table", help="reproduce one benchmark table")
-    tp.add_argument("--id", type=int, required=True, choices=range(1, 8))
+    tp.add_argument("--id", type=int, required=True, choices=tuple(TABLES))
     tp.add_argument("--seeds", help='comma separated, e.g. "0,1,2"')
     tp.add_argument("--out")
     tp.set_defaults(func=_cmd_table)
 
     fp = sub.add_parser("figure", help="emit the data behind one benchmark figure")
-    fp.add_argument("--id", type=int, required=True, choices=(1, 2, 3))
+    fp.add_argument("--id", type=int, required=True, choices=tuple(FIGURES))
     fp.add_argument("--config")
     fp.add_argument("--out")
     fp.set_defaults(func=_cmd_figure)

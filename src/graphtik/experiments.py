@@ -1,5 +1,10 @@
 """Experiment orchestration: benchmark cells, tables and figure datasets.
 
+``TABLES`` and ``FIGURES`` describe each of the paper's tables and figures
+once, as a template ``ExperimentConfig`` and the axes swept over it;
+``run_table`` and ``emit_figure_data`` read them, and a noise-free template
+(epsilon 0) runs one seed.
+
 Conventions shared by every experiment, chosen so the numbers line up with
 the reference results this package reproduces:
 
@@ -51,7 +56,9 @@ from .reporting import ExperimentReport, config_hash
 
 __all__ = [
     "ExperimentConfig",
+    "FIGURES",
     "PENALTY_NAMES",
+    "TABLES",
     "forward_matrix",
     "diagnostic_matrix",
     "discrete_spectrum",
@@ -128,13 +135,14 @@ class ExperimentConfig:
         return d
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        """Inverse of to_dict; missing fields, and missing alpha_grid
-        entries, take their defaults.  The types are checked by validate()
-        and AlphaGrid, so a mistyped value is a ParameterError."""
+    def from_dict(cls, d: dict, base: "ExperimentConfig | None" = None) -> "ExperimentConfig":
+        """Inverse of to_dict; missing fields take base's values (the
+        defaults without one), and missing alpha_grid entries their
+        defaults.  The types are checked by validate() and AlphaGrid, so a
+        mistyped value is a ParameterError."""
         if not isinstance(d, dict):
             raise ParameterError("a config must be a JSON object")
-        d = dict(d)
+        d = dict(d) if base is None else {**base.to_dict(), **d}
         _reject_unknown("config", d, fields(cls))
         if "alpha_grid" in d:
             ag = d["alpha_grid"]
@@ -328,93 +336,93 @@ def run_cell(config: ExperimentConfig, seed: int | None = None, pencils: dict | 
     return best, best.rre
 
 
+# --------------------------------------------------------------- catalogue
+
+
+@dataclass(frozen=True)
+class Spec:
+    """One table or figure of the paper: a template cell and the axes swept
+    over it.  Every table and figure sweeps both methods."""
+
+    template: ExperimentConfig
+    metric: str
+    sizes: tuple = ()  # n, for the diagnostic tables
+    modes: tuple = ()  # m, for per-mode spectral errors
+    test_functions: tuple = ()
+    penalties: tuple = ()
+
+
+_NOISY_PENALTIES = ("identity", "a1", "a2", "a3")
+_EX1_NOISY = ExperimentConfig(example=1, epsilon=0.01)
+_EX2_NOISY = ExperimentConfig(example=2, epsilon=0.02)
+
+TABLES = {
+    1: Spec(ExperimentConfig(example=2, test_function=3), "max_abs_error", sizes=(100, 1000, 2000)),
+    2: Spec(ExperimentConfig(example=2), "lsre", sizes=(100, 1000, 2000), modes=(1, 10, 50)),
+    3: Spec(ExperimentConfig(example=2), "msre", sizes=(100, 500, 1000, 2000)),
+    4: Spec(
+        ExperimentConfig(example=1, test_function=1, epsilon=0.0, penalty="identity"),
+        "rre_median", test_functions=(1,), penalties=("identity",),
+    ),
+    5: Spec(
+        ExperimentConfig(example=1, test_function=3, epsilon=0.1, penalty="matched"),
+        "rre_median", test_functions=(3,), penalties=("matched",),
+    ),
+    6: Spec(_EX1_NOISY, "rre_median", test_functions=(1, 2, 3, 4), penalties=_NOISY_PENALTIES),
+    7: Spec(_EX2_NOISY, "rre_median", test_functions=(1, 2, 3, 4), penalties=_NOISY_PENALTIES),
+}
+
+FIGURES = {
+    1: Spec(ExperimentConfig(example=2), "reciprocal_spectrum"),
+    2: Spec(replace(_EX1_NOISY, test_function=1), "restoration", penalties=_NOISY_PENALTIES),
+    3: Spec(replace(_EX2_NOISY, test_function=1), "restoration", penalties=_NOISY_PENALTIES),
+}
+
+
+def _lookup(catalogue: dict, kind: str, item_id) -> Spec:
+    try:
+        return catalogue[int(item_id)]
+    except KeyError:
+        raise ParameterError(f"{kind} id must be one of {sorted(catalogue)}, got {item_id!r}") from None
+
+
 # ------------------------------------------------------------------ tables
 
-_TABLE_SIZES = {1: (100, 1000, 2000), 2: (100, 1000, 2000), 3: (100, 500, 1000, 2000)}
-_LSRE_MODES = (1, 10, 50)
 
-
-def _spectral_cells(table_id: int):
+def _diagnostic_cells(table_id: int, table: Spec) -> list:
+    """One metric of the template's example per (n, method): the forward
+    image error of its test function, or a spectral error."""
+    ex, fid, metric = table.template.example, table.template.test_function, table.metric
     cells = []
-    for n in _TABLE_SIZES[table_id]:
-        lam_true = continuous_spectrum(2, n)
+    for n in table.sizes:
         for method in _METHODS:
-            lam_hat = discrete_spectrum(2, n, method)
-            if table_id == 2:
-                for m in _LSRE_MODES:
-                    cells.append(
-                        {
-                            "table": 2,
-                            "method": method,
-                            "n": n,
-                            "m": m,
-                            "metric": "lsre",
-                            "value": lsre(lam_hat, lam_true, m),
-                        }
-                    )
+            cell = {"table": table_id, "method": method, "n": n, "metric": metric}
+            if metric == "max_abs_error":
+                cells.append({**cell, "f": fid, "value": forward_image_error(ex, n, fid, method)})
+                continue
+            lam_hat, lam_true = discrete_spectrum(ex, n, method), continuous_spectrum(ex, n)
+            if metric == "lsre":
+                cells += [{**cell, "m": m, "value": lsre(lam_hat, lam_true, m)} for m in table.modes]
             else:
-                cells.append(
-                    {
-                        "table": 3,
-                        "method": method,
-                        "n": n,
-                        "metric": "msre",
-                        "value": msre(lam_hat, lam_true),
-                    }
-                )
+                cells.append({**cell, "value": msre(lam_hat, lam_true)})
     return cells
 
 
-def _forward_cells():
-    return [
-        {
-            "table": 1,
-            "method": method,
-            "n": n,
-            "f": 3,
-            "metric": "max_abs_error",
-            "value": forward_image_error(2, n, 3, method),
-        }
-        for n in _TABLE_SIZES[1]
-        for method in _METHODS
-    ]
-
-
-def _deblur_template(table_id: int) -> ExperimentConfig:
-    if table_id == 4:
-        return ExperimentConfig(example=1, test_function=1, epsilon=0.0, penalty="identity")
-    if table_id == 5:
-        return ExperimentConfig(example=1, test_function=3, epsilon=0.1, penalty="matched")
-    if table_id == 6:
-        return ExperimentConfig(example=1, epsilon=0.01)
-    return ExperimentConfig(example=2, epsilon=0.02)
-
-
-def _deblur_cells(table_id: int, seeds: tuple):
-    template = _deblur_template(table_id)
+def _restoration_cells(table_id: int, table: Spec, seeds: tuple):
+    """Seed medians of every (test function, method, penalty) cell."""
+    # a noise-free cell is the same at every seed, so it runs the first only
+    if table.template.epsilon == 0.0:
+        seeds = seeds[:1]
     cells = []
     sample = None
-    if table_id in (4, 5):
-        fids = (template.test_function,)
-        penalties = (template.penalty,)
-    else:
-        fids = (1, 2, 3, 4)
-        penalties = ("identity", "a1", "a2", "a3")
-    use_seeds = (0,) if table_id == 4 else seeds  # noise-free table ignores seeds
     pencils = {}
-    for fid in fids:
+    for fid in table.test_functions:
         for method in _METHODS:
-            for pen in penalties:
-                config = replace(
-                    template,
-                    test_function=fid,
-                    method=method,
-                    penalty=pen,
-                    seeds=tuple(use_seeds),
-                )
+            for pen in table.penalties:
+                config = replace(table.template, test_function=fid, method=method, penalty=pen, seeds=seeds)
                 errs, alphas = [], []
                 failures = []
-                for s in use_seeds:
+                for s in seeds:
                     try:
                         sol, err = run_cell(config, s, pencils)
                     except GraphtikError as exc:
@@ -427,7 +435,6 @@ def _deblur_cells(table_id: int, seeds: tuple):
                             "config": config.to_dict(),
                             "seed": int(s),
                             "solution": [float(v) for v in sol.solution],
-                            "alpha": sol.alpha,
                             "value": err,
                         }
                 cell = {
@@ -435,7 +442,7 @@ def _deblur_cells(table_id: int, seeds: tuple):
                     "f": fid,
                     "method": method,
                     "penalty": pen,
-                    "metric": "rre_median",
+                    "metric": table.metric,
                     "value": float(np.median(errs)) if errs else float("nan"),
                     "alpha_median": float(np.median(alphas)) if alphas else float("nan"),
                     "seeds_used": len(errs),
@@ -465,22 +472,19 @@ def _roundtrip_check(sample: dict | None) -> dict | None:
 
 
 def run_table(table_id: int, seeds=tuple(range(20))) -> ExperimentReport:
-    """Reproduce one benchmark table; noisy cells are seed medians."""
+    """Reproduce one table of ``TABLES``; noisy cells are seed medians."""
     table_id = int(table_id)
-    if table_id not in range(1, 8):
-        raise ParameterError("table id must be 1..7")
+    table = _lookup(TABLES, "table", table_id)
     seeds = tuple(int(s) for s in seeds)
     if not seeds:
         raise ParameterError("need at least one seed")
     if len(set(seeds)) != len(seeds):
         raise ParameterError(f"seeds must not repeat, got {list(seeds)}")
     sample = None
-    if table_id == 1:
-        cells = _forward_cells()
-    elif table_id in (2, 3):
-        cells = _spectral_cells(table_id)
+    if table.metric == "rre_median":
+        cells, sample = _restoration_cells(table_id, table, seeds)
     else:
-        cells, sample = _deblur_cells(table_id, seeds)
+        cells = _diagnostic_cells(table_id, table)
     meta = {"table": table_id, "seeds": list(seeds)}
     return ExperimentReport(
         config=meta,
@@ -495,43 +499,30 @@ def run_table(table_id: int, seeds=tuple(range(20))) -> ExperimentReport:
 
 
 def emit_figure_data(fig_id: int, config: ExperimentConfig | None = None):
-    """Columnar data behind the three benchmark figures.
+    """Columnar data behind one figure of ``FIGURES``, for its template or,
+    given one, for ``config`` in its place.
 
     Figure 1: (m/n, 1/(n^2 lambda)) for the continuous spectrum and both
     discretizations; the plotted quantity is nondecreasing in m.
     Figures 2 and 3: node positions, the target signal, and the restored
     signal (point scale) for every (method, penalty) pair, one noisy draw.
     """
-    fig_id = int(fig_id)
-    if fig_id == 1:
-        config = config or ExperimentConfig(example=2)
-        config.validate()
-        n = config.n
+    figure = _lookup(FIGURES, "figure", fig_id)
+    config = (config or figure.template).validate()
+    n = config.n
+    if figure.metric == "reciprocal_spectrum":
         scale = 1.0 / n**2
         m = np.arange(1, n + 1, dtype=float)
-        cols = [m / n]
-        names = ["m_over_n"]
-        lam_true = continuous_spectrum(config.example, n)
-        cols.append(scale / lam_true)
-        names.append("continuous")
-        for method in _METHODS:
-            cols.append(scale / discrete_spectrum(config.example, n, method))
-            names.append(method)
-        return names, np.column_stack(cols)
-    if fig_id == 2:
-        base = config or ExperimentConfig(example=1, test_function=1, epsilon=0.01)
-    elif fig_id == 3:
-        base = config or ExperimentConfig(example=2, test_function=1, epsilon=0.02)
-    else:
-        raise ParameterError("figure id must be 1, 2 or 3")
-    base.validate()
-    n = base.n
+        spectra = [continuous_spectrum(config.example, n)]
+        spectra += [discrete_spectrum(config.example, n, method) for method in _METHODS]
+        cols = [m / n] + [scale / lam for lam in spectra]
+        return ["m_over_n", "continuous", *_METHODS], np.column_stack(cols)
     x = Grid(n, "interior").nodes
     names = ["x", "f_true"]
-    cols = [x, get_test_function(base.test_function).eval(x)]
+    cols = [x, get_test_function(config.test_function).eval(x)]
     for method in _METHODS:
-        for pen in ("identity", "a1", "a2", "a3"):
-            sol, _ = run_cell(replace(base, method=method, penalty=pen))
+        for pen in figure.penalties:
+            sol, _ = run_cell(replace(config, method=method, penalty=pen))
             cols.append(np.asarray(sol.solution) * sqrt(n))  # back to point scale
             names.append(f"{method}_{pen}")
     return names, np.column_stack(cols)

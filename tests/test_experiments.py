@@ -14,6 +14,7 @@ from graphtik.discretization import (
     DiscreteOperator,
     Grid,
     _EvenOddSplit,
+    _is_centrosymmetric,
     build_schrodinger_operator,
     pseudo_inverse,
 )
@@ -172,6 +173,17 @@ def test_registered_operators_split_like_full_lapack(n):
         assert np.max(np.abs(_EvenOddSplit(L).solve(b) - x)) <= 1e-9 * np.max(np.abs(x))
 
 
+@pytest.mark.parametrize("example,n", [(1, 100), (2, 100), (2, 1000)])
+def test_forward_gram_matrices_pass_the_centrosymmetry_test(example, n):
+    # the fixed-penalty pencils split only when K'K passes the split's
+    # 1e-10 test; the graph K'K defect grows with n (1.3e-11 relative at
+    # n = 1000, example 2, as in the n = 1000 benchmark cells), so losing
+    # that margin fails here rather than silently doubling the pencil cost
+    for method in ("graph", "galerkin"):
+        K = forward_matrix(example, n, method).matrix
+        assert _is_centrosymmetric(K.T @ K), method
+
+
 def test_table1_graph_image_error_matches_full_solve():
     n = 1000
     ex, f = EXAMPLES[2], get_test_function(3)
@@ -239,6 +251,15 @@ def test_run_table_json_is_reproducible():
     }
 
 
+def test_noise_free_table_runs_one_seed():
+    # table 4's template has epsilon 0, so its cells are the same at every
+    # seed and it runs only the first one of the list
+    assert experiments.TABLES[4].template.epsilon == 0.0
+    cells = run_table(4, (3, 5)).cells
+    assert cells == run_table(4, (0,)).cells
+    assert [cell["seeds_used"] for cell in cells] == [1, 1]
+
+
 def test_run_table_keeps_every_failing_seed(monkeypatch):
     real = experiments.run_cell
 
@@ -262,7 +283,7 @@ def test_shared_pencil_cells_equal_per_seed_run_cell(table):
     # cell must still equal, bit for bit, the medians of independent run_cell
     # calls, which the benchmark's definition check relies on
     seeds = (0, 1, 2)
-    template = experiments._deblur_template(table)
+    template = experiments.TABLES[table].template
     report = run_table(table, seeds)
     assert len(report.cells) == 32
     for cell in report.cells:
@@ -285,7 +306,7 @@ def test_fixed_penalty_cell_decomposes_once(monkeypatch):
 
     monkeypatch.setattr(regularization.np.linalg, "eigh", counting)
     seeds = tuple(range(5))
-    template = experiments._deblur_template(6)
+    template = experiments.TABLES[6].template
     # a pencil is two eigh calls per block: the centrosymmetric fixed
     # penalties split into an even and an odd block, while a3 is one block
     # built from each seed's noisy data
@@ -332,7 +353,7 @@ def test_ill_posed_pencil_fails_every_seed_of_its_cell(monkeypatch):
             assert cell["seeds_used"] == len(seeds) and "error" not in cell
     # the a2 pencil's error is built once and raised again for each later
     # seed, with a traceback that does not grow from seed to seed
-    config, pencils = replace(experiments._deblur_template(6), penalty="a2"), {}
+    config, pencils = replace(experiments.TABLES[6].template, penalty="a2"), {}
     raised, depths = [], []
     for s in range(5):
         with pytest.raises(IllPosedProblemError) as info:

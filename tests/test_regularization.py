@@ -526,7 +526,7 @@ def test_roundoff_decided_cells_keep_the_normal_equation_solve(monkeypatch, tabl
         return real(p, grid, reference)
 
     monkeypatch.setattr(experiments, "alpha_sweep", spy)
-    config = replace(experiments._deblur_template(table), method="graph", penalty=penalty)
+    config = replace(experiments.TABLES[table].template, method="graph", penalty=penalty)
     best, _ = experiments.run_cell(config, 0)
     direct = tikhonov_solve(captured["problem"], best.alpha**2).solution
     np.testing.assert_array_equal(best.solution, direct)
@@ -579,7 +579,7 @@ def test_skipped_columns_cannot_undercut_the_chosen_one(monkeypatch):
     # on every method x penalty cell of example 2 and on table 5's cells, the
     # sweep chooses what solving every uncertified column chooses, bit for
     # bit, and every column it skips has a per-weight RRE above the chosen one
-    t5 = experiments._deblur_template(5)
+    t5 = experiments.TABLES[5].template
     configs = [
         replace(_EX2_N100, method=method, penalty=penalty)
         for method in ("graph", "galerkin")

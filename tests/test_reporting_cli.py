@@ -2,6 +2,7 @@
 import importlib.util
 import json
 import pathlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -157,9 +158,9 @@ def test_cli_table_csv_stdout(capsys):
     assert lines[1].split(",")[:4] == ["table", "f", "method", "penalty"]
 
 
-def _table_script():
-    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "run_all_tables.py"
-    spec = importlib.util.spec_from_file_location("run_all_tables", path)
+def _script(name):
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     return script
@@ -167,7 +168,7 @@ def _table_script():
 
 def test_table_script_writes_the_cli_csv(tmp_path):
     # scripts/run_all_tables.py and `graphtik table` share one row builder
-    script = _table_script()
+    script = _script("run_all_tables")
     assert script.main(["--out-dir", str(tmp_path), "--tables", "4", "--seeds", "0"]) == 0
     assert cli.main(["table", "--id", "4", "--seeds", "0", "--out", str(tmp_path / "cli.csv")]) == 0
     text = (tmp_path / "table4.csv").read_text()
@@ -182,7 +183,7 @@ def test_table_seed_list_must_be_non_empty_and_distinct(tmp_path, capsys, seeds,
     assert cli.main(["table", "--id", "4", "--seeds", seeds]) == 1
     assert message in capsys.readouterr().err
     with pytest.raises(ParameterError, match=message):
-        _table_script().main(["--out-dir", str(tmp_path), "--tables", "4", "--seeds", seeds])
+        _script("run_all_tables").main(["--out-dir", str(tmp_path), "--tables", "4", "--seeds", seeds])
     assert list(tmp_path.iterdir()) == []
 
 
@@ -195,6 +196,30 @@ def test_cli_figure(tmp_path):
     rows = out.read_text().splitlines()
     assert rows[1] == "m_over_n,continuous,graph,galerkin"
     assert len(rows) == 27
+
+
+def test_cli_figure_config_overlays_the_figure_template(tmp_path):
+    # a config file changes only the fields it names: figure 2 keeps its
+    # example 1, f1 and epsilon 0.01 at n = 40
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 40}))
+    out = tmp_path / "fig2.csv"
+    assert cli.main(["figure", "--id", "2", "--config", str(cfg), "--out", str(out)]) == 0
+    config = replace(experiments.FIGURES[2].template, n=40)
+    names, data = experiments.emit_figure_data(2, config)
+    digest = config_hash({"command": "figure", "id": 2, "config": config.to_dict()})
+    rows = [",".join(format_float(v) for v in row) for row in data]
+    header = [f"# {FORMAT_VERSION}, config-hash={digest}", ",".join(names)]
+    assert out.read_text().splitlines() == header + rows
+
+
+def test_figure_script_writes_the_cli_csv(tmp_path):
+    script = _script("run_figures")
+    assert script.main(["--out-dir", str(tmp_path), "--figures", "1"]) == 0
+    assert cli.main(["figure", "--id", "1", "--out", str(tmp_path / "cli.csv")]) == 0
+    text = (tmp_path / "figure1.csv").read_text()
+    assert text == (tmp_path / "cli.csv").read_text()
+    assert text.splitlines()[1] == "m_over_n,continuous,graph,galerkin"
 
 
 def test_cli_config_file_and_override(tmp_path):
