@@ -17,7 +17,12 @@ metric's bound, come from the change's BENCHMARK.json.  An end-to-end metric
 is marked ``unresolved`` when the parent's own quartile spread exceeds its
 bound times the parent's median, unless every run of the change reads better
 than every run of the parent: a regression of the full bound then cannot be
-told from the noise of one commit.
+told from the noise of one commit.  Each end-to-end metric also states two
+verdicts.  ``gain``: over at least ten pairs the change won at least nine in
+ten of them (a tie counts as no win), and its median is better than the
+parent's by more than the parent's quartile spread.  ``regressed``: the
+change's median is worse than the parent's by more than the metric's bound
+times the parent's median.
 """
 import argparse
 import json
@@ -28,6 +33,7 @@ import sys
 import time
 
 SIDES = ("parent", "change")
+CLAIM_PAIRS = 10  # the fewest pairs a gain is claimed on
 
 
 def checkout_state(root: str) -> dict:
@@ -96,10 +102,16 @@ def summarize(runs: list, better: dict, bounds: dict) -> dict:
             row["change_wins"] = sum(d > 0 for d in diffs)
             row["ties"] = sum(d == 0 for d in diffs)
             if name in bounds and all(values.values()):
-                parent = row["parent"]
-                wide = parent["q3"] - parent["q1"] > bounds[name] * abs(parent["median"])
+                parent, change = row["parent"], row["change"]
+                iqr = parent["q3"] - parent["q1"]
+                wide = iqr > bounds[name] * abs(parent["median"])
                 apart = min(sign * v for v in values["change"]) > max(sign * v for v in values["parent"])
                 row["unresolved"] = wide and not apart
+                ahead = sign * (change["median"] - parent["median"])
+                row["gain"] = (
+                    len(both) >= CLAIM_PAIRS and row["change_wins"] >= 0.9 * len(both) and ahead > iqr
+                )
+                row["regressed"] = -ahead > bounds[name] * abs(parent["median"])
             entry["metrics"][name] = row
         summary[workload + (" --trace 1" if trace else "")] = entry
     return summary

@@ -227,8 +227,9 @@ class _EvenOddSplit:
     average removes the antisymmetric defect; its first-order effect on every
     eigenvalue is zero, because each eigenvector is even or odd.  Both
     blocks are formed from quarter blocks of A, with no n x n temporary.
-    ``_from_even_odd`` maps even and odd coordinates back to the n nodes;
-    the solve here and the pencil basis of ``regularization`` both use it.
+    ``_from_even_odd`` maps even and odd coordinates back to the n nodes,
+    for the solve here; the pencil basis of ``regularization`` writes the
+    same map block by block.
     A matrix that fails ``_is_centrosymmetric`` is a ContractViolationError.
     """
 
@@ -261,7 +262,11 @@ class _EvenOddSplit:
         return np.sort(lam)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """The solution x of A x = b by one symmetric solve per block."""
+        """The solution x of A x = b by one LU solve per block.
+
+        numpy's ``solve`` runs in numpy's OpenBLAS, next to the ``eigvalsh``
+        calls of the spectral diagnostics (see ``regularization``'s notes on
+        the two bundled copies)."""
         b = np.asarray(b, dtype=float)
         m = self._m
         c = b.shape[0] - m
@@ -269,8 +274,8 @@ class _EvenOddSplit:
         r = 1.0 / sqrt(2.0)
         plus = np.concatenate([r * (top + bottom), b[m:c]])
         minus = r * (top - bottom)
-        y = sla.solve(self.even, plus, assume_a="sym")
-        z = sla.solve(self.odd, minus, assume_a="sym")
+        y = np.linalg.solve(self.even, plus)
+        z = np.linalg.solve(self.odd, minus)
         return _from_even_odd(y, z)
 
 

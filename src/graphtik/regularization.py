@@ -50,20 +50,24 @@ numpy and scipy wheels each bundle their own OpenBLAS, and each copy keeps
 its own worker threads, which spin for a while after a call.  A
 factorization in scipy's copy right after numpy's ``eigh`` or ``@`` shares
 the cores with numpy's spinning workers and runs about twice as slow as on
-its own, so every O(n^3) factorization here runs in numpy's copy: the fallback
-Cholesky is ``np.linalg.cholesky(M, upper=True)``, whose factor has the
-bits of scipy's ``cho_factor``, and only the O(n^2) triangular solves of
-``sla.cho_solve`` stay in scipy's.
+its own, so every O(n^3) factorization of the package runs in numpy's
+copy (the split solve of the table-1 image is ``np.linalg.solve`` too).
+Here the fallback Cholesky is ``np.linalg.cholesky(M, upper=True)``, whose
+factor has the bits of scipy's ``cho_factor``, and only the O(n^2)
+triangular solves of ``sla.cho_solve`` stay in scipy's.  They take the
+factor as its transpose, the lower factor in Fortran order, which f2py
+passes to LAPACK without a copy; the solution keeps its bits.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import sqrt
 from numbers import Integral, Real
 
 import numpy as np
 import scipy.linalg as sla
 
-from .discretization import DiscreteOperator, _EvenOddSplit, _from_even_odd
+from .discretization import DiscreteOperator, _EvenOddSplit
 from .errors import ContractViolationError, IllPosedProblemError, ParameterError
 
 __all__ = [
@@ -128,8 +132,29 @@ def _pencil_basis(KtK: np.ndarray, AtA: np.ndarray) -> np.ndarray:
     del eigs, penalties
     if len(bases) == 1:
         return bases[0]
-    # V = P diag(V_even, V_odd), P the even/odd change of basis
-    return _from_even_odd(*np.vsplit(sla.block_diag(*bases), [len(bases[0])]))
+    return _join_even_odd(*bases)
+
+
+def _join_even_odd(V_even: np.ndarray, V_odd: np.ndarray) -> np.ndarray:
+    """V = P diag(V_even, V_odd), P the even/odd change of basis.
+
+    This is ``_from_even_odd`` applied to the columns of the block diagonal,
+    written block by block into one array: with r = 1/sqrt(2), the top m
+    rows are [r V_even[:m], r V_odd], the middle row of odd n is
+    [V_even[m], 0], and the bottom m rows mirror the top ones, the odd
+    columns negated.  The zero blocks are not added, which changes no value.
+    """
+    c, m = len(V_even), len(V_odd)
+    n = c + m
+    r = 1.0 / sqrt(2.0)
+    V = np.empty((n, n))
+    np.multiply(V_even[:m], r, out=V[:m, :c])
+    np.multiply(V_odd, r, out=V[:m, c:])
+    V[m:c, :c] = V_even[m:]
+    V[m:c, c:] = 0.0
+    V[c:, :c] = V[:m, :c][::-1]
+    np.negative(V[:m, c:][::-1], out=V[c:, c:])
+    return V
 
 
 @dataclass(eq=False)
@@ -273,9 +298,10 @@ def _solve_normal_equations(p: TikhonovProblem, weight: float) -> np.ndarray:
 
     try:
         # numpy's upper factor has scipy cho_factor's bits; only the O(n^2)
-        # triangular solves run in scipy's OpenBLAS (see the module notes)
+        # triangular solves run in scipy's OpenBLAS (see the module notes).
+        # U' is the Fortran-ordered lower factor, which f2py takes uncopied.
         U = np.linalg.cholesky(M, upper=True)
-        f = sla.cho_solve((U, False), p._Ktg, check_finite=False)
+        f = sla.cho_solve((U.T, True), p._Ktg, check_finite=False)
         if optimal(f):
             return f
     except np.linalg.LinAlgError:

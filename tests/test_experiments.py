@@ -208,6 +208,52 @@ def test_forward_image_error_small():
     assert forward_image_error(2, 50, 3, "galerkin") < 5e-2
 
 
+@pytest.mark.parametrize("n", [2, 3, 101])
+@pytest.mark.parametrize("ex_id", [1, 2])
+def test_galerkin_diagnostics_equal_the_weighted_definition(ex_id, n):
+    # the diagnostics weight their results by n/(n+1); diagnostic_matrix
+    # weights the matrix, and stays the definition they are checked against
+    G = diagnostic_matrix(ex_id, n, "galerkin").matrix
+    want = np.sort(np.abs(np.linalg.eigvalsh(G)))[::-1]
+    np.testing.assert_allclose(discrete_spectrum(ex_id, n, "galerkin"), want, rtol=1e-12, atol=0)
+    grid = Grid(n, "interior")
+    f = get_test_function(3)
+    u = synthesize_data(EXAMPLES[ex_id], f, grid, "analytic")
+    want = max_abs_error(G @ f.eval(grid.nodes), u)
+    assert abs(forward_image_error(ex_id, n, 3, "galerkin") - want) <= 1e-12 * want
+
+
+_SCIPY_FACTORIZATIONS = ("solve", "cho_factor", "lu_factor", "eigh", "eigvalsh", "svd", "inv", "lstsq")
+
+
+def test_pipeline_runs_no_dense_factorization_in_scipy(monkeypatch):
+    # numpy and scipy bundle separate OpenBLAS copies, and an O(n^3) call in
+    # scipy's competes with numpy's spinning workers; only the O(n^2)
+    # triangular solves of cho_solve may run there
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense factorization in scipy.linalg")
+
+    for name in _SCIPY_FACTORIZATIONS:
+        monkeypatch.setattr(sla, name, forbidden)
+    for n in (2, 3, 101):
+        for method in ("graph", "galerkin"):
+            discrete_spectrum(2, n, method)
+            forward_image_error(2, n, 3, method)
+    calls = []
+    real = regularization.tikhonov_solve
+
+    def spy(p, weight):
+        calls.append(weight)
+        return real(p, weight)
+
+    monkeypatch.setattr(regularization, "tikhonov_solve", spy)
+    base = ExperimentConfig(example=1, test_function=3, n=8, epsilon=0.01)
+    for method in ("graph", "galerkin"):
+        for penalty in experiments.PENALTY_NAMES:
+            run_cell(replace(base, method=method, penalty=penalty), 0)
+    assert calls  # the matched cells reach the Cholesky fallback
+
+
 def test_run_cell_noise_free_restoration():
     cfg = ExperimentConfig(example=1, test_function=1, n=100, epsilon=0.0)
     sol, err = run_cell(cfg)

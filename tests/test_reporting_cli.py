@@ -176,6 +176,41 @@ def test_table_script_writes_the_cli_csv(tmp_path):
     assert text.splitlines()[1] == "table,f,method,penalty,metric,value,alpha_median,seeds_used"
 
 
+def _bench_runs(workload, values):
+    """Synthetic bench_pairs runs: values[side] lists one metric dict per pair."""
+    return [
+        {"workload": workload, "trace": 0, "pair": pair, "side": side,
+         "result": {"correct": True, "failed": 0, "metrics": {k: {"value": v} for k, v in metrics.items()}}}
+        for side, per_pair in values.items() for pair, metrics in enumerate(per_pair)
+    ]
+
+
+def test_bench_pairs_states_gain_and_regression():
+    script = _script("bench_pairs")
+    better = {"cells_per_s": "higher", "peak_rss_mb": "lower"}
+    bounds = {"cells_per_s": 0.25, "peak_rss_mb": 0.1}
+    parent = [{"cells_per_s": 10.0 + 0.01 * i, "peak_rss_mb": 100.0 + 0.1 * i} for i in range(10)]
+    # faster in 9 of 10 pairs, 2 MB lighter, then 20% heavier
+    change = [{"cells_per_s": 9.0 if i == 0 else 12.0, "peak_rss_mb": 98.0 + 0.1 * i} for i in range(10)]
+    heavier = [{"cells_per_s": 10.0 + 0.01 * i, "peak_rss_mb": 120.0} for i in range(10)]
+    runs = _bench_runs("a", {"parent": parent, "change": change})
+    runs += _bench_runs("b", {"parent": parent, "change": heavier})
+    runs += _bench_runs("c", {"parent": parent[:4], "change": change[1:5]})
+    summary = script.summarize(runs, better, bounds)
+    verdicts = {
+        (w, m): (summary[w]["metrics"][m]["gain"], summary[w]["metrics"][m]["regressed"])
+        for w in "abc" for m in better
+    }
+    assert verdicts == {
+        ("a", "cells_per_s"): (True, False),
+        ("a", "peak_rss_mb"): (True, False),
+        ("b", "cells_per_s"): (False, False),  # ties win nothing
+        ("b", "peak_rss_mb"): (False, True),
+        ("c", "cells_per_s"): (False, False),  # won every pair, but only four
+        ("c", "peak_rss_mb"): (False, False),
+    }
+
+
 @pytest.mark.parametrize("seeds,message", [("", "need at least one seed"), ("0,1,0", "must not repeat")])
 def test_table_seed_list_must_be_non_empty_and_distinct(tmp_path, capsys, seeds, message):
     # an empty --seeds is not the default list, and a repeated seed would
