@@ -247,11 +247,10 @@ def discrete_spectrum(example_id: int, n: int, method: str) -> np.ndarray:
     if method == "graph":
         delta = _EvenOddSplit(_schrodinger_matrix(example_id, n)).eigvalsh()
         lam = np.abs(1.0 / delta)
-    elif method == "galerkin":
-        lam = np.abs(_EvenOddSplit(_galerkin_matrix(example_id, n)).eigvalsh())
-        lam *= _lattice_weight(n)
     else:
-        raise ParameterError(f"method must be one of {_METHODS}")
+        G = forward_matrix(example_id, n, method).matrix
+        lam = np.abs(_EvenOddSplit(G).eigvalsh())
+        lam *= _lattice_weight(n)
     return np.sort(lam)[::-1]
 
 
@@ -273,11 +272,9 @@ def forward_image_error(example_id: int, n: int, fid: int, method: str) -> float
     fx = f.eval(x)
     if method == "graph":
         image = ex.green_sign * _EvenOddSplit(_schrodinger_matrix(example_id, n)).solve(fx)
-    elif method == "galerkin":
-        image = _galerkin_matrix(example_id, n) @ fx
-        image *= _lattice_weight(n)
     else:
-        raise ParameterError(f"method must be one of {_METHODS}")
+        image = forward_matrix(example_id, n, method).matrix @ fx
+        image *= _lattice_weight(n)
     try:
         u = synthesize_data(ex, f, Grid(n, "interior"), "analytic")
     except GraphtikError:

@@ -223,9 +223,6 @@ def test_galerkin_diagnostics_equal_the_weighted_definition(ex_id, n):
     assert abs(forward_image_error(ex_id, n, 3, "galerkin") - want) <= 1e-12 * want
 
 
-_SCIPY_FACTORIZATIONS = ("solve", "cho_factor", "lu_factor", "eigh", "eigvalsh", "svd", "inv", "lstsq")
-
-
 def test_pipeline_runs_no_dense_factorization_in_scipy(monkeypatch):
     # numpy and scipy bundle separate OpenBLAS copies, and an O(n^3) call in
     # scipy's competes with numpy's spinning workers; only the O(n^2)
@@ -233,7 +230,7 @@ def test_pipeline_runs_no_dense_factorization_in_scipy(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("dense factorization in scipy.linalg")
 
-    for name in _SCIPY_FACTORIZATIONS:
+    for name in ("solve", "cho_factor", "lu_factor", "eigh", "eigvalsh", "svd", "inv", "lstsq"):
         monkeypatch.setattr(sla, name, forbidden)
     for n in (2, 3, 101):
         for method in ("graph", "galerkin"):

@@ -190,7 +190,7 @@ def test_bench_pairs_states_gain_and_regression():
     better = {"cells_per_s": "higher", "peak_rss_mb": "lower"}
     bounds = {"cells_per_s": 0.25, "peak_rss_mb": 0.1}
     parent = [{"cells_per_s": 10.0 + 0.01 * i, "peak_rss_mb": 100.0 + 0.1 * i} for i in range(10)]
-    # faster in 9 of 10 pairs, 2 MB lighter, then 20% heavier
+    # change: faster in 9 of 10 pairs and 2 MB lighter; heavier: as fast, 20% more memory
     change = [{"cells_per_s": 9.0 if i == 0 else 12.0, "peak_rss_mb": 98.0 + 0.1 * i} for i in range(10)]
     heavier = [{"cells_per_s": 10.0 + 0.01 * i, "peak_rss_mb": 120.0} for i in range(10)]
     runs = _bench_runs("a", {"parent": parent, "change": change})
