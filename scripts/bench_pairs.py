@@ -5,7 +5,9 @@
 
 Each pair runs one workload seed once in each checkout, with that checkout's
 own perfbench/run.py and nothing else; the first pair of a workload runs the
-parent first and the order alternates from pair to pair.  Every run lands in
+parent first and the order alternates from pair to pair.  After each run it
+prints that run's value of every end-to-end metric in BENCHMARK.json (None
+where the run reported none).  Every run lands in
 --out with its side, pair, order, seed, wall time, the checkout's commit
 (``git rev-parse HEAD``) and whether its tree was dirty, and its two output
 lines (the environment record and the result).  Runs already in --out are kept, so
@@ -148,8 +150,9 @@ def main(argv=None) -> int:
             run.update(workload=args.workload, trace=args.trace, seconds=args.seconds,
                        seed=seed, pair=pair, order=position, side=side)
             doc["runs"].append(run)
-            value = run.get("result", {}).get("metrics", {}).get("cells_per_s", {}).get("value")
-            print(f"{args.workload} pair {pair} seed {seed} {side}: cells_per_s={value}", flush=True)
+            metrics = run.get("result", {}).get("metrics", {})
+            values = " ".join(f"{name}={metrics.get(name, {}).get('value')}" for name in bounds)
+            print(f"{args.workload} pair {pair} seed {seed} {side}: {values}", flush=True)
             doc["summary"] = summarize(doc["runs"], better, bounds)
             with open(args.out, "w") as fh:
                 json.dump(doc, fh, indent=1)

@@ -41,11 +41,23 @@ def _f1(x):
     whole thing (exp(4 - 1/p1))''.  Zero outside the support and wherever
     1/p1 >= 700, where the exponential is near its underflow.
 
-    One mask-free evaluation serves arrays and 0-d input, which quadrature
-    passes point by point.  A value keeps its bits on either path: squares
-    are explicit products (the array loop squares, a numpy scalar's ``**``
-    calls libm pow) and the cube and exponential stay numpy ufuncs.
+    The array expression below is the definition.  A float, which is what
+    quadrature passes point by point, takes the same operations in float
+    arithmetic, with the cutoff as a branch; IEEE rounding makes each step
+    equal to the array loop's, and the cube and exponential stay numpy
+    ufuncs, because libm's pow and exp round some arguments differently from
+    numpy's vectorized loops.  So a value keeps its bits on either path.
+    Squares are explicit products: the array loop squares, while a numpy
+    scalar's ``**`` calls libm pow.
     """
+    if isinstance(x, float):
+        d = x - 0.5
+        inv = 1.0 / max(0.25 - d * d, 1e-3)
+        if not inv < 700.0:
+            return 0.0
+        p2 = 2.0 * d * (inv * inv)
+        p3 = 2.0 * (inv * inv) + 8.0 * (d * d) * float(np.power(inv, 3))
+        return (p2 * p2 - p3) * float(np.exp(4.0 - inv))
     x = np.asarray(x, dtype=float)
     d = x - 0.5
     p1 = 0.25 - d * d
@@ -92,7 +104,8 @@ def get_test_function(fid: int) -> TestFunction:
 
 
 _FACTORS_EXAMPLE1 = (lambda t: t, lambda t: t - 1.0)
-_FACTORS_EXAMPLE2 = (np.sin, lambda t: np.sin(1.0 - t) / np.sin(1.0))
+_SIN1 = np.sin(1.0)
+_FACTORS_EXAMPLE2 = (np.sin, lambda t: np.sin(1.0 - t) / _SIN1)
 
 
 def _law_const_q(c: float):
@@ -128,7 +141,7 @@ def _oracle_example1(fid: int, x):
 def _oracle_example2(fid: int, x):
     x = np.asarray(x, dtype=float)
     if fid == 3:
-        return np.sin(x) / np.sin(1.0) - x
+        return np.sin(x) / _SIN1 - x
     raise KeyError(fid)
 
 

@@ -92,13 +92,36 @@ def test_f1_scalar_and_array_paths_agree_bitwise(xs):
         assert si == gi and np.signbit(si) == np.signbit(gi)
 
 
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
 def test_f1_scalar_path_matches_array_on_dense_sample():
-    # a libm pow in place of a product moves about one value in 2000
+    # a libm pow in place of a product moves about one value in 2000, and
+    # libm exp in place of numpy's about one in 20
     rng = np.random.default_rng(0)
     x = np.concatenate([np.linspace(0.0, 1.0, 10001), rng.uniform(0.0, 1.0, 10000)])
     got = _f1(x)
-    assert np.array_equal(got, _f1_masked(x))
-    assert np.array_equal(np.array([_f1(t) for t in x.tolist()]), got)
+    assert _same_bits(got, _f1_masked(x))
+    points = x.tolist()  # Python floats, which take the point path
+    assert len(points) == 20001 and all(type(t) is float for t in points)
+    assert _same_bits([_f1(t) for t in points], got)
+
+
+@pytest.mark.parametrize("ex_id", [1, 2])
+def test_f1_point_path_matches_array_at_quadrature_abscissae(ex_id):
+    # every point quad asks f1 for in the n = 100 data, one call at a time
+    points = []
+
+    def recorded(y):
+        points.append(y)
+        return _f1(y)
+
+    g = synthesize_data(get_example(ex_id), recorded, Grid(100, "interior"))
+    assert np.array_equal(g, synthesize_data(get_example(ex_id), get_test_function(1), Grid(100, "interior")))
+    assert len(points) > 10000 and all(type(y) is float for y in points)
+    assert _same_bits([_f1(y) for y in points], _f1(np.array(points)))
 
 
 def test_f2_values():

@@ -211,6 +211,26 @@ def test_bench_pairs_states_gain_and_regression():
     }
 
 
+def test_bench_pairs_prints_every_end_to_end_metric(tmp_path, capsys):
+    # each checkout's perfbench/run.py prints an environment line and a result line
+    bench = {"end_to_end": [{"name": n, "better": "lower", "bound": 0.25} for n in ("setup_s", "peak_rss_mb")],
+             "per_layer": []}
+    for side, setup in (("parent", 1.7), ("change", 1.2)):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(bench))
+        result = {"correct": True, "failed": 0, "metrics": {"setup_s": {"value": setup}}}
+        (tmp_path / side / "perfbench" / "run.py").write_text(f"print('{{}}')\nprint({json.dumps(result)!r})\n")
+    out = tmp_path / "bench.json"
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+            "--workload", "w", "--seeds", "0", "--out", str(out)]
+    assert _script("bench_pairs").main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "w pair 0 seed 0 parent: setup_s=1.7 peak_rss_mb=None",
+        "w pair 0 seed 0 change: setup_s=1.2 peak_rss_mb=None",
+    ]
+    assert json.loads(out.read_text())["summary"]["w"]["metrics"]["setup_s"]["change_wins"] == 1
+
+
 @pytest.mark.parametrize("seeds,message", [("", "need at least one seed"), ("0,1,0", "must not repeat")])
 def test_table_seed_list_must_be_non_empty_and_distinct(tmp_path, capsys, seeds, message):
     # an empty --seeds is not the default list, and a repeated seed would
