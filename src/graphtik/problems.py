@@ -43,10 +43,9 @@ def _f1(x):
 
     The array expression below is the definition.  A float, which is what
     quadrature passes point by point, takes the same operations in float
-    arithmetic, with the cutoff as a branch; IEEE rounding makes each step
-    equal to the array loop's, and the cube and exponential stay numpy
-    ufuncs, because libm's pow and exp round some arguments differently from
-    numpy's vectorized loops.  So a value keeps its bits on either path.
+    arithmetic with the cutoff as a branch, so each step rounds as the array
+    loop does; the cube and exponential stay numpy ufuncs, because libm's
+    pow and exp round some arguments differently from numpy's loops.
     Squares are explicit products: the array loop squares, while a numpy
     scalar's ``**`` calls libm pow.
     """

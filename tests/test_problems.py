@@ -118,8 +118,7 @@ def test_f1_point_path_matches_array_at_quadrature_abscissae(ex_id):
         points.append(y)
         return _f1(y)
 
-    g = synthesize_data(get_example(ex_id), recorded, Grid(100, "interior"))
-    assert np.array_equal(g, synthesize_data(get_example(ex_id), get_test_function(1), Grid(100, "interior")))
+    synthesize_data(get_example(ex_id), recorded, Grid(100, "interior"))
     assert len(points) > 10000 and all(type(y) is float for y in points)
     assert _same_bits([_f1(y) for y in points], _f1(np.array(points)))
 
