@@ -22,8 +22,11 @@ vector needs only a projection).
   ``discretization._EvenOddSplit``; each block gets the same recipe, at
   about an eighth of the full-size cost, and V joins the two block bases.
   A data penalty (a3, matched) is not centrosymmetric and is one block.
-  It also keeps ||KV||^2 and ||AV||^2 by column and the Frobenius products
-  that bound ||K'K + w A'A||, all from the unsplit K and A.
+  The eigenvalues mu of the second eigh of each block are the GSVD pairs
+  of the pencil: v_i'A'Av_i = mu_i and v_i'K'Kv_i = 1 - mu_i (c^2 + s^2 =
+  1), so no product with K or A gives them.  mu is clipped to [0, 1],
+  where it lies in exact arithmetic.  The pencil also keeps the Frobenius
+  products that bound ||K'K + w A'A||, from the unsplit K'K and A'A.
 - The data stage, ``TikhonovProblem`` and ``alpha_sweep``, runs once per
   data vector: it checks the data, projects K'g, solves the whole grid as
   one batched product, certifies it and scores it.
@@ -95,15 +98,18 @@ _KERNEL_TOL = 1e-12  # relative floor for eigmin(K'K + A'A)
 _FALLBACK_FACTOR = 2.0
 
 
-def _pencil_basis(KtK: np.ndarray, AtA: np.ndarray) -> np.ndarray:
-    """V with V'(K'K + A'A)V = I and V'A'AV diagonal, two eigh calls per block.
+def _pencil_basis(KtK: np.ndarray, AtA: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(V, mu) with V'(K'K + A'A)V = I and V'A'AV = diag(mu), two eigh calls
+    per block.
 
     When K'K and A'A are both centrosymmetric, the blocks are the even and
     odd blocks of ``_EvenOddSplit`` and V joins their bases; otherwise the
     pencil is one block.  The split's own test decides, one test per
     matrix: A'A is split first, so a data penalty, which fails it, costs
     one test.  The floor is checked on the eigenvalues of all blocks before
-    any whitening.  Each temporary is dropped once used up and W is
+    any whitening.  mu are the eigenvalues of each block's second eigh,
+    joined in the column order of V and clipped to [0, 1] (see
+    ``TikhonovPencil``).  Each temporary is dropped once used up and W is
     whitened in place, because a build's transient arrays set the peak
     memory of an n = 1000 run.
     """
@@ -124,15 +130,17 @@ def _pencil_basis(KtK: np.ndarray, AtA: np.ndarray) -> np.ndarray:
         raise IllPosedProblemError(
             "penalty and forward operator share a near-null direction"
         )
-    bases = []
+    bases, mus = [], []
     for (lam, W), AtA_block in zip(eigs, penalties):
         W /= np.sqrt(lam)  # whitened in place: W'MW = I
-        _, U = np.linalg.eigh(W.T @ AtA_block @ W)
+        mu, U = np.linalg.eigh(W.T @ AtA_block @ W)
         bases.append(W @ U)
+        mus.append(mu)
     del eigs, penalties
+    mu = np.clip(np.concatenate(mus), 0.0, 1.0)
     if len(bases) == 1:
-        return bases[0]
-    return _join_even_odd(*bases)
+        return bases[0], mu
+    return _join_even_odd(*bases), mu
 
 
 def _join_even_odd(V_even: np.ndarray, V_odd: np.ndarray) -> np.ndarray:
@@ -170,12 +178,16 @@ class TikhonovPencil:
     normal equations solvable.  The same decompositions give the basis V
     used by ``alpha_sweep``: whitening each block by lam^(-1/2) and
     diagonalizing its whitened A'A yields V'MV = I with V'A'AV diagonal, so
-    V simultaneously diagonalizes K'K + w A'A for every weight w.  A split
-    basis is exact for the blocks of the averages (X + JXJ)/2, within the
-    1e-10 centrosymmetry test of the true ones; the sweep certifies and
+    V simultaneously diagonalizes K'K + w A'A for every weight w.  The
+    diagonal of V'A'AV is mu, the eigenvalues of the second eigh, and that
+    of V'K'KV is 1 - mu, since the two add up to the identity; so neither
+    needs a product with K or A.  mu is clipped to [0, 1]: on a penalty
+    with a null space (a2) roundoff puts it a few eps below 0, and at the
+    weights of a wide grid 1 - mu + w mu would then be 0 or negative.  A
+    split basis is exact for the blocks of the averages (X + JXJ)/2, within
+    the 1e-10 centrosymmetry test of the true ones; the sweep certifies and
     falls back against the unsplit K'K and A'A.  The pencil also keeps the
-    column norms ||KV||^2 and ||AV||^2 and the three Frobenius products
-    that give ||K'K + w A'A||_F.
+    three Frobenius products that give ||K'K + w A'A||_F.
 
     Every ``TikhonovProblem`` on the same (K, A) can share one pencil.  At
     n = 1000 it holds about 24 MB (K'K, A'A and V), so callers keep it only
@@ -198,11 +210,10 @@ class TikhonovPencil:
         self._K, self._A = K, A
         self._KtK = KtK = K.T @ K
         self._AtA = AtA = A.T @ A
-        self._basis = V = _pencil_basis(KtK, AtA)
-        self._kk = np.sum((K @ V) ** 2, axis=0)  # v_i'K'Kv_i
-        self._aa = np.sum((A @ V) ** 2, axis=0)  # v_i'A'Av_i
+        # v_i'A'Av_i = mu_i and v_i'K'Kv_i = 1 - mu_i
+        self._basis, self._mu = _pencil_basis(KtK, AtA)
         # ||K'K + w A'A||_F^2 = kk_f + 2 w ka_f + w^2 aa_f
-        self._frobenius = (np.sum(KtK * KtK), np.sum(KtK * AtA), np.sum(AtA * AtA))
+        self._frobenius = (np.vdot(KtK, KtK), np.vdot(KtK, AtA), np.vdot(AtA, AtA))
 
 
 @dataclass
@@ -357,21 +368,21 @@ def alpha_sweep(p: TikhonovProblem, grid: AlphaGrid, reference: np.ndarray):
 
     This is the per-data half of the work; everything that depends only on
     (K, A) comes from ``p.pencil``.  All weights are solved at once in the
-    pencil basis V: with D[i, j] = v_i'K'Kv_i + w_j v_i'A'Av_i, column j is
-    V((V'K'g) / D[:, j]).  One batched refinement step against the normal
-    equations follows.  A column is certified when the next refinement
-    correction is at most 1e-8 ||f - reference|| (so its RRE is settled far
-    below any printed digit) and its residual meets the optimality bound of
-    ``tikhonov_solve``.  Every column is scored from the refined solve
-    first.  The uncertified columns are then visited in ascending order of
-    that score, and ``tikhonov_solve`` replaces a column only if it could
-    still be the minimum: ||f - reference|| less the next correction must be
-    at most ``_FALLBACK_FACTOR`` times the smallest ||f - reference|| of the
-    certified and already solved columns.  A skipped column keeps its
-    refined score in the curve; it is at least that factor above the chosen
-    one.  ``IllPosedProblemError`` comes only from a column that was solved.
-    Each column is scored as ``metrics.rre`` defines it, with the reference
-    checked and its norm taken once for the whole grid.
+    pencil basis V: with D[i, j] = v_i'K'Kv_i + w_j v_i'A'Av_i = 1 - mu_i +
+    w_j mu_i, column j is V((V'K'g) / D[:, j]).  One batched refinement step
+    against the normal equations follows.  A column is certified when the
+    next refinement correction is at most 1e-8 ||f - reference|| (so its RRE
+    is settled far below any printed digit) and its residual meets the
+    optimality bound of ``tikhonov_solve``.  Every column is scored from the
+    refined solve first.  The uncertified columns are then visited in
+    ascending order of that score, and ``tikhonov_solve`` replaces a column
+    only if it could still be the minimum: ||f - reference|| less the next
+    correction must be at most ``_FALLBACK_FACTOR`` times the smallest
+    ||f - reference|| of the certified and already solved columns.  A skipped
+    column keeps its refined score in the curve; it is at least that factor
+    above the chosen one.  ``IllPosedProblemError`` comes only from a column
+    that was solved.  Each column is scored as ``metrics.rre`` defines it,
+    with the reference checked and its norm taken once for the whole grid.
     """
     reference = np.asarray(reference, dtype=float)
     if reference.shape != p.data.shape or not np.all(np.isfinite(reference)):
@@ -383,7 +394,8 @@ def alpha_sweep(p: TikhonovProblem, grid: AlphaGrid, reference: np.ndarray):
     weights = alphas**2
     pen = p.pencil
     KtK, AtA, V, Ktg = pen._KtK, pen._AtA, pen._basis, p._Ktg
-    D = pen._kk[:, None] + pen._aa[:, None] * weights
+    mu = pen._mu[:, None]
+    D = (1.0 - mu) + mu * weights
 
     def residual(F):
         return Ktg[:, None] - KtK @ F - (AtA @ F) * weights

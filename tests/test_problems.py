@@ -74,6 +74,7 @@ _F1_CUTOFF = 0.5 - np.sqrt(0.25 - 1.0 / 700.0)
         st.one_of(
             st.sampled_from([0.0, 0.5, 1.0, _F1_CUTOFF, 1.0 - _F1_CUTOFF]),
             st.floats(-10.0, 11.0),
+            st.floats(_F1_CUTOFF, 1.0 - _F1_CUTOFF),  # inside the support
             st.floats(_F1_CUTOFF - 1e-6, _F1_CUTOFF + 1e-6),
             st.floats(1.0 - _F1_CUTOFF - 1e-6, 1.0 - _F1_CUTOFF + 1e-6),
         ),

@@ -398,14 +398,19 @@ def _counted(build, split=True):
 
 
 def _assert_pencil_basis(pencil):
-    """V'(K'K + A'A)V = I and V'A'AV diagonal, to roundoff times cond."""
-    V = pencil._basis
+    """V'(K'K + A'A)V = I and V'A'AV diagonal, to roundoff times cond, and
+    the pencil's mu in [0, 1] gives the diagonals of the definition:
+    ||Kv_i||^2 = 1 - mu_i and ||Av_i||^2 = mu_i, to the same tolerance."""
+    V, mu = pencil._basis, pencil._mu
     M = pencil._KtK + pencil._AtA
     lam = np.linalg.eigvalsh(M)
     tol = 1e3 * np.finfo(float).eps * lam[-1] / lam[0]
     assert np.max(np.abs(V.T @ M @ V - np.eye(len(V)))) <= tol
     D = V.T @ pencil._AtA @ V
     assert np.max(np.abs(D - np.diag(np.diag(D)))) <= tol
+    assert np.all((mu >= 0.0) & (mu <= 1.0))
+    assert np.max(np.abs(np.sum((pencil._K @ V) ** 2, axis=0) - (1.0 - mu))) <= tol
+    assert np.max(np.abs(np.sum((pencil._A @ V) ** 2, axis=0) - mu)) <= tol
 
 
 @settings(max_examples=200, deadline=None)
@@ -596,6 +601,49 @@ def test_skipped_columns_cannot_undercut_the_chosen_one(monkeypatch):
                 assert rre(tikhonov_solve(p, weight).solution, reference) > best.rre
                 skipped += 1
     assert skipped > 0
+
+
+def test_pipeline_pencils_read_their_diagonals_from_mu(monkeypatch):
+    # every pencil the cells build at n = 100 (both examples, both methods,
+    # every penalty): the sweep's diagonals 1 - mu and mu are the column
+    # norms ||KV||^2 and ||AV||^2 that define them
+    captured = []
+    real = experiments.alpha_sweep
+
+    def spy(p, grid, reference):
+        captured.append(p.pencil)
+        return real(p, grid, reference)
+
+    monkeypatch.setattr(experiments, "alpha_sweep", spy)
+    for example in (1, 2):
+        for method in ("graph", "galerkin"):
+            for penalty in experiments.PENALTY_NAMES:
+                config = replace(_EX2_N100, example=example, method=method, penalty=penalty)
+                experiments.run_cell(config, 0)
+                _assert_pencil_basis(captured[-1])
+    assert len(captured) == 20
+
+
+def test_a2_sweep_down_to_tiny_alpha_is_finite():
+    # at w = 1e-28 the diagonal is 1 - mu, a few eps on the highest
+    # frequencies: the curve and the chosen solution stay finite
+    grid = AlphaGrid(max=1e3, min=1e-14, count=60)
+    for method in ("graph", "galerkin"):
+        config = replace(_EX2_N100, method=method, penalty="a2", alpha_grid=grid)
+        captured = []
+        real = experiments.alpha_sweep
+
+        def spy(p, grid, reference):
+            best, curve = real(p, grid, reference)
+            captured.append(curve)
+            return best, curve
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(experiments, "alpha_sweep", spy)
+            best, err = experiments.run_cell(config, 0)
+        assert np.all(np.isfinite(best.solution)) and np.isfinite(err)
+        assert np.all(np.isfinite(np.array(captured[0])))
+        assert best.alpha in grid.values
 
 
 _WIDE_GRID = AlphaGrid(max=1e12, min=1e6, count=20)
