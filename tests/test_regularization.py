@@ -624,25 +624,24 @@ def test_pipeline_pencils_read_their_diagonals_from_mu(monkeypatch):
     assert len(captured) == 20
 
 
-def test_a2_sweep_down_to_tiny_alpha_is_finite():
-    # at w = 1e-28 the diagonal is 1 - mu, a few eps on the highest
-    # frequencies: the curve and the chosen solution stay finite
+def test_a2_sweep_down_to_tiny_alpha_is_finite(monkeypatch):
+    # at w = 1e-28 the diagonal is 1 - mu, about 5e-12 on the highest
+    # frequencies of the a2 pencil: the curve and the solution stay finite
     grid = AlphaGrid(max=1e3, min=1e-14, count=60)
+    curves = []
+    real = experiments.alpha_sweep
+
+    def spy(p, grid, reference):
+        best, curve = real(p, grid, reference)
+        curves.append(curve)
+        return best, curve
+
+    monkeypatch.setattr(experiments, "alpha_sweep", spy)
     for method in ("graph", "galerkin"):
         config = replace(_EX2_N100, method=method, penalty="a2", alpha_grid=grid)
-        captured = []
-        real = experiments.alpha_sweep
-
-        def spy(p, grid, reference):
-            best, curve = real(p, grid, reference)
-            captured.append(curve)
-            return best, curve
-
-        with pytest.MonkeyPatch.context() as m:
-            m.setattr(experiments, "alpha_sweep", spy)
-            best, err = experiments.run_cell(config, 0)
+        best, err = experiments.run_cell(config, 0)
         assert np.all(np.isfinite(best.solution)) and np.isfinite(err)
-        assert np.all(np.isfinite(np.array(captured[0])))
+        assert np.all(np.isfinite(np.array(curves[-1])))
         assert best.alpha in grid.values
 
 
