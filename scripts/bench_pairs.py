@@ -14,8 +14,11 @@ lines (the environment record and the result).  Runs already in --out are kept, 
 several workloads accumulate in one file, and the summary is rebuilt over all
 of them: per workload and metric, each side's median and quartiles, the
 number of pairs the change won and the number of ties, which count for
-neither side.  Whether higher or lower is better, and each end-to-end
-metric's bound, come from the change's BENCHMARK.json.  An end-to-end metric
+neither side.  For untraced runs it also pools every set-up sample of a
+side's runs (``setup_samples_s``: one in-process and two fresh-process
+set-ups per run, of which ``setup_s`` keeps the median) and gives their
+median and quartiles.  Whether higher or lower is better, and each
+end-to-end metric's bound, come from the change's BENCHMARK.json.  An end-to-end metric
 is marked ``unresolved`` when the parent's own quartile spread exceeds its
 bound times the parent's median, unless every run of the change reads better
 than every run of the parent: a regression of the full bound then cannot be
@@ -92,6 +95,12 @@ def summarize(runs: list, better: dict, bounds: dict) -> dict:
             "failed": {s: sum(r["result"]["failed"] for r in done if r["side"] == s) for s in SIDES},
             "metrics": {},
         }
+        if not trace:
+            pooled = {
+                s: [v for r in done if r["side"] == s for v in r["record"]["setup_samples_s"]]
+                for s in SIDES
+            }
+            entry["setup_samples_s"] = {s: spread(v) if v else None for s, v in pooled.items()}
         for name in sorted({m for r in done for m in r["result"]["metrics"]}):
             values = {
                 side: [r["result"]["metrics"][name]["value"] for r in done if r["side"] == side] for side in SIDES

@@ -19,7 +19,6 @@ from math import sqrt
 from typing import Callable
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import (
     ContractViolationError,
@@ -34,6 +33,7 @@ __all__ = [
     "Grid",
     "DiscreteOperator",
     "toeplitz_stencil",
+    "symmetric_toeplitz",
     "build_schrodinger_operator",
     "pseudo_inverse",
     "build_galerkin_operator",
@@ -123,12 +123,26 @@ def toeplitz_stencil(n: int) -> np.ndarray:
     return t
 
 
+def symmetric_toeplitz(t: np.ndarray) -> np.ndarray:
+    """The symmetric Toeplitz matrix with first row t, T[i, j] = t[|i - j|].
+
+    Row i is the window of length n that starts at n - 1 - i in the
+    reflected row [t[n-1], ..., t[1], t[0], t[1], ..., t[n-1]], so T is a
+    strided view of that row, copied once into the result.
+    """
+    t = np.asarray(t, dtype=float)
+    reflected = np.concatenate([t[:0:-1], t])
+    return np.lib.stride_tricks.sliding_window_view(reflected, t.size)[::-1].copy()
+
+
 def build_schrodinger_operator(q: Callable, n: int) -> DiscreteOperator:
     """L = h^-2 * ToeplitzSym(t) + diag(q) on the interior lattice.
 
     The lattice spacing is h = 1/(n+1), so the stencil block is scaled by
     (n+1)^2.  This is what makes the inverse spectrum land on the continuous
-    eigenvalues to O(1/n) uniformly in the index.
+    eigenvalues to O(1/n) uniformly in the index.  The scale is applied to
+    the first row, which gives every entry the bits of scaling the matrix,
+    and q is added on the diagonal of the result in place.
     """
     grid = Grid(n, "interior")
     qx = np.asarray(q(grid.nodes), dtype=float)
@@ -136,7 +150,8 @@ def build_schrodinger_operator(q: Callable, n: int) -> DiscreteOperator:
         qx = np.full(n, float(qx))
     if qx.shape != (n,) or not np.all(np.isfinite(qx)):
         raise EvaluationError("potential not finite on all grid nodes")
-    L = (n + 1) ** 2 * sla.toeplitz(toeplitz_stencil(n)) + np.diag(qx)
+    L = symmetric_toeplitz((n + 1) ** 2 * toeplitz_stencil(n))
+    L.ravel()[:: n + 1] += qx
     return DiscreteOperator(L, grid, "graph")
 
 
@@ -161,6 +176,10 @@ def build_galerkin_operator(p: ContinuousProblem, n: int) -> DiscreteOperator:
     Off the diagonal h = u(min) v(max) factorizes, so an entry is n times a
     product of the 8-point Gauss-Legendre cell integrals of u and v.  A
     diagonal cell is integrated in 2-D, its inner integral split at y = x.
+    The matrix is filled in its result array: one outer product gives the
+    entries below the diagonal, each row above it is copied from the
+    matching column below, so the result is exactly symmetric, and the
+    diagonal cells are written last.
     """
     u, v = p.factors
     gx, gw = np.polynomial.legendre.leggauss(_QUAD_POINTS)
@@ -180,8 +199,9 @@ def build_galerkin_operator(p: ContinuousProblem, n: int) -> DiscreteOperator:
     diag = n * (inner @ w)
     if not np.all(np.isfinite(np.concatenate([U, V, diag]))):
         raise EvaluationError("kernel not finite inside a quadrature cell")
-    K = np.tril(np.outer(n * V, U), -1)  # below the diagonal y < x: h = v(x) u(y)
-    K += K.T  # above it h = u(x) v(y), the transpose
+    K = np.outer(n * V, U)  # below the diagonal y < x: h = v(x) u(y)
+    for i in range(n - 1):  # above it h = u(x) v(y), the transpose
+        K[i, i + 1:] = K[i + 1:, i]
     np.fill_diagonal(K, diag)
     return DiscreteOperator(K, Grid(n, "midpoint"), "galerkin")
 

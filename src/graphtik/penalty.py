@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
-from .discretization import DiscreteOperator, Grid
+from .discretization import DiscreteOperator, Grid, symmetric_toeplitz
 from .errors import DegenerateAnchorError, ParameterError
 
 __all__ = [
@@ -47,13 +46,13 @@ def dirichlet_penalty(n: int) -> DiscreteOperator:
         raise ParameterError("n must be >= 2")
     t = np.zeros(n)
     t[0], t[1] = 2.0, -1.0
-    return DiscreteOperator(sla.toeplitz(t), Grid(n, "interior"), "penalty")
+    return DiscreteOperator(symmetric_toeplitz(t), Grid(n, "interior"), "penalty")
 
 
 def neumann_penalty(n: int) -> DiscreteOperator:
     """tridiag(-1, 2, -1) with the corner diagonal entries lowered to 1,
     so constants are in the kernel."""
-    A = dirichlet_penalty(n).matrix.copy()
+    A = dirichlet_penalty(n).matrix  # a fresh array, no other operator holds it
     A[0, 0] = 1.0
     A[-1, -1] = 1.0
     return DiscreteOperator(A, Grid(n, "interior"), "penalty")

@@ -83,6 +83,16 @@ def test_schrodinger_scalar_potential_return():
     np.testing.assert_array_equal(op.matrix, 9.0 * sla.toeplitz(toeplitz_stencil(2)))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 100, 1001])
+@pytest.mark.parametrize("ex_id", [1, 2])
+def test_schrodinger_matches_scipy_toeplitz_definition_bitwise(ex_id, n):
+    # the definition the numpy Toeplitz build replaced, every bit kept
+    q = EXAMPLES[ex_id].problem.potential
+    want = (n + 1) ** 2 * sla.toeplitz(toeplitz_stencil(n)) + np.diag(q(Grid(n).nodes))
+    L = build_schrodinger_operator(q, n).matrix
+    assert L.shape == want.shape and L.tobytes() == want.tobytes()
+
+
 def test_schrodinger_rejects_nonfinite_potential():
     with pytest.raises(EvaluationError):
         build_schrodinger_operator(lambda x: np.full_like(x, np.nan), 3)
@@ -142,6 +152,14 @@ def test_galerkin_matches_tensor_quadrature(ex_id, n):
     want = _tensor_galerkin(p, n)
     got = build_galerkin_operator(p, n).matrix
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 100, 1001])
+@pytest.mark.parametrize("ex_id", [1, 2])
+def test_galerkin_matrix_is_exactly_symmetric(ex_id, n):
+    # the entries above the diagonal are copied from the ones below
+    K = build_galerkin_operator(EXAMPLES[ex_id].problem, n).matrix
+    assert K.tobytes() == np.ascontiguousarray(K.T).tobytes()
 
 
 def test_galerkin_constant_kernel():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,6 +30,22 @@ def test_neumann_matrix():
         neumann_penalty(3).matrix,
         [[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]],
     )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 100, 1001])
+def test_second_differences_match_scipy_toeplitz_definition_bitwise(n):
+    # the definitions the numpy Toeplitz build replaced, every bit kept
+    if n == 1:
+        for build in (dirichlet_penalty, neumann_penalty):
+            with pytest.raises(ParameterError):
+                build(n)
+        return
+    t = np.zeros(n)
+    t[0], t[1] = 2.0, -1.0
+    want = sla.toeplitz(t)
+    assert dirichlet_penalty(n).matrix.tobytes() == want.tobytes()
+    want[0, 0] = want[-1, -1] = 1.0
+    assert neumann_penalty(n).matrix.tobytes() == want.tobytes()
 
 
 def test_row_sums():

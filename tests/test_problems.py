@@ -238,16 +238,56 @@ def test_quadrature_failures_are_typed(ex_id, f):
         synthesize_data(get_example(ex_id), f, Grid(3, "interior"))
 
 
+_SCIPY_IMPORTS = """
+import sys
+sys.path.insert(0, {src!r})
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+import numpy as np
+import graphtik
+from graphtik import experiments as E
+from graphtik.discretization import DiscreteOperator, Grid
+from graphtik.regularization import TikhonovProblem, tikhonov_solve
+
+assert scipy_modules() == [], scipy_modules()
+for n in (2, 3, 101):
+    for method in ("graph", "galerkin"):
+        E.discrete_spectrum(2, n, method)
+        E.forward_image_error(2, n, 3, method)
+        E.diagnostic_matrix(2, n, method)
+E.emit_figure_data(1)
+assert scipy_modules() == [], scipy_modules()
+
+n = 9
+rng = np.random.default_rng(0)
+K = np.eye(n) + 0.1 * rng.standard_normal((n, n))
+p = TikhonovProblem(
+    DiscreteOperator(K, Grid(n), "derived"), DiscreteOperator(np.eye(n), Grid(n), "penalty"),
+    rng.standard_normal(n),
+)
+f = tikhonov_solve(p, 1.0).solution
+assert "scipy.linalg" in sys.modules and "scipy.integrate" not in sys.modules
+import scipy.linalg as sla
+M = p.pencil._KtK + p.pencil._AtA
+want = sla.cho_solve(sla.cho_factor(M, check_finite=False), p._Ktg, check_finite=False)
+assert f.tobytes() == want.tobytes(), (f, want)
+print("ok")
+"""
+
+
 def test_import_leaves_quadrature_module_unloaded():
     # scipy.integrate (and the scipy.optimize it pulls in) is imported only
-    # by the quadrature branch of synthesize_data
-    src = Path(__file__).resolve().parents[1] / "src"
-    code = (
-        f"import sys; sys.path.insert(0, {str(src)!r}); import graphtik; "
-        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
-    )
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    # by the quadrature branch of synthesize_data, and scipy.linalg only by
+    # the Cholesky fallback of the Tikhonov solve, for its triangular
+    # solves: importing the package and the spectral path (tables 1-3,
+    # figure 1) load no scipy module, and the fallback keeps the bits of
+    # scipy's cho_factor/cho_solve
+    code = _SCIPY_IMPORTS.format(src=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "ok"
 
 
 def test_analytic_mode_requires_registration():

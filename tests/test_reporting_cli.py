@@ -179,7 +179,7 @@ def test_table_script_writes_the_cli_csv(tmp_path):
 def _bench_runs(workload, values):
     """Synthetic bench_pairs runs: values[side] lists one metric dict per pair."""
     return [
-        {"workload": workload, "trace": 0, "pair": pair, "side": side,
+        {"workload": workload, "trace": 0, "pair": pair, "side": side, "record": {"setup_samples_s": []},
          "result": {"correct": True, "failed": 0, "metrics": {k: {"value": v} for k, v in metrics.items()}}}
         for side, per_pair in values.items() for pair, metrics in enumerate(per_pair)
     ]
@@ -215,20 +215,31 @@ def test_bench_pairs_prints_every_end_to_end_metric(tmp_path, capsys):
     # each checkout's perfbench/run.py prints an environment line and a result line
     bench = {"end_to_end": [{"name": n, "better": "lower", "bound": 0.25} for n in ("setup_s", "peak_rss_mb")],
              "per_layer": []}
+    samples = {"parent": [1.7, 1.6, 1.9], "change": [1.3, 1.2, 1.1]}
     for side, setup in (("parent", 1.7), ("change", 1.2)):
         (tmp_path / side / "perfbench").mkdir(parents=True)
         (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(bench))
+        record = {"setup_samples_s": samples[side]}
         result = {"correct": True, "failed": 0, "metrics": {"setup_s": {"value": setup}}}
-        (tmp_path / side / "perfbench" / "run.py").write_text(f"print('{{}}')\nprint({json.dumps(result)!r})\n")
+        (tmp_path / side / "perfbench" / "run.py").write_text(
+            f"print({json.dumps(record)!r})\nprint({json.dumps(result)!r})\n"
+        )
     out = tmp_path / "bench.json"
     argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
-            "--workload", "w", "--seeds", "0", "--out", str(out)]
+            "--workload", "w", "--seeds", "0,1", "--out", str(out)]
     assert _script("bench_pairs").main(argv) == 0
     assert capsys.readouterr().out.splitlines() == [
         "w pair 0 seed 0 parent: setup_s=1.7 peak_rss_mb=None",
         "w pair 0 seed 0 change: setup_s=1.2 peak_rss_mb=None",
+        "w pair 1 seed 1 change: setup_s=1.2 peak_rss_mb=None",
+        "w pair 1 seed 1 parent: setup_s=1.7 peak_rss_mb=None",
     ]
-    assert json.loads(out.read_text())["summary"]["w"]["metrics"]["setup_s"]["change_wins"] == 1
+    summary = json.loads(out.read_text())["summary"]["w"]
+    assert summary["metrics"]["setup_s"]["change_wins"] == 2
+    # every set-up sample of both runs of a side, pooled: 1.6, 1.6, 1.7, 1.7, 1.9, 1.9
+    pooled = summary["setup_samples_s"]
+    assert pooled["parent"] == pytest.approx({"median": 1.7, "q1": 1.625, "q3": 1.85, "n": 6})
+    assert pooled["change"] == pytest.approx({"median": 1.2, "q1": 1.125, "q3": 1.275, "n": 6})
 
 
 @pytest.mark.parametrize("seeds,message", [("", "need at least one seed"), ("0,1,0", "must not repeat")])
