@@ -2,8 +2,8 @@
 
 Tables 1-3 are deterministic (forward image error, LSRE, MSRE); tables 4-7
 are the deblurring benchmarks, aggregated as medians over the seed list.
-The full 20-seed run takes 5-7 s on two cores, 4.5-6 s of it in the tables
-(six runs); pass --seeds 0,1,2 for a quick one.
+The full 20-seed run takes 5.4-6 s on two cores, 4.8-5.5 s of it in the
+tables (three runs); pass --seeds 0,1,2 for a quick one.
 """
 import argparse
 import pathlib
