@@ -10,7 +10,11 @@ It reads each kernel through its semiseparable factors,
 h(x, y) = u(min(x, y)) v(max(x, y)).
 Both are centrosymmetric, and their spectra and solves go through the
 half-size even and odd blocks of ``_EvenOddSplit``, as do the Tikhonov
-pencils of ``regularization`` whose penalty is centrosymmetric too.
+pencils of ``regularization`` whose penalty is centrosymmetric too.  The
+lattice matrix's blocks are written straight from the scaled stencil by
+``build_schrodinger_blocks``, which checks that the potential is even on
+L's diagonal, so the diagnostics never form L; the full matrix of
+``build_schrodinger_operator`` is only needed to invert it.
 """
 from __future__ import annotations
 
@@ -35,6 +39,7 @@ __all__ = [
     "toeplitz_stencil",
     "symmetric_toeplitz",
     "build_schrodinger_operator",
+    "build_schrodinger_blocks",
     "pseudo_inverse",
     "build_galerkin_operator",
     "continuous_eigenvalues",
@@ -42,6 +47,7 @@ __all__ = [
 
 _PINV_REL_TOL = 1e-12  # singular values below this times sigma_max count as zero
 _QUAD_POINTS = 8  # Gauss-Legendre points per cell and direction
+_CENTRO_REL_TOL = 1e-10  # largest |A - JAJ| accepted, relative to max |A|
 
 
 @dataclass(frozen=True)
@@ -130,9 +136,27 @@ def symmetric_toeplitz(t: np.ndarray) -> np.ndarray:
     reflected row [t[n-1], ..., t[1], t[0], t[1], ..., t[n-1]], so T is a
     strided view of that row, copied once into the result.
     """
-    t = np.asarray(t, dtype=float)
+    return _toeplitz_view(np.asarray(t, dtype=float)).copy()
+
+
+def _toeplitz_view(t: np.ndarray) -> np.ndarray:
+    """``symmetric_toeplitz(t)`` as a read-only strided view (t nonempty)."""
     reflected = np.concatenate([t[:0:-1], t])
-    return np.lib.stride_tricks.sliding_window_view(reflected, t.size)[::-1].copy()
+    return np.lib.stride_tricks.sliding_window_view(reflected, t.size)[::-1]
+
+
+def _lattice_terms(q: Callable, n: int) -> tuple[Grid, np.ndarray, np.ndarray]:
+    """The interior grid, the scaled stencil (n+1)^2 t and q on the grid.
+
+    The scale is applied to the first row, which gives every entry the bits
+    of scaling the Toeplitz matrix."""
+    grid = Grid(n, "interior")
+    qx = np.asarray(q(grid.nodes), dtype=float)
+    if qx.shape == ():
+        qx = np.full(n, float(qx))
+    if qx.shape != (n,) or not np.all(np.isfinite(qx)):
+        raise EvaluationError("potential not finite on all grid nodes")
+    return grid, (n + 1) ** 2 * toeplitz_stencil(n), qx
 
 
 def build_schrodinger_operator(q: Callable, n: int) -> DiscreteOperator:
@@ -140,19 +164,53 @@ def build_schrodinger_operator(q: Callable, n: int) -> DiscreteOperator:
 
     The lattice spacing is h = 1/(n+1), so the stencil block is scaled by
     (n+1)^2.  This is what makes the inverse spectrum land on the continuous
-    eigenvalues to O(1/n) uniformly in the index.  The scale is applied to
-    the first row, which gives every entry the bits of scaling the matrix,
-    and q is added on the diagonal of the result in place.
+    eigenvalues to O(1/n) uniformly in the index.  q is added on the
+    diagonal of the Toeplitz matrix in place.
     """
-    grid = Grid(n, "interior")
-    qx = np.asarray(q(grid.nodes), dtype=float)
-    if qx.shape == ():
-        qx = np.full(n, float(qx))
-    if qx.shape != (n,) or not np.all(np.isfinite(qx)):
-        raise EvaluationError("potential not finite on all grid nodes")
-    L = symmetric_toeplitz((n + 1) ** 2 * toeplitz_stencil(n))
+    grid, s, qx = _lattice_terms(q, n)
+    L = symmetric_toeplitz(s)
     L.ravel()[:: n + 1] += qx
     return DiscreteOperator(L, grid, "graph")
+
+
+def build_schrodinger_blocks(q: Callable, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The even and odd blocks of L, written from the scaled stencil s.
+
+    They equal ``_EvenOddSplit(build_schrodinger_operator(q, n).matrix)``
+    bit for bit, without forming L.  With m = n // 2, the blocks are
+    s[|i - j|] + s[n-1-i-j] and s[|i - j|] - s[n-1-i-j] for i, j < m (a
+    Toeplitz view of s[:m] and a Hankel view of the reflected row), which is
+    the split's (2a +- 2b)/2 exactly.  Their diagonals take the split's own
+    expression (fl(d_i + d_{n-1-i}) +- fl(2 s[n-1-2i])) * 0.5, where
+    d = s[0] + q is L's diagonal; for odd n the even block gains the middle
+    row and column 2 s[m-i]/sqrt(2) and d_m.  L - JLJ is zero off its
+    diagonal, so the centrosymmetry test of the split reads d alone: a
+    potential that is not even to 1e-10 of L's largest entry is a
+    ContractViolationError.
+    """
+    _, s, qx = _lattice_terms(q, n)
+    d = s[0] + qx
+    m, c = n // 2, n - n // 2
+    defect = float(np.abs(d[:c] - d[::-1][:c]).max())
+    scale = max(float(np.abs(d).max()), float(np.abs(s[1:]).max(initial=0.0)))
+    if not defect <= _CENTRO_REL_TOL * scale:
+        raise ContractViolationError("potential is not even about x = 1/2 to 1e-10 of L's largest entry")
+    even, odd = np.empty((c, c)), np.empty((m, m))
+    if m:
+        toeplitz = _toeplitz_view(s[:m])
+        hankel = np.lib.stride_tricks.sliding_window_view(s[::-1][: 2 * m - 1], m)
+        np.add(toeplitz, hankel, out=even[:m, :m])
+        np.subtract(toeplitz, hankel, out=odd)
+        pair = d[:m] + d[::-1][:m]
+        twice = 2.0 * hankel.diagonal()
+        np.fill_diagonal(even[:m, :m], (pair + twice) * 0.5)
+        np.fill_diagonal(odd, (pair - twice) * 0.5)
+    if c > m:
+        middle = 2.0 * s[m:0:-1] / sqrt(2.0)
+        even[:m, m] = middle
+        even[m, :m] = middle
+        even[m, m] = d[m]
+    return even, odd
 
 
 def pseudo_inverse(op: DiscreteOperator) -> DiscreteOperator:
@@ -219,7 +277,7 @@ def _is_centrosymmetric(A: np.ndarray) -> bool:
     np.abs(d, out=d)
     defect = float(d.max())
     scale = max(float(A.max()), -float(A.min()))
-    return defect <= 1e-10 * scale
+    return defect <= _CENTRO_REL_TOL * scale
 
 
 def _from_even_odd(y: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -251,6 +309,8 @@ class _EvenOddSplit:
     for the solve here; the pencil basis of ``regularization`` writes the
     same map block by block.
     A matrix that fails ``_is_centrosymmetric`` is a ContractViolationError.
+    ``from_blocks`` takes blocks formed elsewhere: the lattice matrix's come
+    from ``build_schrodinger_blocks``, which never forms L.
     """
 
     def __init__(self, matrix: np.ndarray):
@@ -275,6 +335,13 @@ class _EvenOddSplit:
         s *= 0.5
         self.odd = s
         self._m = m
+
+    @classmethod
+    def from_blocks(cls, even: np.ndarray, odd: np.ndarray) -> "_EvenOddSplit":
+        """The split with these even and odd blocks, (n - n//2) and n//2 square."""
+        split = cls.__new__(cls)
+        split.even, split.odd, split._m = even, odd, odd.shape[0]
+        return split
 
     def eigvalsh(self) -> np.ndarray:
         """Eigenvalues of the matrix, ascending."""

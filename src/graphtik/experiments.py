@@ -39,6 +39,7 @@ from .discretization import (
     Grid,
     _EvenOddSplit,
     build_galerkin_operator,
+    build_schrodinger_blocks,
     build_schrodinger_operator,
     continuous_eigenvalues,
     pseudo_inverse,
@@ -176,16 +177,19 @@ def _reject_unknown(where: str, d: dict, known) -> None:
 
 
 @lru_cache(maxsize=None)
-def _schrodinger_matrix(example_id: int, n: int) -> np.ndarray:
-    ex = get_example(example_id)
-    return build_schrodinger_operator(ex.problem.potential, n).matrix
-
-
-@lru_cache(maxsize=None)
 def _graph_forward_matrix(example_id: int, n: int) -> np.ndarray:
-    L = DiscreteOperator(_schrodinger_matrix(example_id, n), Grid(n, "interior"), "graph")
+    # L itself is not kept: the diagnostics read its blocks from the stencil
+    ex = get_example(example_id)
+    L = build_schrodinger_operator(ex.problem.potential, n)
     # orient the inverse like the example's printed kernel
-    return get_example(example_id).green_sign * pseudo_inverse(L).matrix
+    return ex.green_sign * pseudo_inverse(L).matrix
+
+
+def _schrodinger_split(example_id: int, n: int) -> _EvenOddSplit:
+    """The even and odd blocks of the example's lattice matrix L, built from
+    the stencil without forming L."""
+    q = get_example(example_id).problem.potential
+    return _EvenOddSplit.from_blocks(*build_schrodinger_blocks(q, n))
 
 
 @lru_cache(maxsize=None)
@@ -241,11 +245,13 @@ def discrete_spectrum(example_id: int, n: int, method: str) -> np.ndarray:
     h(1 - x, 1 - y) = h(x, y) and, the grid being symmetric about 1/2, the
     Galerkin matrix is too.  The spectrum is therefore the union of the
     spectra of the half-size even and odd blocks, which is how it is computed.
-    The Galerkin eigenvalues are weighted as ``diagnostic_matrix`` weights
-    the matrix.
+    The graph blocks are written from the stencil by
+    ``build_schrodinger_blocks``, which checks on L's diagonal that q is
+    even, so no n x n L is formed here.  The Galerkin eigenvalues are
+    weighted as ``diagnostic_matrix`` weights the matrix.
     """
     if method == "graph":
-        delta = _EvenOddSplit(_schrodinger_matrix(example_id, n)).eigvalsh()
+        delta = _schrodinger_split(example_id, n).eigvalsh()
         lam = np.abs(1.0 / delta)
     else:
         G = forward_matrix(example_id, n, method).matrix
@@ -263,15 +269,16 @@ def forward_image_error(example_id: int, n: int, fid: int, method: str) -> float
 
     The graph image solves L u = f.  L is centrosymmetric (see
     discrete_spectrum), so the solve splits into one LU solve with each of
-    its half-size even and odd blocks.  The Galerkin image is weighted as
-    ``diagnostic_matrix`` weights the matrix.
+    its half-size even and odd blocks, built from the stencil without
+    forming L.  The Galerkin image is weighted as ``diagnostic_matrix``
+    weights the matrix.
     """
     ex = get_example(example_id)
     f = get_test_function(fid)
     x = Grid(n, "interior").nodes
     fx = f.eval(x)
     if method == "graph":
-        image = ex.green_sign * _EvenOddSplit(_schrodinger_matrix(example_id, n)).solve(fx)
+        image = ex.green_sign * _schrodinger_split(example_id, n).solve(fx)
     else:
         image = forward_matrix(example_id, n, method).matrix @ fx
         image *= _lattice_weight(n)

@@ -10,6 +10,7 @@ from graphtik.discretization import (
     DiscreteOperator,
     Grid,
     build_galerkin_operator,
+    build_schrodinger_blocks,
     build_schrodinger_operator,
     continuous_eigenvalues,
     pseudo_inverse,
@@ -96,6 +97,47 @@ def test_schrodinger_matches_scipy_toeplitz_definition_bitwise(ex_id, n):
 def test_schrodinger_rejects_nonfinite_potential():
     with pytest.raises(EvaluationError):
         build_schrodinger_operator(lambda x: np.full_like(x, np.nan), 3)
+
+
+_EVEN_POTENTIALS = {
+    "example 1": EXAMPLES[1].problem.potential,
+    "example 2": EXAMPLES[2].problem.potential,
+    "not constant": lambda x: 40.0 * (x - 0.5) ** 2 - 3.0 * np.cos(2.0 * np.pi * x),
+}
+
+
+@pytest.mark.parametrize("n", [*range(1, 65), 99, 100, 101, 1000, 2000])
+def test_schrodinger_blocks_equal_the_split_of_L_bitwise(n):
+    # n = 1 has an empty odd block and no Hankel window; odd n a middle node
+    for name, q in _EVEN_POTENTIALS.items():
+        even, odd = build_schrodinger_blocks(q, n)
+        split = _EvenOddSplit(build_schrodinger_operator(q, n).matrix)
+        assert even.shape == split.even.shape and even.tobytes() == split.even.tobytes(), name
+        assert odd.shape == split.odd.shape and odd.tobytes() == split.odd.tobytes(), name
+
+
+@pytest.mark.parametrize("n", [2, 3, 100, 101])
+def test_schrodinger_blocks_test_evenness_like_the_split(n):
+    # the blocks read L - JLJ from L's diagonal alone; a tilt of the
+    # potential is accepted or rejected exactly where the split's test on
+    # the full L accepts or rejects it.  The tilt q = c x leaves a defect
+    # c (n-1)/(n+1) against a largest entry of about (n+1)^2 pi^2/3.
+    edge = 1e-10 * (n + 1) ** 2 * np.pi**2 / 3.0 * (n + 1) / (n - 1)
+    outcomes = []
+    for c in edge * np.array([0.0, 0.5, 0.999, 0.9999999, 1.0, 1.0000001, 1.001, 2.0, 1e6]):
+        q = lambda x, c=c: c * x  # noqa: E731
+        try:
+            _EvenOddSplit(build_schrodinger_operator(q, n).matrix)
+        except ContractViolationError:
+            outcomes.append(False)
+            with pytest.raises(ContractViolationError):
+                build_schrodinger_blocks(q, n)
+        else:
+            outcomes.append(True)
+            build_schrodinger_blocks(q, n)
+    assert True in outcomes and False in outcomes
+    with pytest.raises(EvaluationError):
+        build_schrodinger_blocks(lambda x: np.full_like(x, np.nan), n)
 
 
 def test_pseudo_inverse_diagonal():

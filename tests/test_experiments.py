@@ -3,13 +3,14 @@ import json
 import pathlib
 import re
 import traceback
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from graphtik import experiments, regularization
+from graphtik import discretization, experiments, regularization
 from graphtik.discretization import (
     DiscreteOperator,
     Grid,
@@ -152,7 +153,7 @@ def test_diagnostic_matrix_scaling():
     )
 
 
-def test_graph_forward_matrix_inverts_the_cached_lattice_matrix():
+def test_graph_forward_matrix_inverts_the_lattice_matrix():
     for ex_id in (1, 2):
         ex = EXAMPLES[ex_id]
         K = pseudo_inverse(build_schrodinger_operator(ex.problem.potential, 100)).matrix
@@ -163,7 +164,7 @@ def test_graph_forward_matrix_inverts_the_cached_lattice_matrix():
 def test_registered_operators_split_like_full_lapack(n):
     b = np.cos(np.arange(n))  # neither even nor odd
     for ex_id in (1, 2):
-        L = experiments._schrodinger_matrix(ex_id, n)
+        L = build_schrodinger_operator(EXAMPLES[ex_id].problem.potential, n).matrix
         G = diagnostic_matrix(ex_id, n, "galerkin").matrix
         for A in (L, G):
             lam = np.linalg.eigvalsh(A)
@@ -188,10 +189,29 @@ def test_table1_graph_image_error_matches_full_solve():
     n = 1000
     ex, f = EXAMPLES[2], get_test_function(3)
     grid = Grid(n, "interior")
-    L = experiments._schrodinger_matrix(2, n)
+    L = build_schrodinger_operator(ex.problem.potential, n).matrix
     image = ex.green_sign * sla.solve(L, f.eval(grid.nodes), assume_a="sym")
     want = max_abs_error(image, synthesize_data(ex, f, grid, "analytic"))
     assert abs(forward_image_error(2, n, 3, "graph") / want - 1.0) <= 1e-9
+
+
+def test_graph_diagnostics_never_form_the_lattice_matrix(monkeypatch):
+    # their blocks come from the stencil: no n x n L is built or cached, and
+    # the peak of either call stays below one 1000 x 1000 float64 array
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the graph diagnostics built L")
+
+    monkeypatch.setattr(experiments, "build_schrodinger_operator", forbidden)
+    monkeypatch.setattr(discretization, "build_schrodinger_operator", forbidden)
+    n = 1000
+    for call in (lambda: discrete_spectrum(2, n, "graph"), lambda: forward_image_error(2, n, 3, "graph")):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8
 
 
 def test_discrete_spectrum_sorted_positive():

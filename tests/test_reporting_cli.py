@@ -9,8 +9,10 @@ import pytest
 
 import graphtik.cli as cli
 from graphtik import experiments
+from graphtik.discretization import build_schrodinger_operator
 from graphtik.errors import NumericalError, ParameterError
 from graphtik.experiments import ExperimentConfig, continuous_spectrum, diagnostic_matrix, run_cell
+from graphtik.problems import EXAMPLES
 from graphtik.reporting import (
     ExperimentReport,
     FORMAT_VERSION,
@@ -79,7 +81,7 @@ def test_cli_spectrum_odd_n_matches_full_eigvalsh(tmp_path, method):
     assert cli.main(["spectrum", "--example", "2", "--n", str(n), "--method", method, "--out", str(out)]) == 0
     got = np.array([[float(v) for v in r.split(",")] for r in out.read_text().splitlines()[2:]])
     if method == "graph":
-        lam = np.abs(1.0 / np.linalg.eigvalsh(experiments._schrodinger_matrix(2, n)))
+        lam = np.abs(1.0 / np.linalg.eigvalsh(build_schrodinger_operator(EXAMPLES[2].problem.potential, n).matrix))
     else:
         lam = np.abs(np.linalg.eigvalsh(diagnostic_matrix(2, n, method).matrix))
     lam = np.sort(lam)[::-1]
