@@ -125,7 +125,9 @@ def test_schrodinger_blocks_test_evenness_like_the_split(n):
     edge = 1e-10 * (n + 1) ** 2 * np.pi**2 / 3.0 * (n + 1) / (n - 1)
     outcomes = []
     for c in edge * np.array([0.0, 0.5, 0.999, 0.9999999, 1.0, 1.0000001, 1.001, 2.0, 1e6]):
-        q = lambda x, c=c: c * x  # noqa: E731
+        def q(x):
+            return c * x
+
         try:
             _EvenOddSplit(build_schrodinger_operator(q, n).matrix)
         except ContractViolationError:
