@@ -1,13 +1,17 @@
-"""Print one sha256 per table and one for figure 1, to compare two checkouts.
+"""Print sha256 digests of every table and figure, to compare two checkouts.
 
     PYTHONPATH=src python scripts/table_digest.py [--seeds 0,1,2]
 
 Each table line hashes the JSON of ``run_table(id, seeds).cells`` with sorted
 keys; JSON writes every float as its shortest round-trip repr, so two digests
-agree exactly when every cell has the same bits.  The figure line hashes
-figure 1's column names and the bytes of its data array.  Running the script
+agree exactly when every cell has the same bits.  Each restoration table
+(tables 4-7) gets a second line that hashes the JSON list of its cells'
+``alpha_median`` values alone, so a change that moves table values by
+roundoff but no chosen alpha keeps that line.  Each figure line hashes the
+figure's column names and the bytes of its data array.  Running the script
 on two commits with the same seeds shows whether a change kept the bytes of
-every table and of figure 1.  The default seeds are 0..19.
+every table and figure, and whether it kept every chosen alpha.  The default
+seeds are 0..19; the figures take their templates' own seed.
 """
 import argparse
 import hashlib
@@ -15,7 +19,11 @@ import json
 import sys
 
 from graphtik.cli import parse_seeds
-from graphtik.experiments import TABLES, emit_figure_data, run_table
+from graphtik.experiments import FIGURES, TABLES, emit_figure_data, run_table
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def main(argv=None) -> int:
@@ -24,12 +32,15 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     seeds = parse_seeds(args.seeds)
-    for tid in TABLES:
-        cells = json.dumps(run_table(tid, seeds).cells, sort_keys=True)
-        print(f"table {tid}: {hashlib.sha256(cells.encode()).hexdigest()}")
-    names, data = emit_figure_data(1)
-    digest = hashlib.sha256(",".join(names).encode() + data.tobytes())
-    print(f"figure 1: {digest.hexdigest()}")
+    for tid, table in TABLES.items():
+        cells = run_table(tid, seeds).cells
+        print(f"table {tid}: {_sha(json.dumps(cells, sort_keys=True).encode())}")
+        if table.metric == "rre_median":
+            alphas = json.dumps([cell["alpha_median"] for cell in cells])
+            print(f"table {tid} alpha_median: {_sha(alphas.encode())}")
+    for fid in FIGURES:
+        names, data = emit_figure_data(fid)
+        print(f"figure {fid}: {_sha(','.join(names).encode() + data.tobytes())}")
     return 0
 
 

@@ -29,11 +29,13 @@ def lsre(discrete_eigs, continuous_eigs, m: int) -> float:
 
 
 def msre(discrete_eigs, continuous_eigs) -> float:
-    """max over m of lsre; inputs index-matched, equal length."""
+    """max over m of lsre; inputs index-matched, equal length, not empty."""
     d = np.asarray(discrete_eigs, dtype=float)
     c = np.asarray(continuous_eigs, dtype=float)
     if d.shape != c.shape:
         raise ParameterError("spectra must have equal length")
+    if d.size == 0:
+        raise ParameterError("spectra are empty")
     if np.any(c == 0.0):
         raise ParameterError("continuous eigenvalue is zero")
     return float(np.max(np.abs(d / c - 1.0)))

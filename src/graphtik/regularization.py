@@ -13,20 +13,31 @@ its work falls into two stages (the GSVD filter-factor view: Paige &
 Saunders 1981; Hansen 1998, where the pencil is factored once and each data
 vector needs only a projection).
 
-- The pencil stage, ``TikhonovPencil``, depends only on (K, A).  It takes
-  one symmetric eigendecomposition of K'K + A'A and builds from it a basis V
-  of the pencil (K'K, A'A), V'(K'K + A'A)V = I with V'A'AV diagonal, so
-  every weight is a diagonal solve in V.  When K'K and A'A are both
+- The pencil stage, ``TikhonovPencil``, depends only on (K, A).  It builds
+  a basis V of the pencil (K'K, A'A), V'(K'K + A'A)V = I with V'A'AV
+  diagonal, so every weight is a diagonal solve in V.  It is the standard
+  reduction of a symmetric-definite pencil (Martin & Wilkinson 1968; LAPACK
+  ``sygst``/``sygvd``): factor K'K + A'A = R'R by Cholesky, whiten A'A by
+  R^-1 and take one symmetric eigendecomposition of R^-T A'A R^-1 =
+  U diag(mu) U', so V = R^-1 U.  When K'K and A'A are both
   centrosymmetric (both forward operators, with the identity, a1 or a2
   penalty), the pencil splits into the half-size even and odd blocks of
   ``discretization._EvenOddSplit``; each block gets the same recipe, at
   about an eighth of the full-size cost, and V joins the two block bases.
   A data penalty (a3, matched) is not centrosymmetric and is one block.
-  The eigenvalues mu of the second eigh of each block are the GSVD pairs
-  of the pencil: v_i'A'Av_i = mu_i and v_i'K'Kv_i = 1 - mu_i (c^2 + s^2 =
-  1), so no product with K or A gives them.  mu is clipped to [0, 1],
-  where it lies in exact arithmetic.  The pencil also keeps the Frobenius
-  products that bound ||K'K + w A'A||, from the unsplit K'K and A'A.
+  So a pencil takes one Cholesky factorization and one eigh per block.
+  The eigenvalues mu are the GSVD pairs of the pencil: v_i'A'Av_i = mu_i
+  and v_i'K'Kv_i = 1 - mu_i (c^2 + s^2 = 1), so no product with K or A
+  gives them.  mu is clipped to [0, 1], where it lies in exact arithmetic.
+  The Cholesky pivots R_ii^2 give the well-posedness floor: a failed
+  factorization, or a pivot at most ``_KERNEL_TOL`` times the largest one,
+  means K and A share a near-null direction.  Each pivot lies between the
+  smallest and the largest eigenvalue of its block, so the floor rejects
+  no pencil that the same floor on the eigenvalues would accept.  A
+  tridiagonal penalty (identity, a1, a2) gets A'A written from its three
+  diagonals, which has the bits of ``A.T @ A``.  The pencil also keeps the
+  Frobenius products that bound ||K'K + w A'A||, from the unsplit K'K and
+  A'A.
 - The data stage, ``TikhonovProblem`` and ``alpha_sweep``, runs once per
   data vector: it checks the data, projects K'g, solves the whole grid as
   one batched product, certifies it and scores it.
@@ -55,6 +66,14 @@ factorization in scipy's copy right after numpy's ``eigh`` or ``@`` shares
 the cores with numpy's spinning workers and runs about twice as slow as on
 its own, so every O(n^3) factorization of the package runs in numpy's
 copy (the split solve of the table-1 image is ``np.linalg.solve`` too).
+The pencil's Cholesky factors are ``np.linalg.cholesky`` too, and their
+inverses are recursive 2x2 blockings of GEMMs (``_upper_inverse``), since
+numpy has no ``trtri``.  The scipy routines that do this in one call were
+slower in the pipeline at n = 1000 (2 cores): ``scipy.linalg.eigh(A'A,
+K'K + A'A)`` (``sygvd``, in scipy's copy) took a 20-seed tables 4-7 pass
+from 2.4 s to 6.1-6.4 s, and scipy's ``dtrtri`` made the n = 1000 cells
+slower than the two-eigh pencil it replaces; ``np.linalg.inv`` of the
+factor (an LU) gained nothing over it.
 Here the fallback Cholesky is ``np.linalg.cholesky(M, upper=True)``, whose
 factor has the bits of scipy's ``cho_factor``, and only the O(n^2)
 triangular solves of ``sla.cho_solve`` stay in scipy's.  They take the
@@ -86,7 +105,20 @@ __all__ = [
     "alpha_sweep",
 ]
 
-_KERNEL_TOL = 1e-12  # relative floor for eigmin(K'K + A'A)
+# Relative floor for the Cholesky pivots of K'K + A'A = R'R: the pencil is
+# rejected when a block's factorization fails or min R_ii^2 <= _KERNEL_TOL *
+# max R_ii^2 over all its blocks.  Every pivot R_ii^2 is a diagonal entry of
+# a Schur complement of its block, so it lies in [eigmin, eigmax] of the
+# block, and the floor is one-sided: it rejects only pencils that the floor
+# eigmin <= _KERNEL_TOL * eigmax on the eigenvalues rejects too.  A near-null
+# direction that no pivot shows passes it; the sweep's certification and
+# its per-weight fallback then meet the conditioning column by column.
+_KERNEL_TOL = 1e-12
+
+# Rows of the triangular blocks that _upper_inverse hands to np.linalg.inv
+# instead of halving further: at n = 1000 a 500-row factor is inverted in
+# about 3 ms (2 cores), against about 30 ms for that block's eigh.
+_TRIANGULAR_BLOCK = 64
 
 # An uncertified sweep column gets the per-weight solve only when its refined
 # distance to the reference, less the next refinement correction, is at most
@@ -102,48 +134,83 @@ _FALLBACK_FACTOR = 2.0
 
 
 def _pencil_basis(KtK: np.ndarray, AtA: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(V, mu) with V'(K'K + A'A)V = I and V'A'AV = diag(mu), two eigh calls
-    per block.
+    """(V, mu) with V'(K'K + A'A)V = I and V'A'AV = diag(mu), one Cholesky
+    factorization and one eigh per block.
 
     When K'K and A'A are both centrosymmetric, the blocks are the even and
     odd blocks of ``_EvenOddSplit`` and V joins their bases; otherwise the
     pencil is one block.  The split's own test decides, one test per
     matrix: A'A is split first, so a data penalty, which fails it, costs
-    one test.  The floor is checked on the eigenvalues of all blocks before
-    any whitening.  mu are the eigenvalues of each block's second eigh,
-    joined in the column order of V and clipped to [0, 1] (see
-    ``TikhonovPencil``).  Each temporary is dropped once used up and W is
-    whitened in place, because a build's transient arrays set the peak
-    memory of an n = 1000 run.
+    one test.  Each block M_b of K'K + A'A is factored M_b = R'R, and the
+    pivot floor is checked on the pivots R_ii^2 of all blocks before any
+    whitening.  Then, block by block, W = R^-1 (``_upper_inverse``, in place
+    of R) whitens the block of A'A, W'A'A_bW = U diag(mu) U', and the block
+    basis is WU (the symmetric-definite reduction of Martin & Wilkinson 1968,
+    LAPACK ``sygst``).  mu are joined in the column order of V and clipped
+    to [0, 1] (see ``TikhonovPencil``).  Each temporary is dropped once used
+    up, because a build's transient arrays set the peak memory of an
+    n = 1000 run.
     """
     try:
         pen = _EvenOddSplit(AtA)
         M = _EvenOddSplit(KtK)
     except ContractViolationError:
-        eigs = [np.linalg.eigh(KtK + AtA)]
+        blocks = [KtK + AtA]
         penalties = [AtA]
     else:
         M.even += pen.even  # the blocks of K'K + A'A
         M.odd += pen.odd
-        eigs = [np.linalg.eigh(M.even), np.linalg.eigh(M.odd)]
+        blocks = [M.even, M.odd]
         penalties = [pen.even, pen.odd]
         del M, pen
-    spectrum = np.concatenate([lam for lam, _ in eigs])
-    if spectrum.min() <= _KERNEL_TOL * float(np.abs(spectrum).max()):
+    try:
+        factors = [np.linalg.cholesky(block, upper=True) for block in blocks]
+        pivots = np.concatenate([np.diagonal(R) for R in factors]) ** 2
+        ill_posed = pivots.min() <= _KERNEL_TOL * pivots.max()
+    except np.linalg.LinAlgError:  # not positive definite to working precision
+        ill_posed = True
+    if ill_posed:
         raise IllPosedProblemError(
             "penalty and forward operator share a near-null direction"
         )
+    del blocks
     bases, mus = [], []
-    for (lam, W), AtA_block in zip(eigs, penalties):
-        W /= np.sqrt(lam)  # whitened in place: W'MW = I
-        mu, U = np.linalg.eigh(W.T @ AtA_block @ W)
+    while factors:
+        W = _upper_inverse(factors.pop(0))  # R is overwritten by R^-1
+        C = W.T @ penalties.pop(0) @ W
+        C += C.T  # eigh reads one triangle: average the two computed ones
+        C *= 0.5
+        mu, U = np.linalg.eigh(C)
+        del C
         bases.append(W @ U)
         mus.append(mu)
-    del eigs, penalties
+        del W, U
     mu = np.clip(np.concatenate(mus), 0.0, 1.0)
     if len(bases) == 1:
         return bases[0], mu
     return _join_even_odd(*bases), mu
+
+
+def _upper_inverse(R: np.ndarray) -> np.ndarray:
+    """R^-1 for an upper triangular R with a nonzero diagonal, written over R.
+
+    numpy has no triangular inverse, so R = [[R11, R12], [0, R22]] is
+    inverted by recursive 2x2 blocking: R11 and R22 in place, then
+    R12 <- -R11^-1 R12 R22^-1, two GEMMs in numpy's OpenBLAS.  A block of at
+    most ``_TRIANGULAR_BLOCK`` rows is ``np.linalg.inv``, whose LU takes no
+    row swap on a triangular matrix (the entries below the pivot are zero),
+    so it is a back substitution and its inverse is upper triangular too.
+    Returns R.
+    """
+    n = len(R)
+    if n <= _TRIANGULAR_BLOCK:
+        R[...] = np.linalg.inv(R)
+        return R
+    k = n // 2
+    X11, X12, X22 = _upper_inverse(R[:k, :k]), R[:k, k:], _upper_inverse(R[k:, k:])
+    np.matmul(X11 @ X12, X22, out=X12)
+    np.negative(X12, out=X12)
+    return R
 
 
 def _join_even_odd(V_even: np.ndarray, V_odd: np.ndarray) -> np.ndarray:
@@ -168,27 +235,59 @@ def _join_even_odd(V_even: np.ndarray, V_odd: np.ndarray) -> np.ndarray:
     return V
 
 
+def _gram(A: np.ndarray) -> np.ndarray:
+    """A'A, written from A's three diagonals when A is tridiagonal.
+
+    A is tridiagonal when its nonzero entries are all on the diagonals
+    l = A[i+1, i], d = A[i, i] and u = A[i, i+1] (one O(n^2) count, no
+    temporary).  Then A'A is pentadiagonal: d_j^2 + u_(j-1)^2 + l_j^2 on the
+    diagonal, d_j u_j + l_j d_(j+1) next to it and l_j u_(j+1) two off, so
+    the O(n^3) product is not needed.  The identity, a1 and a2 penalties
+    have small integer entries, for which every sum is exact: the result has
+    the bits of ``A.T @ A`` (a test checks it).  Any other A is ``A.T @ A``.
+    """
+    d, u, l = np.diagonal(A), np.diagonal(A, 1), np.diagonal(A, -1)
+    if np.count_nonzero(A) != np.count_nonzero(d) + np.count_nonzero(u) + np.count_nonzero(l):
+        return A.T @ A
+    G = np.zeros(A.shape)
+    main = d * d
+    main[1:] += u * u
+    main[:-1] += l * l
+    np.fill_diagonal(G, main)
+    for k, band in ((1, d[:-1] * u + l * d[1:]), (2, l[:-1] * u[1:])):
+        np.fill_diagonal(G[:, k:], band)
+        np.fill_diagonal(G[k:], band)
+    return G
+
+
 @dataclass(eq=False)
 class TikhonovPencil:
     """The pencil stage: everything that depends on (K, A) and not on data.
 
     Construction rejects operators on different grids or with non-finite
-    entries, then takes one symmetric eigendecomposition M = Q diag(lam) Q'
-    of M = K'K + A'A per block: the even and the odd block when K'K and A'A
-    are both centrosymmetric, else M itself.  It verifies that ker(penalty)
-    and ker(forward) intersect trivially: the smallest eigenvalue of all
-    blocks must clear a relative floor, otherwise no weight makes the
-    normal equations solvable.  The same decompositions give the basis V
-    used by ``alpha_sweep``: whitening each block by lam^(-1/2) and
-    diagonalizing its whitened A'A yields V'MV = I with V'A'AV diagonal, so
-    V simultaneously diagonalizes K'K + w A'A for every weight w.  The
-    diagonal of V'A'AV is mu, the eigenvalues of the second eigh, and that
-    of V'K'KV is 1 - mu, since the two add up to the identity; so neither
-    needs a product with K or A.  mu is clipped to [0, 1], where it lies in
-    exact arithmetic: roundoff puts it a few eps outside (down to -5e-15 on
-    the a2 pencil at n = 100, up to 1 + 4e-15 at n = 1000), and the
-    diagonal 1 - mu + w mu would then be 0 or negative at a large weight
-    (mu < 0) or a tiny one (mu > 1).  A
+    entries, then forms K'K and A'A; a tridiagonal A (identity, a1, a2)
+    gets A'A from its three diagonals (``_gram``), with the bits of
+    ``A.T @ A``.  M = K'K + A'A is handled per block: the even and the odd
+    block when K'K and A'A are both centrosymmetric, else M itself.  Each
+    block is factored M_b = R'R by Cholesky, and construction verifies that
+    ker(penalty) and ker(forward) intersect trivially: every factorization
+    must succeed and the smallest pivot R_ii^2 of all blocks must clear a
+    relative floor, otherwise no weight makes the normal equations
+    solvable.  A pivot lies in [eigmin, eigmax] of its block, so the pivot
+    floor is one-sided: it rejects only pencils that the floor on the
+    eigenvalues rejects too.  The same factors give the basis V used by
+    ``alpha_sweep``: whitening each block of A'A by R^-1 and
+    diagonalizing it, R^-T A'A_b R^-1 = U diag(mu) U', yields V_b = R^-1 U
+    with V'MV = I and V'A'AV diagonal, so V simultaneously diagonalizes
+    K'K + w A'A for every weight w.  That is one Cholesky and one eigh per
+    block; R^-1 is a recursive blocking of GEMMs in numpy's OpenBLAS (see
+    the module notes for the scipy routines that were slower).  The
+    diagonal of V'A'AV is mu, and that of V'K'KV is 1 - mu, since the two
+    add up to the identity; so neither needs a product with K or A.  mu is
+    clipped to [0, 1], where it lies in exact arithmetic: roundoff puts it
+    a few eps outside (down to -5e-15 on the a2 pencil at n = 100, up to
+    1 + 4e-15 at n = 1000), and the diagonal 1 - mu + w mu would then be 0
+    or negative at a large weight (mu < 0) or a tiny one (mu > 1).  A
     split basis is exact for the blocks of the averages (X + JXJ)/2, within
     the 1e-10 centrosymmetry test of the true ones; the sweep certifies and
     falls back against the unsplit K'K and A'A.  The pencil also keeps the
@@ -214,7 +313,7 @@ class TikhonovPencil:
                 raise ParameterError(f"{name} has non-finite entries")
         self._K, self._A = K, A
         self._KtK = KtK = K.T @ K
-        self._AtA = AtA = A.T @ A
+        self._AtA = AtA = _gram(A)
         # v_i'A'Av_i = mu_i and v_i'K'Kv_i = 1 - mu_i
         self._basis, self._mu = _pencil_basis(KtK, AtA)
         # ||K'K + w A'A||_F^2 = kk_f + 2 w ka_f + w^2 aa_f
@@ -356,11 +455,17 @@ def filter_solution(svd, g: np.ndarray, alpha: float) -> np.ndarray:
 
     Coefficients are s_i / (s_i^2 + alpha) against the left singular basis,
     i.e. the spectral filter t^2/(t^2 + alpha) applied to the naive inverse.
+    The data must be a finite vector with one entry per row of U, as
+    ``TikhonovProblem`` requires of its data.
     """
     if not (alpha > 0.0):
         raise ParameterError("alpha must be positive")
     U, s, Vt = svd
     g = np.asarray(g, dtype=float)
+    if g.shape != (U.shape[0],):
+        raise ParameterError("data length does not match the operator")
+    if not np.all(np.isfinite(g)):
+        raise ParameterError("data has non-finite entries")
     coef = s / (s**2 + alpha) * (U.T @ g)
     return Vt.T @ coef
 
@@ -436,7 +541,7 @@ def alpha_sweep(p: TikhonovProblem, grid: AlphaGrid, reference: np.ndarray):
     curve = [(float(a), float(e)) for a, e in zip(alphas, errs)]
     tied = np.flatnonzero(errs == errs.min())
     best = min(tied, key=lambda i: alphas[i])
-    f = sols[best]
+    f = sols[best].copy()  # a row view would keep all count x n solutions alive
     return (
         RegularizedSolution(
             solution=f,

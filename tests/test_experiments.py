@@ -360,28 +360,38 @@ def test_shared_pencil_cells_equal_per_seed_run_cell(table):
 
 
 def test_fixed_penalty_cell_decomposes_once(monkeypatch):
-    calls = []
-    real = regularization.np.linalg.eigh
+    calls = {"cholesky": 0, "eigh": 0}
+    real_basis = regularization._pencil_basis
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counting(name, real):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
 
-    monkeypatch.setattr(regularization.np.linalg, "eigh", counting)
+        return call
+
+    def basis(KtK, AtA):
+        # count the pencil stage's decompositions, not the fallback's Cholesky
+        with monkeypatch.context() as m:
+            for name in calls:
+                m.setattr(regularization.np.linalg, name, counting(name, getattr(np.linalg, name)))
+            return real_basis(KtK, AtA)
+
+    monkeypatch.setattr(regularization, "_pencil_basis", basis)
     seeds = tuple(range(5))
     template = experiments.TABLES[6].template
-    # a pencil is two eigh calls per block: the centrosymmetric fixed
-    # penalties split into an even and an odd block, while a3 is one block
-    # built from each seed's noisy data
+    # a pencil is one Cholesky and one eigh per block: the centrosymmetric
+    # fixed penalties split into an even and an odd block, while a3 is one
+    # block built from each seed's noisy data
     for penalty, pencils, blocks in (
         ("identity", 1, 2), ("a1", 1, 2), ("a2", 1, 2), ("a3", len(seeds), 1)
     ):
-        calls.clear()
+        calls.update(cholesky=0, eigh=0)
         config, cache = replace(template, penalty=penalty, seeds=seeds), {}
         results = [(s, run_cell(config, s, cache)) for s in seeds]
         assert [s for s, _ in results] == list(seeds)
         assert not any(isinstance(r, Exception) for _, r in results)
-        assert len(calls) == 2 * blocks * pencils, penalty
+        assert calls == {"cholesky": blocks * pencils, "eigh": blocks * pencils}, penalty
 
 
 def test_table_decomposes_each_fixed_penalty_pencil_once(monkeypatch):

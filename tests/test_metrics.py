@@ -32,6 +32,9 @@ def test_msre_validation():
         msre([1.0, 2.0], [1.0])
     with pytest.raises(ParameterError):
         msre([1.0, 2.0], [1.0, 0.0])
+    # an empty pair is a configuration error, not numpy's empty-reduction one
+    with pytest.raises(ParameterError, match="empty"):
+        msre([], [])
 
 
 def test_rre_values():

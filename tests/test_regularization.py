@@ -82,8 +82,9 @@ def test_solution_linear_in_data():
 def test_shared_null_direction_rejected():
     with pytest.raises(IllPosedProblemError):
         _problem(np.diag([1.0, 0.0]), np.diag([1.0, 0.0]), [1.0, 1.0])
-    # singular pencil with no exact zero: eigmin(K'K + A'A) = 1e-14 sits
-    # below the 1e-12 relative floor
+    # singular pencil with no exact zero: the Cholesky pivots of
+    # K'K + A'A = diag(2, 1e-14) are 2 and 1e-14, below the 1e-12 relative
+    # floor
     with pytest.raises(IllPosedProblemError):
         _problem(np.diag([1.0, 1e-7]), np.diag([1.0, 0.0]), [1.0, 1.0])
     # rank-one K and A sharing the null direction (1, -1)
@@ -147,6 +148,23 @@ def test_filter_small_alpha_limit():
         filter_solution(np.linalg.svd(K), g, -1.0)
 
 
+@pytest.mark.parametrize(
+    "g,match",
+    [
+        (np.ones(4), "length"),
+        (np.ones((5, 1)), "length"),
+        ([1.0, np.nan, 0.0, 0.0, 0.0], "non-finite"),
+        ([1.0, 0.0, np.inf, 0.0, 0.0], "non-finite"),
+    ],
+    ids=["short", "column", "nan", "inf"],
+)
+def test_filter_rejects_bad_data(g, match):
+    # the same configuration errors as TikhonovProblem's, before any product
+    svd = np.linalg.svd(np.random.default_rng(3).standard_normal((5, 5)))
+    with pytest.raises(ParameterError, match=match):
+        filter_solution(svd, g, 1.0)
+
+
 def test_alpha_grid_values():
     grid = AlphaGrid(max=100.0, min=0.01, count=5)
     v = grid.values
@@ -191,6 +209,16 @@ def test_sweep_reports_grid_value():
     # squaring the grid value: the same solution is the direct solve at a^2
     direct = tikhonov_solve(p, best.alpha**2)
     np.testing.assert_allclose(direct.solution, best.solution, rtol=1e-12)
+
+
+def test_sweep_solution_does_not_pin_the_grid_of_solutions():
+    # the returned solution owns its n entries: a caller that keeps it (a
+    # table, the benchmark's passes) does not keep the count x n sweep alive
+    rng = np.random.default_rng(11)
+    K = rng.standard_normal((6, 6)) + 6.0 * np.eye(6)
+    reference = rng.standard_normal(6)
+    best, _ = alpha_sweep(_problem(K, np.eye(6), K @ reference), AlphaGrid(count=7), reference)
+    assert best.solution.base is None and best.solution.shape == (6,)
 
 
 def test_sweep_tie_takes_smallest_alpha():
@@ -376,25 +404,42 @@ def _centrosymmetric(n, seed):
 
 
 def _counted(build, split=True):
-    """build() with np.linalg.eigh counted: (its value or the
-    IllPosedProblemError it raised, eigh calls).  split=False makes every
-    pencil take the one-block path."""
-    calls = []
-    real = np.linalg.eigh
+    """build() with the pencil stage's decompositions counted: (its value or
+    the IllPosedProblemError it raised, (np.linalg.cholesky calls,
+    np.linalg.eigh calls)).  Only calls made while ``_pencil_basis`` runs
+    count, so the sweep's fallback Cholesky solves do not.  split=False
+    makes every pencil take the one-block path."""
+    calls = {"cholesky": 0, "eigh": 0}
+    inside = []
+    real_basis = regularization._pencil_basis
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def basis(*args):
+        inside.append(1)
+        try:
+            return real_basis(*args)
+        finally:
+            inside.pop()
+
+    def counting(name):
+        real = getattr(np.linalg, name)
+
+        def call(*args, **kwargs):
+            calls[name] += bool(inside)
+            return real(*args, **kwargs)
+
+        return call
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(regularization.np.linalg, "eigh", counting)
+        m.setattr(regularization, "_pencil_basis", basis)
+        for name in calls:
+            m.setattr(regularization.np.linalg, name, counting(name))
         if not split:
             m.setattr(discretization, "_is_centrosymmetric", lambda matrix: False)
         try:
             value = build()
         except IllPosedProblemError as exc:
             value = exc
-    return value, len(calls)
+    return value, (calls["cholesky"], calls["eigh"])
 
 
 def _assert_pencil_basis(pencil):
@@ -447,10 +492,13 @@ def test_split_pencil_matches_the_definition(n, seed, penalty, decay, null):
     if null is not None:
         assert isinstance(pencil, IllPosedProblemError)
         assert isinstance(one_block, IllPosedProblemError)
-        # the floor is checked on both blocks before any whitening
-        assert (calls, one_block_calls) == (2, 1)
+        # the pivot floor is checked before any whitening: no eigh runs, and
+        # a split pencil stops at the first block whose factorization fails
+        assert calls[1] == one_block_calls[1] == 0
+        assert calls[0] in (1, 2) and one_block_calls[0] == 1
         return
-    assert (calls, one_block_calls) == (4, 2)  # the split was taken
+    # the split was taken: one Cholesky and one eigh per block
+    assert (calls, one_block_calls) == ((2, 2), (1, 1))
     V = pencil._basis
     assert np.all(np.all(V[::-1] == V, axis=0) | np.all(V[::-1] == -V, axis=0))
     _assert_pencil_basis(pencil)
@@ -464,7 +512,7 @@ def test_split_pencil_matches_the_definition(n, seed, penalty, decay, null):
 
 def test_data_penalty_pencil_is_one_block():
     # a3 is built from the noisy data, so its A'A is not centrosymmetric and
-    # the pencil keeps the one-block recipe: two eigh calls
+    # the pencil keeps the one-block recipe: one Cholesky and one eigh
     K = experiments.forward_matrix(2, 100, "graph")
     rng = np.random.default_rng(0)
     g = K.matrix @ np.sin(np.pi * K.grid.nodes) + 0.02 * rng.standard_normal(100)
@@ -472,8 +520,114 @@ def test_data_penalty_pencil_is_one_block():
     assert discretization._is_centrosymmetric(K.matrix.T @ K.matrix)
     assert not discretization._is_centrosymmetric(A.matrix.T @ A.matrix)
     pencil, calls = _counted(lambda: TikhonovPencil(K, A))
-    assert calls == 2
+    assert calls == (1, 1)
     _assert_pencil_basis(pencil)
+
+
+def _upper_factor(n, seed):
+    B = np.random.default_rng(seed).standard_normal((n, n))
+    return np.linalg.cholesky(B @ B.T + n * np.eye(n), upper=True)
+
+
+_BLOCK = regularization._TRIANGULAR_BLOCK
+
+
+@pytest.mark.parametrize("n", [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 300])
+def test_upper_inverse_matches_numpy_inverse(n):
+    # the recursive 2x2 blocking gives np.linalg.inv's inverse of the
+    # triangular factor to roundoff, written over R, with exact zeros below
+    # the diagonal; up to the cut-off it is np.linalg.inv itself
+    R = _upper_factor(n, n)
+    expected = np.linalg.inv(R)
+    X = regularization._upper_inverse(R)
+    assert X is R
+    assert not np.any(np.tril(X, -1))
+    if n <= _BLOCK:
+        np.testing.assert_array_equal(X, expected)
+    assert np.max(np.abs(X - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.floats(min_value=0.0, max_value=20.0),
+    st.booleans(),
+)
+def test_pivot_floor_rejects_only_what_the_eigenvalue_floor_rejects(n, seed, decay, diagonal):
+    # an SPD block with eigenvalues 1 down to 10^-decay, in a random or the
+    # identity eigenbasis: when the pivot floor (or a failed factorization)
+    # rejects it, its smallest eigenvalue is below the eigenvalue floor, up
+    # to the backward error n eps lam_max that both computations carry
+    lam = np.logspace(0.0, -decay, n)
+    Q = np.eye(n) if diagonal else np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))[0]
+    M = (Q * lam) @ Q.T
+    M = 0.5 * (M + M.T)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(discretization, "_is_centrosymmetric", lambda matrix: False)
+        try:
+            regularization._pencil_basis(M, np.zeros((n, n)))
+        except IllPosedProblemError:
+            eig = np.linalg.eigvalsh(M)
+            slack = n * np.finfo(float).eps * eig[-1]
+            assert eig[0] <= regularization._KERNEL_TOL * eig[-1] + slack
+
+
+def test_singular_pencils_are_rejected_by_failed_factors_and_tiny_pivots(monkeypatch):
+    # K and A share an even or an odd null vector, so one block of K'K + A'A
+    # is exactly singular; in float64 its Cholesky factorization either fails
+    # or returns a pivot near eps, and both must raise before any eigh
+    cases = []
+    for null in ("even", "odd"):
+        for n, seed in ((4, 0), (4, 1), (4, 3), (5, 2), (9, 3)):
+            _, Q = np.linalg.eigh(_centrosymmetric(n, seed))
+            K = (Q * np.logspace(0.0, -1.0, n)) @ Q.T
+            K = 0.5 * (K + K.T)
+            K = 0.5 * (K + K[::-1, ::-1])
+            u = np.ones(n) if null == "even" else np.sign(n - 1 - 2.0 * np.arange(n))
+            u /= np.linalg.norm(u)
+            P = np.eye(n) - np.outer(u, u)
+            cases.append((null, _op(P @ K @ P), _op(P)))
+    outcomes = []
+    real_cholesky = np.linalg.cholesky
+
+    def cholesky(M, upper):
+        try:
+            R = real_cholesky(M, upper=upper)
+        except np.linalg.LinAlgError:
+            outcomes.append("fails")
+            raise
+        pivots = np.diagonal(R) ** 2
+        if pivots.min() <= regularization._KERNEL_TOL * pivots.max():
+            outcomes.append("tiny pivot")
+        return R
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("eigh ran on a singular pencil")
+
+    monkeypatch.setattr(regularization.np.linalg, "cholesky", cholesky)
+    monkeypatch.setattr(regularization.np.linalg, "eigh", no_eigh)
+    seen = set()
+    for null, K, A in cases:
+        outcomes.clear()
+        with pytest.raises(IllPosedProblemError):
+            TikhonovPencil(K, A)
+        assert len(outcomes) == 1
+        seen.add((null, outcomes[0]))
+    assert seen == {(null, how) for null in ("even", "odd") for how in ("fails", "tiny pivot")}
+
+
+@pytest.mark.parametrize("n", [2, 3, 100, 1000])
+def test_tridiagonal_penalty_gram_has_the_bits_of_the_product(n):
+    # identity, a1 and a2: A'A written from A's three diagonals is A.T @ A
+    # bit for bit, and every other penalty takes the product itself
+    for A in (np.eye(n), dirichlet_penalty(n).matrix, neumann_penalty(n).matrix):
+        assert regularization._gram(A).tobytes() == (A.T @ A).tobytes()
+    rng = np.random.default_rng(n)
+    tridiagonal = np.triu(np.tril(rng.standard_normal((n, n)), 1), -1)
+    np.testing.assert_allclose(regularization._gram(tridiagonal), tridiagonal.T @ tridiagonal, rtol=1e-13, atol=1e-13)
+    dense = _graph_laplacian(rng, n)
+    assert regularization._gram(dense).tobytes() == (dense.T @ dense).tobytes()
 
 
 def test_pencil_tests_each_matrix_for_centrosymmetry_once(monkeypatch):
@@ -510,7 +664,7 @@ def test_smallest_fixed_penalty_cells_split_their_pencils(n):
             with pytest.MonkeyPatch.context() as m:
                 m.setattr(experiments, "alpha_sweep", spy)
                 (best, err), calls = _counted(lambda: experiments.run_cell(config, 0))
-            assert calls == 4, (method, penalty)
+            assert calls == (2, 2), (method, penalty)
             p, reference = captured[-1]
             _assert_pencil_basis(p.pencil)
             loop = np.array(_per_weight_curve(p, config.alpha_grid, reference))
@@ -567,7 +721,7 @@ def test_columns_that_cannot_be_the_minimum_are_not_solved(monkeypatch):
     # columns 48-49 of this cell are not certified, and their per-weight RRE
     # is over 200 times the best one: the sweep solves neither of them and
     # still picks the definition's minimum
-    config = replace(_EX2_N100, method="graph", penalty="a1")
+    config = replace(_EX2_N100, method="galerkin", penalty="a1")
     _, _, every = _traced_cell(monkeypatch, config, 1, np.inf)
     grid = config.alpha_grid.values
     assert set(every) == {a**2 for a in grid[48:]}
