@@ -69,11 +69,13 @@ copy (the split solve of the table-1 image is ``np.linalg.solve`` too).
 The pencil's Cholesky factors are ``np.linalg.cholesky`` too, and their
 inverses are recursive 2x2 blockings of GEMMs (``_upper_inverse``), since
 numpy has no ``trtri``.  The scipy routines that do this in one call were
-slower in the pipeline at n = 1000 (2 cores): ``scipy.linalg.eigh(A'A,
-K'K + A'A)`` (``sygvd``, in scipy's copy) took a 20-seed tables 4-7 pass
-from 2.4 s to 6.1-6.4 s, and scipy's ``dtrtri`` made the n = 1000 cells
-slower than the two-eigh pencil it replaces; ``np.linalg.inv`` of the
-factor (an LU) gained nothing over it.
+slower in the pipeline (2 cores): with ``scipy.linalg.eigh(A'A, K'K + A'A)``
+(``sygvd``, in scipy's copy) a warm 20-seed tables 4-7 pass took 6.2-6.8 s
+against 2.6-2.9 s, though on its own a 500-row ``sygvd`` is as fast as this
+recipe, and with scipy's ``dtrtri`` the warm n = 1000 identity and a1
+cells took 346-407 ms against 169-213 ms, slower than the two-eigh pencil
+this replaced; ``np.linalg.inv`` of the factor (an LU) put them at
+183-250 ms.
 Here the fallback Cholesky is ``np.linalg.cholesky(M, upper=True)``, whose
 factor has the bits of scipy's ``cho_factor``, and only the O(n^2)
 triangular solves of ``sla.cho_solve`` stay in scipy's.  They take the
@@ -146,10 +148,14 @@ def _pencil_basis(KtK: np.ndarray, AtA: np.ndarray) -> tuple[np.ndarray, np.ndar
     whitening.  Then, block by block, W = R^-1 (``_upper_inverse``, in place
     of R) whitens the block of A'A, W'A'A_bW = U diag(mu) U', and the block
     basis is WU (the symmetric-definite reduction of Martin & Wilkinson 1968,
-    LAPACK ``sygst``).  mu are joined in the column order of V and clipped
-    to [0, 1] (see ``TikhonovPencil``).  Each temporary is dropped once used
-    up, because a build's transient arrays set the peak memory of an
-    n = 1000 run.
+    LAPACK ``sygst``).  eigh reads one triangle of W'A'A_bW, and the two
+    computed triangles differ by roundoff; it is given their average, which
+    left fewer sweep columns to the fallback solve: 531 against 558 with
+    one triangle over a 20-seed pass of tables 4-7 (511 with the two-eigh
+    basis this replaced).  mu are joined in the column order of V and
+    clipped to [0, 1] (see ``TikhonovPencil``).  Each temporary is dropped
+    once used up, because a build's transient arrays set the peak memory of
+    an n = 1000 run.
     """
     try:
         pen = _EvenOddSplit(AtA)
