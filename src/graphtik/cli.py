@@ -2,8 +2,9 @@
 
 Subcommands: spectrum, approx-error, deblur, table, figure.  Results go to
 --out as CSV (or JSON for reports when the filename ends in .json), stdout
-otherwise.  A JSON config file mirroring the ExperimentConfig fields can
-seed any subcommand; explicit flags win over file values.
+otherwise.  Every subcommand but table takes a JSON config file mirroring
+the ExperimentConfig fields (--config); explicit flags win over file values,
+and each --alpha-* flag sets one entry of the file's alpha_grid.
 
 Exit codes: 0 success, 1 invalid configuration, 2 numerical failure.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .errors import ConfigurationError, NumericalFailure
 from .experiments import (
     FIGURES,
     TABLES,
+    _METHODS,
     ExperimentConfig,
     discrete_spectrum,
     continuous_spectrum,
@@ -41,44 +43,27 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigurationError(message)
 
 
-def _load_config(path, template: ExperimentConfig = ExperimentConfig()) -> ExperimentConfig:
-    """The config file's fields over the template's."""
-    if path is None:
-        return template
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigurationError(f"cannot read config file: {exc}") from exc
-    return ExperimentConfig.from_dict(raw, template)
-
-
-def _merge(base: ExperimentConfig, args, mapping: dict) -> ExperimentConfig:
-    """Overlay explicitly given flags (non-None) onto the base config."""
-    updates = {}
-    for flag, fieldname in mapping.items():
-        val = getattr(args, flag, None)
-        if val is None:
-            continue
-        if fieldname == "seeds":
-            val = (int(val),)
-        updates[fieldname] = val
-    grid_updates = {}
-    for flag, key in (("alpha_max", "max"), ("alpha_min", "min"), ("alpha_count", "count")):
-        val = getattr(args, flag, None)
-        if val is not None:
-            grid_updates[key] = val
-    if grid_updates:
-        updates["alpha_grid"] = replace(base.alpha_grid, **grid_updates)
-    return replace(base, **updates).validate()
+def _config(args, template: ExperimentConfig = ExperimentConfig()) -> ExperimentConfig:
+    """The --config file's fields over the template's, then the given flags
+    over those; each --alpha-* flag sets one entry of the resulting grid."""
+    config = template
+    if args.config is not None:
+        try:
+            with open(args.config) as fh:
+                raw = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ConfigurationError(f"cannot read config file: {exc}") from exc
+        config = ExperimentConfig.from_dict(raw, config)
+    given = {k: v for k, v in vars(args).items() if v is not None}
+    flags = {f.name: given[f.name] for f in fields(ExperimentConfig) if f.name in given}
+    grid = {key: given[f"alpha_{key}"] for key in ("max", "min", "count") if f"alpha_{key}" in given}
+    if grid:
+        flags["alpha_grid"] = {**asdict(config.alpha_grid), **grid}
+    return ExperimentConfig.from_dict(flags, config)
 
 
 def _cmd_spectrum(args) -> int:
-    cfg = _merge(
-        _load_config(args.config),
-        args,
-        {"example": "example", "n": "n", "method": "method"},
-    )
+    cfg = _config(args)
     lam_hat = discrete_spectrum(cfg.example, cfg.n, cfg.method)
     lam = continuous_spectrum(cfg.example, cfg.n)
     rows = [
@@ -91,14 +76,10 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_approx_error(args) -> int:
-    cfg = _merge(
-        _load_config(args.config),
-        args,
-        {"example": "example", "n": "n", "f": "test_function"},
-    )
+    cfg = _config(args)
     rows = [
         (method, cfg.n, cfg.test_function, forward_image_error(cfg.example, cfg.n, cfg.test_function, method))
-        for method in ("graph", "galerkin")
+        for method in _METHODS
     ]
     meta = {
         "command": "approx-error",
@@ -111,21 +92,7 @@ def _cmd_approx_error(args) -> int:
 
 
 def _cmd_deblur(args) -> int:
-    cfg = _merge(
-        _load_config(args.config),
-        args,
-        {
-            "example": "example",
-            "f": "test_function",
-            "n": "n",
-            "eps": "epsilon",
-            "method": "method",
-            "penalty": "penalty",
-            "r_frac": "r_fraction",
-            "sigma": "sigma",
-            "seed": "seeds",
-        },
-    )
+    cfg = _config(args)
     sol, err = run_cell(cfg)
     x = Grid(cfg.n, "interior").nodes
     f_true = get_test_function(cfg.test_function).eval(x)
@@ -159,7 +126,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_figure(args) -> int:
-    base = _load_config(args.config, FIGURES[args.id].template) if args.config else None
+    base = _config(args, FIGURES[args.id].template) if args.config else None
     names, data = emit_figure_data(args.id, base)
     meta = {"command": "figure", "id": args.id}
     if base is not None:
@@ -173,34 +140,35 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("spectrum", help="eigenvalues of one discretization vs the continuous law")
-    sp.add_argument("--example", type=int, choices=(1, 2))
+    sp.add_argument("--example", type=int)
     sp.add_argument("--n", type=int)
-    sp.add_argument("--method", choices=("graph", "galerkin"))
+    sp.add_argument("--method")
     sp.add_argument("--config")
     sp.add_argument("--out")
     sp.set_defaults(func=_cmd_spectrum)
 
     ap = sub.add_parser("approx-error", help="sup-norm forward-image error for a test function")
-    ap.add_argument("--example", type=int, choices=(1, 2))
+    ap.add_argument("--example", type=int)
     ap.add_argument("--n", type=int)
-    ap.add_argument("--f", type=int, choices=(1, 2, 3, 4))
+    ap.add_argument("--f", dest="test_function", type=int)
     ap.add_argument("--config")
     ap.add_argument("--out")
     ap.set_defaults(func=_cmd_approx_error)
 
+    # a config flag's dest is the field it sets; --seed gives a one-seed list
     dp = sub.add_parser("deblur", help="restore one signal from noisy blurred data")
-    dp.add_argument("--example", type=int, choices=(1, 2))
-    dp.add_argument("--f", type=int, choices=(1, 2, 3, 4))
+    dp.add_argument("--example", type=int)
+    dp.add_argument("--f", dest="test_function", type=int)
     dp.add_argument("--n", type=int)
-    dp.add_argument("--eps", type=float)
-    dp.add_argument("--method", choices=("graph", "galerkin"))
-    dp.add_argument("--penalty", choices=("identity", "a1", "a2", "a3", "matched"))
-    dp.add_argument("--r-frac", dest="r_frac", type=float)
+    dp.add_argument("--eps", dest="epsilon", type=float)
+    dp.add_argument("--method")
+    dp.add_argument("--penalty")
+    dp.add_argument("--r-frac", dest="r_fraction", type=float)
     dp.add_argument("--sigma", type=float)
-    dp.add_argument("--alpha-max", dest="alpha_max", type=float)
-    dp.add_argument("--alpha-min", dest="alpha_min", type=float)
-    dp.add_argument("--alpha-count", dest="alpha_count", type=int)
-    dp.add_argument("--seed", type=int)
+    dp.add_argument("--alpha-max", type=float)
+    dp.add_argument("--alpha-min", type=float)
+    dp.add_argument("--alpha-count", type=int)
+    dp.add_argument("--seed", dest="seeds", type=int, nargs=1)
     dp.add_argument("--config")
     dp.add_argument("--out")
     dp.set_defaults(func=_cmd_deblur)

@@ -53,7 +53,15 @@ from .penalty import (
     kernel_matched_penalty,
     neumann_penalty,
 )
-from .problems import NoiseModel, add_noise, get_example, get_test_function, synthesize_data
+from .problems import (
+    EXAMPLES,
+    TEST_FUNCTIONS,
+    NoiseModel,
+    add_noise,
+    get_example,
+    get_test_function,
+    synthesize_data,
+)
 from .regularization import AlphaGrid, TikhonovPencil, TikhonovProblem, alpha_sweep
 from .reporting import ExperimentReport, config_hash
 
@@ -110,10 +118,10 @@ class ExperimentConfig:
                 raise ParameterError(f"config field {f.name!r} must be {kind.__name__}, got {value!r}")
         if not isinstance(self.seeds, (list, tuple)) or not all(_is_int(s) for s in self.seeds):
             raise ParameterError(f"config field 'seeds' must be a list of integers, got {self.seeds!r}")
-        if self.example not in (1, 2):
-            raise ParameterError(f"example must be 1 or 2, got {self.example!r}")
-        if self.test_function not in (1, 2, 3, 4):
-            raise ParameterError(f"test function must be 1..4, got {self.test_function!r}")
+        if self.example not in EXAMPLES:
+            raise ParameterError(f"example must be one of {tuple(EXAMPLES)}, got {self.example!r}")
+        if self.test_function not in TEST_FUNCTIONS:
+            raise ParameterError(f"test function must be one of {tuple(TEST_FUNCTIONS)}, got {self.test_function!r}")
         if self.n < 2:
             raise ParameterError("n must be >= 2")
         if not (isfinite(self.epsilon) and self.epsilon >= 0.0):
@@ -121,9 +129,9 @@ class ExperimentConfig:
         if len(self.seeds) == 0:
             raise ParameterError("need at least one seed")
         if self.method not in _METHODS:
-            raise ParameterError(f"method must be one of {_METHODS}")
+            raise ParameterError(f"method must be one of {_METHODS}, got {self.method!r}")
         if self.penalty not in PENALTY_NAMES:
-            raise ParameterError(f"penalty must be one of {PENALTY_NAMES}")
+            raise ParameterError(f"penalty must be one of {PENALTY_NAMES}, got {self.penalty!r}")
         if not (0.0 < self.r_fraction <= 1.0):
             raise ParameterError("r_fraction must be in (0, 1]")
         if not (isfinite(self.sigma) and self.sigma > 0.0):

@@ -2,6 +2,7 @@
 import importlib.util
 import json
 import pathlib
+import shlex
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,7 @@ from graphtik.discretization import build_schrodinger_operator
 from graphtik.errors import NumericalError, ParameterError
 from graphtik.experiments import ExperimentConfig, continuous_spectrum, diagnostic_matrix, run_cell
 from graphtik.problems import EXAMPLES
+from graphtik.regularization import AlphaGrid
 from graphtik.reporting import (
     ExperimentReport,
     FORMAT_VERSION,
@@ -356,3 +358,61 @@ def test_cli_exit_code_numerical_failure(monkeypatch, capsys):
     rc = cli.main(["deblur", "--example", "1", "--f", "3", "--n", "40", "--eps", "0"])
     assert rc == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+def _header_hash(path):
+    return _first_line(path).split("config-hash=")[1]
+
+
+# each deblur flag, a value for it and the config entries it must set
+_DEBLUR_FLAGS = [
+    ("--example", "1", {"example": 1}),
+    ("--f", "2", {"test_function": 2}),
+    ("--n", "30", {"n": 30}),
+    ("--eps", "0.01", {"epsilon": 0.01}),
+    ("--method", "galerkin", {"method": "galerkin"}),
+    ("--penalty", "a1", {"penalty": "a1"}),
+    ("--r-frac", "0.3", {"r_fraction": 0.3}),
+    ("--sigma", "0.02", {"sigma": 0.02}),
+    ("--seed", "4", {"seeds": [4]}),
+    ("--alpha-max", "100", {"alpha_grid": {"max": 100.0}}),
+    ("--alpha-min", "1e-4", {"alpha_grid": {"min": 1e-4}}),
+    ("--alpha-count", "7", {"alpha_grid": {"count": 7}}),
+]
+
+
+@pytest.mark.parametrize("flag,value,field", _DEBLUR_FLAGS, ids=[flag for flag, _, _ in _DEBLUR_FLAGS])
+def test_cli_deblur_flag_sets_its_config_field(tmp_path, flag, value, field):
+    out = tmp_path / "deblur.csv"
+    assert cli.main(["deblur", flag, value, "--out", str(out)]) == 0
+    assert _header_hash(out) == config_hash(ExperimentConfig.from_dict(field).to_dict())
+
+
+def test_cli_alpha_flags_overlay_the_config_file_grid(tmp_path):
+    # the file's n gives way to --n; its grid max stays beside --alpha-min
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 30, "alpha_grid": {"max": 10}}))
+    out = tmp_path / "deblur.csv"
+    argv = ["deblur", "--config", str(cfg), "--n", "40", "--alpha-min", "0.01", "--out", str(out)]
+    assert cli.main(argv) == 0
+    want = replace(ExperimentConfig(), n=40, alpha_grid=AlphaGrid(10.0, 0.01, 50))
+    assert _header_hash(out) == config_hash(want.to_dict())
+    assert len(out.read_text().splitlines()) == 4 + 40
+
+
+def _readme_commands():
+    """The `graphtik ...` lines of the README's "Command line" synopsis, with
+    continuations joined and the brackets of optional flags dropped."""
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    synopsis = section.split("```\ngraphtik ", 1)[1].split("```", 1)[0]
+    lines = ("graphtik " + synopsis).replace("\\\n", " ").splitlines()
+    return [shlex.split(line.replace("[", "").replace("]", ""))[1:] for line in lines if line.strip()]
+
+
+def test_readme_command_line_synopsis_parses():
+    commands = _readme_commands()
+    assert [argv[0] for argv in commands] == ["spectrum", "approx-error", "deblur", "table", "figure"]
+    parser = cli.build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
