@@ -8,13 +8,14 @@ the property the experiments quantify.  The second is the standard Galerkin
 projection onto orthonormal box functions, kept as the comparison baseline.
 It reads each kernel through its semiseparable factors,
 h(x, y) = u(min(x, y)) v(max(x, y)).
-Both are centrosymmetric, and their spectra and solves go through the
-half-size even and odd blocks of ``_EvenOddSplit``, as do the Tikhonov
-pencils of ``regularization`` whose penalty is centrosymmetric too.  The
-lattice matrix's blocks are written straight from the scaled stencil by
-``build_schrodinger_blocks``, which checks that the potential is even on
-L's diagonal, so the diagnostics never form L; the full matrix of
-``build_schrodinger_operator`` is only needed to invert it.
+Both are centrosymmetric, and their spectra and solves go through a pair
+of half-size even and odd blocks, as do the Tikhonov pencils of
+``regularization`` whose penalty is centrosymmetric too.  The pair is made
+by ``_even_odd_blocks`` and used by ``_even_odd_solve`` and
+``_join_even_odd``; ``build_schrodinger_blocks`` writes the lattice
+matrix's pair straight from the scaled stencil, so the diagnostics never
+form L; the full matrix of ``build_schrodinger_operator`` is only needed
+to invert it.
 """
 from __future__ import annotations
 
@@ -176,7 +177,7 @@ def build_schrodinger_operator(q: Callable, n: int) -> DiscreteOperator:
 def build_schrodinger_blocks(q: Callable, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The even and odd blocks of L, written from the scaled stencil s.
 
-    They equal ``_EvenOddSplit(build_schrodinger_operator(q, n).matrix)``
+    They equal ``_even_odd_blocks(build_schrodinger_operator(q, n).matrix)``
     bit for bit, without forming L.  With m = n // 2, the blocks are
     s[|i - j|] + s[n-1-i-j] and s[|i - j|] - s[n-1-i-j] for i, j < m (a
     Toeplitz view of s[:m] and a Hankel view of the reflected row), which is
@@ -269,8 +270,8 @@ def _is_centrosymmetric(A: np.ndarray) -> bool:
 
     Row i of JAJ is row n - 1 - i of A reversed, so comparing the top rows
     (with the middle one for odd n) covers every entry.  This is the
-    contract of ``_EvenOddSplit``; a caller that can also work without the
-    split catches the split's ContractViolationError.
+    contract of ``_even_odd_blocks``; a caller that can also work without
+    the split catches its ContractViolationError.
     """
     c = A.shape[0] - A.shape[0] // 2
     d = A[:c] - A[::-1, ::-1][:c]
@@ -280,90 +281,78 @@ def _is_centrosymmetric(A: np.ndarray) -> bool:
     return defect <= _CENTRO_REL_TOL * scale
 
 
-def _from_even_odd(y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """The vectors with even coordinates y and odd coordinates z.
+def _even_odd_blocks(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The even and odd blocks of a symmetric centrosymmetric matrix.
 
-    The inverse change of basis of ``_EvenOddSplit``: with m = n // 2 rows
-    in z and n - m in y, and r = 1/sqrt(2), the result is
-    [r(y[:m] + z); y[m:]; J r(y[:m] - z)], where y[m:] is the middle node
-    for odd n.  y and z are vectors or matrices of columns.
+    This is the one statement of the split's layout.  With J the flip,
+    m = n // 2 and A11, A12 the top-left and top-right m x m blocks of the
+    average (A + JAJ)/2, the orthogonal change of basis P to even vectors
+    [x; Jx]/sqrt(2) and odd vectors [x; -Jx]/sqrt(2) gives
+    P'AP = diag(even, odd), even = A11 + A12 J and odd = A11 - A12 J.  For
+    odd n the middle node is even: the even block gains the middle row and
+    column, scaled by sqrt(2).  The average removes the antisymmetric
+    defect; its first-order effect on every eigenvalue is zero, because
+    each eigenvector is even or odd.  Both blocks are formed from quarter
+    blocks of A, with no n x n temporary.  ``_even_odd_solve`` and
+    ``_join_even_odd`` apply P.  A matrix that fails ``_is_centrosymmetric``
+    is a ContractViolationError.
     """
-    m = z.shape[0]
+    A = np.asarray(matrix, dtype=float)
+    if not _is_centrosymmetric(A):
+        raise ContractViolationError(
+            "matrix is not centrosymmetric to 1e-10 of its largest entry"
+        )
+    n = A.shape[0]
+    m, c = n // 2, n - n // 2
+    s = A[:m, :m] + A[c:, c:][::-1, ::-1]
+    d = A[:m, c:][:, ::-1] + A[c:, :m][::-1, :]
+    even = np.empty((c, c))
+    np.add(s, d, out=even[:m, :m])
+    even[:m, :m] *= 0.5
+    if c > m:
+        middle = (A[:m, m] + A[c:, m][::-1]) / sqrt(2.0)
+        even[:m, m] = middle
+        even[m, :m] = middle
+        even[m, m] = A[m, m]
+    s -= d
+    s *= 0.5
+    return even, s
+
+
+def _even_odd_solve(even: np.ndarray, odd: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The solution x of A x = b, from A's blocks, by one LU solve per block.
+
+    b is taken to even and odd coordinates by P', and the two block
+    solutions back to the n nodes by P.  numpy's ``solve`` keeps the solve
+    in numpy's OpenBLAS, next to the spectral diagnostics' ``eigvalsh``.
+    """
+    b = np.asarray(b, dtype=float)
+    m = len(odd)
+    c = b.shape[0] - m
+    top, bottom = b[:m], b[c:][::-1]
     r = 1.0 / sqrt(2.0)
+    y = np.linalg.solve(even, np.concatenate([r * (top + bottom), b[m:c]]))
+    z = np.linalg.solve(odd, r * (top - bottom))
     return np.concatenate([r * (y[:m] + z), y[m:], (r * (y[:m] - z))[::-1]])
 
 
-class _EvenOddSplit:
-    """A symmetric centrosymmetric matrix (JAJ = A, J the flip) as two
-    half-size blocks.
+def _join_even_odd(V_even: np.ndarray, V_odd: np.ndarray) -> np.ndarray:
+    """V = P diag(V_even, V_odd), P the change of basis of ``_even_odd_blocks``.
 
-    With m = n // 2 and A11, A12 the top-left and top-right m x m blocks of
-    the average (A + JAJ)/2, the orthogonal change of basis to even vectors
-    [x; Jx]/sqrt(2) and odd vectors [x; -Jx]/sqrt(2) turns A into
-    diag(A11 + A12 J, A11 - A12 J).  For odd n the middle node is even: the
-    even block gains the middle row and column, scaled by sqrt(2).  The
-    average removes the antisymmetric defect; its first-order effect on every
-    eigenvalue is zero, because each eigenvector is even or odd.  Both
-    blocks are formed from quarter blocks of A, with no n x n temporary.
-    ``_from_even_odd`` maps even and odd coordinates back to the n nodes,
-    for the solve here; the pencil basis of ``regularization`` writes the
-    same map block by block.
-    A matrix that fails ``_is_centrosymmetric`` is a ContractViolationError.
-    ``from_blocks`` takes blocks formed elsewhere: the lattice matrix's come
-    from ``build_schrodinger_blocks``, which never forms L.
+    Written block by block into one array; the zero blocks are not added,
+    which changes no value.
     """
-
-    def __init__(self, matrix: np.ndarray):
-        A = np.asarray(matrix, dtype=float)
-        if not _is_centrosymmetric(A):
-            raise ContractViolationError(
-                "matrix is not centrosymmetric to 1e-10 of its largest entry"
-            )
-        n = A.shape[0]
-        m, c = n // 2, n - n // 2
-        s = A[:m, :m] + A[c:, c:][::-1, ::-1]
-        d = A[:m, c:][:, ::-1] + A[c:, :m][::-1, :]
-        self.even = np.empty((c, c))
-        np.add(s, d, out=self.even[:m, :m])
-        self.even[:m, :m] *= 0.5
-        if c > m:
-            middle = (A[:m, m] + A[c:, m][::-1]) / sqrt(2.0)
-            self.even[:m, m] = middle
-            self.even[m, :m] = middle
-            self.even[m, m] = A[m, m]
-        s -= d
-        s *= 0.5
-        self.odd = s
-        self._m = m
-
-    @classmethod
-    def from_blocks(cls, even: np.ndarray, odd: np.ndarray) -> "_EvenOddSplit":
-        """The split with these even and odd blocks, (n - n//2) and n//2 square."""
-        split = cls.__new__(cls)
-        split.even, split.odd, split._m = even, odd, odd.shape[0]
-        return split
-
-    def eigvalsh(self) -> np.ndarray:
-        """Eigenvalues of the matrix, ascending."""
-        lam = np.concatenate([np.linalg.eigvalsh(self.even), np.linalg.eigvalsh(self.odd)])
-        return np.sort(lam)
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """The solution x of A x = b by one LU solve per block.
-
-        numpy's ``solve`` runs in numpy's OpenBLAS, next to the ``eigvalsh``
-        calls of the spectral diagnostics (see ``regularization``'s notes on
-        the two bundled copies)."""
-        b = np.asarray(b, dtype=float)
-        m = self._m
-        c = b.shape[0] - m
-        top, bottom = b[:m], b[c:][::-1]
-        r = 1.0 / sqrt(2.0)
-        plus = np.concatenate([r * (top + bottom), b[m:c]])
-        minus = r * (top - bottom)
-        y = np.linalg.solve(self.even, plus)
-        z = np.linalg.solve(self.odd, minus)
-        return _from_even_odd(y, z)
+    c, m = len(V_even), len(V_odd)
+    n = c + m
+    r = 1.0 / sqrt(2.0)
+    V = np.empty((n, n))
+    np.multiply(V_even[:m], r, out=V[:m, :c])
+    np.multiply(V_odd, r, out=V[:m, c:])
+    V[m:c, :c] = V_even[m:]
+    V[m:c, c:] = 0.0
+    V[c:, :c] = V[:m, :c][::-1]
+    np.negative(V[:m, c:][::-1], out=V[c:, c:])
+    return V
 
 
 def continuous_eigenvalues(p: ContinuousProblem, count: int) -> np.ndarray:

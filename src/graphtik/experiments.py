@@ -37,7 +37,8 @@ import numpy as np
 from .discretization import (
     DiscreteOperator,
     Grid,
-    _EvenOddSplit,
+    _even_odd_blocks,
+    _even_odd_solve,
     build_galerkin_operator,
     build_schrodinger_blocks,
     build_schrodinger_operator,
@@ -164,10 +165,12 @@ class ExperimentConfig:
         config = cls(**d).validate()
         # to the field types, so that {"max": 100} and {"max": 100.0} hash alike
         grid = config.alpha_grid
+        floats = {f.name: float(getattr(config, f.name)) for f in fields(cls) if type(f.default) is float}
         return replace(
             config,
             seeds=tuple(int(s) for s in config.seeds),
             alpha_grid=AlphaGrid(float(grid.max), float(grid.min), int(grid.count)),
+            **floats,
         )
 
 
@@ -191,13 +194,6 @@ def _graph_forward_matrix(example_id: int, n: int) -> np.ndarray:
     L = build_schrodinger_operator(ex.problem.potential, n)
     # orient the inverse like the example's printed kernel
     return ex.green_sign * pseudo_inverse(L).matrix
-
-
-def _schrodinger_split(example_id: int, n: int) -> _EvenOddSplit:
-    """The even and odd blocks of the example's lattice matrix L, built from
-    the stencil without forming L."""
-    q = get_example(example_id).problem.potential
-    return _EvenOddSplit.from_blocks(*build_schrodinger_blocks(q, n))
 
 
 @lru_cache(maxsize=None)
@@ -252,18 +248,21 @@ def discrete_spectrum(example_id: int, n: int, method: str) -> np.ndarray:
     diagonal; the kernel factors satisfy v(t) = c u(1 - t), c constant, so
     h(1 - x, 1 - y) = h(x, y) and, the grid being symmetric about 1/2, the
     Galerkin matrix is too.  The spectrum is therefore the union of the
-    spectra of the half-size even and odd blocks, which is how it is computed.
-    The graph blocks are written from the stencil by
-    ``build_schrodinger_blocks``, which checks on L's diagonal that q is
-    even, so no n x n L is formed here.  The Galerkin eigenvalues are
-    weighted as ``diagnostic_matrix`` weights the matrix.
+    spectra of the half-size even and odd blocks, which is how it is computed:
+    ``build_schrodinger_blocks`` writes L's from the stencil, checking on L's
+    diagonal that q is even, so no n x n L is formed here, and
+    ``_even_odd_blocks`` splits G.  The Galerkin eigenvalues are weighted as
+    ``diagnostic_matrix`` weights the matrix.
     """
     if method == "graph":
-        delta = _schrodinger_split(example_id, n).eigvalsh()
-        lam = np.abs(1.0 / delta)
+        blocks = build_schrodinger_blocks(get_example(example_id).problem.potential, n)
     else:
-        G = forward_matrix(example_id, n, method).matrix
-        lam = np.abs(_EvenOddSplit(G).eigvalsh())
+        blocks = _even_odd_blocks(forward_matrix(example_id, n, method).matrix)
+    lam = np.concatenate([np.linalg.eigvalsh(block) for block in blocks])
+    if method == "graph":
+        lam = np.abs(1.0 / lam)  # K = +-L^-1
+    else:
+        np.abs(lam, out=lam)
         lam *= _lattice_weight(n)
     return np.sort(lam)[::-1]
 
@@ -275,18 +274,17 @@ def continuous_spectrum(example_id: int, n: int) -> np.ndarray:
 def forward_image_error(example_id: int, n: int, fid: int, method: str) -> float:
     """Sup-norm gap between the discrete image of f and the true image.
 
-    The graph image solves L u = f.  L is centrosymmetric (see
-    discrete_spectrum), so the solve splits into one LU solve with each of
-    its half-size even and odd blocks, built from the stencil without
-    forming L.  The Galerkin image is weighted as ``diagnostic_matrix``
-    weights the matrix.
+    The graph image solves L u = f by ``_even_odd_solve`` on the blocks of
+    ``build_schrodinger_blocks`` (see discrete_spectrum), without forming L.
+    The Galerkin image is weighted as ``diagnostic_matrix`` weights the
+    matrix.
     """
     ex = get_example(example_id)
     f = get_test_function(fid)
     x = Grid(n, "interior").nodes
     fx = f.eval(x)
     if method == "graph":
-        image = ex.green_sign * _schrodinger_split(example_id, n).solve(fx)
+        image = ex.green_sign * _even_odd_solve(*build_schrodinger_blocks(ex.problem.potential, n), fx)
     else:
         image = forward_matrix(example_id, n, method).matrix @ fx
         image *= _lattice_weight(n)

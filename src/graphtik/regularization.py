@@ -22,8 +22,9 @@ vector needs only a projection).
   U diag(mu) U', so V = R^-1 U.  When K'K and A'A are both
   centrosymmetric (both forward operators, with the identity, a1 or a2
   penalty), the pencil splits into the half-size even and odd blocks of
-  ``discretization._EvenOddSplit``; each block gets the same recipe, at
-  about an eighth of the full-size cost, and V joins the two block bases.
+  ``discretization._even_odd_blocks``; each block gets the same recipe, at
+  about an eighth of the full-size cost, and ``_join_even_odd`` joins the
+  two block bases into V.
   A data penalty (a3, matched) is not centrosymmetric and is one block.
   So a pencil takes one Cholesky factorization and one eigh per block.
   The eigenvalues mu are the GSVD pairs of the pencil: v_i'A'Av_i = mu_i
@@ -60,41 +61,20 @@ their refined value in the curve, which is no candidate for the minimum.
 So an ``IllPosedProblemError`` comes only from a column that was solved.
 The returned curve keeps its (alpha, rre) format.
 
-numpy and scipy wheels each bundle their own OpenBLAS, and each copy keeps
-its own worker threads, which spin for a while after a call.  A
-factorization in scipy's copy right after numpy's ``eigh`` or ``@`` shares
-the cores with numpy's spinning workers and runs about twice as slow as on
-its own, so every O(n^3) factorization of the package runs in numpy's
-copy (the split solve of the table-1 image is ``np.linalg.solve`` too).
-The pencil's Cholesky factors are ``np.linalg.cholesky`` too, and their
-inverses are recursive 2x2 blockings of GEMMs (``_upper_inverse``), since
-numpy has no ``trtri``.  The scipy routines that do this in one call were
-slower in the pipeline (2 cores): with ``scipy.linalg.eigh(A'A, K'K + A'A)``
-(``sygvd``, in scipy's copy) a warm 20-seed tables 4-7 pass took 6.2-6.8 s
-against 2.6-2.9 s, though on its own a 500-row ``sygvd`` is as fast as this
-recipe, and with scipy's ``dtrtri`` the warm n = 1000 identity and a1
-cells took 346-407 ms against 169-213 ms, slower than the two-eigh pencil
-this replaced; ``np.linalg.inv`` of the factor (an LU) put them at
-183-250 ms.
-Here the fallback Cholesky is ``np.linalg.cholesky(M, upper=True)``, whose
-factor has the bits of scipy's ``cho_factor``, and only the O(n^2)
-triangular solves of ``sla.cho_solve`` stay in scipy's.  They take the
-factor as its transpose, the lower factor in Fortran order, which f2py
-passes to LAPACK without a copy; the solution keeps its bits.  Those solves
-are the package's only use of ``scipy.linalg``, so it is imported on the
-first fallback, not with this module: its import takes 0.2-0.35 s and
-about 24 MB (2 cores), which ``import graphtik`` and the spectral
-diagnostics no longer pay.
+numpy and scipy each bundle an OpenBLAS whose workers spin after a call,
+so a factorization in one copy right after a call in the other runs about
+twice as slow.  Every O(n^3) call here is therefore numpy's (R^-1 is
+``_upper_inverse``, as numpy has no ``trtri``); only the fallback's O(n^2)
+``cho_solve`` is scipy's, imported on first use.  Timings: ``CHANGES.md``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import sqrt
 from numbers import Integral, Real
 
 import numpy as np
 
-from .discretization import DiscreteOperator, _EvenOddSplit
+from .discretization import DiscreteOperator, _even_odd_blocks, _join_even_odd
 from .errors import ContractViolationError, IllPosedProblemError, ParameterError
 
 __all__ = [
@@ -139,36 +119,31 @@ def _pencil_basis(KtK: np.ndarray, AtA: np.ndarray) -> tuple[np.ndarray, np.ndar
     """(V, mu) with V'(K'K + A'A)V = I and V'A'AV = diag(mu), one Cholesky
     factorization and one eigh per block.
 
-    When K'K and A'A are both centrosymmetric, the blocks are the even and
-    odd blocks of ``_EvenOddSplit`` and V joins their bases; otherwise the
-    pencil is one block.  The split's own test decides, one test per
-    matrix: A'A is split first, so a data penalty, which fails it, costs
-    one test.  Each block M_b of K'K + A'A is factored M_b = R'R, and the
-    pivot floor is checked on the pivots R_ii^2 of all blocks before any
-    whitening.  Then, block by block, W = R^-1 (``_upper_inverse``, in place
-    of R) whitens the block of A'A, W'A'A_bW = U diag(mu) U', and the block
-    basis is WU (the symmetric-definite reduction of Martin & Wilkinson 1968,
-    LAPACK ``sygst``).  eigh reads one triangle of W'A'A_bW, and the two
-    computed triangles differ by roundoff; it is given their average, which
-    left fewer sweep columns to the fallback solve: 531 against 558 with
-    one triangle over a 20-seed pass of tables 4-7 (511 with the two-eigh
-    basis this replaced).  mu are joined in the column order of V and
-    clipped to [0, 1] (see ``TikhonovPencil``).  Each temporary is dropped
-    once used up, because a build's transient arrays set the peak memory of
-    an n = 1000 run.
+    When K'K and A'A are both centrosymmetric, the blocks are their
+    ``_even_odd_blocks`` and ``_join_even_odd`` joins the block bases;
+    otherwise the pencil is one block.  The split's own test decides, one
+    test per matrix: A'A is split first, so a data penalty, which fails it,
+    costs one test.  Each block M_b of K'K + A'A is factored M_b = R'R, and
+    the pivot floor is checked on the pivots R_ii^2 of all blocks before
+    any whitening.  Then, block by block, W = R^-1 (``_upper_inverse``, in
+    place of R) whitens the block of A'A, W'A'A_bW = U diag(mu) U', and the
+    block basis is WU (the symmetric-definite reduction of Martin &
+    Wilkinson 1968, LAPACK ``sygst``).  eigh reads one triangle of
+    W'A'A_bW, and the two computed triangles differ by roundoff; it is
+    given their average, which leaves fewer sweep columns to the fallback
+    solve.  mu are joined in the column order of V and clipped to [0, 1]
+    (see ``TikhonovPencil``).  Each temporary is dropped once used up,
+    because a build's transient arrays set the peak memory of an n = 1000
+    run.
     """
     try:
-        pen = _EvenOddSplit(AtA)
-        M = _EvenOddSplit(KtK)
+        penalties = list(_even_odd_blocks(AtA))
+        blocks = list(_even_odd_blocks(KtK))
+        for block, pen in zip(blocks, penalties):
+            block += pen  # the blocks of K'K + A'A
+        del block, pen
     except ContractViolationError:
-        blocks = [KtK + AtA]
-        penalties = [AtA]
-    else:
-        M.even += pen.even  # the blocks of K'K + A'A
-        M.odd += pen.odd
-        blocks = [M.even, M.odd]
-        penalties = [pen.even, pen.odd]
-        del M, pen
+        blocks, penalties = [KtK + AtA], [AtA]
     try:
         factors = [np.linalg.cholesky(block, upper=True) for block in blocks]
         pivots = np.concatenate([np.diagonal(R) for R in factors]) ** 2
@@ -219,28 +194,6 @@ def _upper_inverse(R: np.ndarray) -> np.ndarray:
     return R
 
 
-def _join_even_odd(V_even: np.ndarray, V_odd: np.ndarray) -> np.ndarray:
-    """V = P diag(V_even, V_odd), P the even/odd change of basis.
-
-    This is ``_from_even_odd`` applied to the columns of the block diagonal,
-    written block by block into one array: with r = 1/sqrt(2), the top m
-    rows are [r V_even[:m], r V_odd], the middle row of odd n is
-    [V_even[m], 0], and the bottom m rows mirror the top ones, the odd
-    columns negated.  The zero blocks are not added, which changes no value.
-    """
-    c, m = len(V_even), len(V_odd)
-    n = c + m
-    r = 1.0 / sqrt(2.0)
-    V = np.empty((n, n))
-    np.multiply(V_even[:m], r, out=V[:m, :c])
-    np.multiply(V_odd, r, out=V[:m, c:])
-    V[m:c, :c] = V_even[m:]
-    V[m:c, c:] = 0.0
-    V[c:, :c] = V[:m, :c][::-1]
-    np.negative(V[:m, c:][::-1], out=V[c:, c:])
-    return V
-
-
 def _gram(A: np.ndarray) -> np.ndarray:
     """A'A, written from A's three diagonals when A is tridiagonal.
 
@@ -287,7 +240,7 @@ class TikhonovPencil:
     with V'MV = I and V'A'AV diagonal, so V simultaneously diagonalizes
     K'K + w A'A for every weight w.  That is one Cholesky and one eigh per
     block; R^-1 is a recursive blocking of GEMMs in numpy's OpenBLAS (see
-    the module notes for the scipy routines that were slower).  The
+    the module notes).  The
     diagonal of V'A'AV is mu, and that of V'K'KV is 1 - mu, since the two
     add up to the identity; so neither needs a product with K or A.  mu is
     clipped to [0, 1], where it lies in exact arithmetic: roundoff puts it

@@ -15,7 +15,9 @@ from graphtik.discretization import (
     continuous_eigenvalues,
     pseudo_inverse,
     toeplitz_stencil,
-    _EvenOddSplit,
+    _even_odd_blocks,
+    _even_odd_solve,
+    _join_even_odd,
 )
 from graphtik.errors import (
     ContractViolationError,
@@ -24,6 +26,11 @@ from graphtik.errors import (
     UnsupportedProblemError,
 )
 from graphtik.problems import EXAMPLES
+
+
+def _split_eigvalsh(blocks):
+    """The eigenvalues of the matrix with these even and odd blocks, ascending."""
+    return np.sort(np.concatenate([np.linalg.eigvalsh(block) for block in blocks]))
 
 
 def test_grid_nodes():
@@ -111,9 +118,9 @@ def test_schrodinger_blocks_equal_the_split_of_L_bitwise(n):
     # n = 1 has an empty odd block and no Hankel window; odd n a middle node
     for name, q in _EVEN_POTENTIALS.items():
         even, odd = build_schrodinger_blocks(q, n)
-        split = _EvenOddSplit(build_schrodinger_operator(q, n).matrix)
-        assert even.shape == split.even.shape and even.tobytes() == split.even.tobytes(), name
-        assert odd.shape == split.odd.shape and odd.tobytes() == split.odd.tobytes(), name
+        split_even, split_odd = _even_odd_blocks(build_schrodinger_operator(q, n).matrix)
+        assert even.shape == split_even.shape and even.tobytes() == split_even.tobytes(), name
+        assert odd.shape == split_odd.shape and odd.tobytes() == split_odd.tobytes(), name
 
 
 @pytest.mark.parametrize("n", [2, 3, 100, 101])
@@ -129,7 +136,7 @@ def test_schrodinger_blocks_test_evenness_like_the_split(n):
             return c * x
 
         try:
-            _EvenOddSplit(build_schrodinger_operator(q, n).matrix)
+            _even_odd_blocks(build_schrodinger_operator(q, n).matrix)
         except ContractViolationError:
             outcomes.append(False)
             with pytest.raises(ContractViolationError):
@@ -248,7 +255,7 @@ def test_eigendecomposition_second_difference():
         t[0], t[1] = 2.0, -1.0
         k = np.arange(1, n + 1)
         want = np.sort(2.0 - 2.0 * np.cos(k * np.pi / (n + 1)))
-        np.testing.assert_allclose(_EvenOddSplit(sla.toeplitz(t)).eigvalsh(), want, atol=1e-12)
+        np.testing.assert_allclose(_split_eigvalsh(_even_odd_blocks(sla.toeplitz(t))), want, atol=1e-12)
 
 
 def test_continuous_eigenvalues():
@@ -277,11 +284,18 @@ def _centrosymmetric(n, seed):
 @given(st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=2**32 - 1))
 def test_even_odd_split_matches_full_lapack(n, seed):
     A = _centrosymmetric(n, seed)
-    split = _EvenOddSplit(A)
-    assert split.even.shape == ((n + 1) // 2,) * 2 and split.odd.shape == (n // 2,) * 2
+    even, odd = _even_odd_blocks(A)
+    assert even.shape == ((n + 1) // 2,) * 2 and odd.shape == (n // 2,) * 2
     lam = np.linalg.eigvalsh(A)
     scale = np.max(np.abs(lam))
-    np.testing.assert_allclose(split.eigvalsh(), lam, rtol=0, atol=1e-12 * scale)
+    np.testing.assert_allclose(_split_eigvalsh((even, odd)), lam, rtol=0, atol=1e-12 * scale)
+    # the join of the block eigenbases is an orthogonal eigenbasis of A
+    (lam_even, U_even), (lam_odd, U_odd) = np.linalg.eigh(even), np.linalg.eigh(odd)
+    V = _join_even_odd(U_even, U_odd)
+    np.testing.assert_allclose(V.T @ V, np.eye(n), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        V.T @ A @ V, np.diag(np.concatenate([lam_even, lam_odd])), rtol=0, atol=1e-12 * scale
+    )
     # a solve loses up to cond(A) * eps either way; skip near-singular draws
     cond = scale / np.min(np.abs(lam))
     if cond > 1e8:
@@ -289,7 +303,7 @@ def test_even_odd_split_matches_full_lapack(n, seed):
     b = np.random.default_rng(seed + 1).standard_normal(n)
     x = sla.solve(A, b, assume_a="sym")
     np.testing.assert_allclose(
-        split.solve(b), x, rtol=0, atol=1e-13 * cond * np.max(np.abs(x))
+        _even_odd_solve(even, odd, b), x, rtol=0, atol=1e-13 * cond * np.max(np.abs(x))
     )
 
 
@@ -304,4 +318,4 @@ def test_even_odd_split_matches_full_lapack(n, seed):
 )
 def test_even_odd_split_rejects_non_centrosymmetric(A):
     with pytest.raises(ContractViolationError):
-        _EvenOddSplit(A)
+        _even_odd_blocks(A)

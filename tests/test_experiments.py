@@ -4,7 +4,7 @@ import pathlib
 import re
 import traceback
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -14,7 +14,8 @@ from graphtik import discretization, experiments, regularization
 from graphtik.discretization import (
     DiscreteOperator,
     Grid,
-    _EvenOddSplit,
+    _even_odd_blocks,
+    _even_odd_solve,
     build_schrodinger_operator,
     pseudo_inverse,
 )
@@ -106,6 +107,16 @@ def test_config_accepts_an_integer_where_a_float_is_expected():
     assert cfg.alpha_grid == AlphaGrid(max=100.0, min=1e-6, count=7)
 
 
+@pytest.mark.parametrize("field", [f.name for f in fields(ExperimentConfig) if type(f.default) is float])
+def test_config_integer_and_float_values_hash_alike(field):
+    # equal configs must write one header hash, whether a float field was
+    # given as an integer or as a float (1 is valid in every float field)
+    as_int = ExperimentConfig.from_dict({field: 1})
+    as_float = ExperimentConfig.from_dict({field: 1.0})
+    assert as_int == as_float
+    assert config_hash(as_int.to_dict()) == config_hash(as_float.to_dict())
+
+
 @pytest.mark.parametrize(
     "field,value",
     [
@@ -168,21 +179,22 @@ def test_registered_operators_split_like_full_lapack(n):
         G = diagnostic_matrix(ex_id, n, "galerkin").matrix
         for A in (L, G):
             lam = np.linalg.eigvalsh(A)
-            assert np.max(np.abs(_EvenOddSplit(A).eigvalsh() / lam - 1.0)) <= 1e-9
+            split = np.sort(np.concatenate([np.linalg.eigvalsh(block) for block in _even_odd_blocks(A)]))
+            assert np.max(np.abs(split / lam - 1.0)) <= 1e-9
         x = sla.solve(L, b, assume_a="sym")
-        assert np.max(np.abs(_EvenOddSplit(L).solve(b) - x)) <= 1e-9 * np.max(np.abs(x))
+        assert np.max(np.abs(_even_odd_solve(*_even_odd_blocks(L), b) - x)) <= 1e-9 * np.max(np.abs(x))
 
 
 @pytest.mark.parametrize("example,n", [(1, 100), (2, 100), (1, 1000), (2, 1000)])
 def test_forward_gram_matrices_pass_the_centrosymmetry_test(example, n):
-    # the fixed-penalty pencils split only when _EvenOddSplit accepts K'K;
+    # the fixed-penalty pencils split only when _even_odd_blocks accepts K'K;
     # the graph K'K defect grows with n (1.3e-11 and 7.5e-12 relative at
     # n = 1000 for examples 1 and 2, against the split's 1e-10), so losing
     # that margin fails here rather than silently doubling the pencil cost
     for method in ("graph", "galerkin"):
         K = forward_matrix(example, n, method).matrix
-        split = _EvenOddSplit(K.T @ K)
-        assert split.even.shape[0] + split.odd.shape[0] == n, method
+        even, odd = _even_odd_blocks(K.T @ K)
+        assert even.shape[0] + odd.shape[0] == n, method
 
 
 def test_table1_graph_image_error_matches_full_solve():
