@@ -12,14 +12,38 @@ figure's column names and the bytes of its data array.  Running the script
 on two commits with the same seeds shows whether a change kept the bytes of
 every table and figure, and whether it kept every chosen alpha.  The default
 seeds are 0..19; the figures take their templates' own seed.
+
+After those 14 lines come 11 more, one per fixed command line of ``CLI_RUNS``
+(each as ``python -m graphtik.cli ...``; ``--seeds`` does not change them).
+Each is run in-process through ``graphtik.cli.main`` with stdout and stderr
+captured, and its line hashes the exit code, stdout and stderr, so two
+checkouts agree on it exactly when the command prints the same bytes and
+exits with the same code.
 """
 import argparse
+import contextlib
 import hashlib
+import io
 import json
+import shlex
 import sys
 
-from graphtik.cli import parse_seeds
+from graphtik import cli
 from graphtik.experiments import FIGURES, TABLES, emit_figure_data, run_table
+
+CLI_RUNS = (
+    "spectrum --n 21 --method galerkin",
+    "spectrum --n 21",
+    "approx-error --n 25 --f 3",
+    "deblur --n 41 --penalty a2 --eps 0.05 --seed 3",
+    "deblur --n 40 --penalty a3 --eps 0.01",
+    "deblur --n 1000 --penalty a1",
+    "deblur --example 1 --f 1 --n 100 --penalty matched --eps 0.1",  # exit 2
+    "figure --id 2",
+    "table --id 5 --seeds 0,1",
+    "deblur --n 1",  # exit 1
+    "deblur --method x",  # exit 1
+)
 
 
 def _sha(data: bytes) -> str:
@@ -31,7 +55,7 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", default=None, help='comma separated, e.g. "0,1,2" (default 0..19)')
     args = ap.parse_args(argv)
 
-    seeds = parse_seeds(args.seeds)
+    seeds = cli.parse_seeds(args.seeds)
     for tid, table in TABLES.items():
         cells = run_table(tid, seeds).cells
         print(f"table {tid}: {_sha(json.dumps(cells, sort_keys=True).encode())}")
@@ -41,6 +65,11 @@ def main(argv=None) -> int:
     for fid in FIGURES:
         names, data = emit_figure_data(fid)
         print(f"figure {fid}: {_sha(','.join(names).encode() + data.tobytes())}")
+    for command in CLI_RUNS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(shlex.split(command))
+        print(f"cli {command}: {_sha(json.dumps([code, out.getvalue(), err.getvalue()]).encode())}")
     return 0
 
 

@@ -100,8 +100,9 @@ class ExperimentConfig:
     sigma: float = 0.01
     data_mode: str = "quadrature"
 
-    def validate(self) -> "ExperimentConfig":
-        """Check every field's type, then its range; returns self.
+    def __post_init__(self):
+        """Check every field's type, then its range, so that every config,
+        including one made by ``dataclasses.replace``, is valid.
 
         A scalar must have its default's type (an int is accepted where a
         float is expected, a bool never), and the seeds must be integers."""
@@ -139,7 +140,6 @@ class ExperimentConfig:
             raise ParameterError(f"sigma must be finite and positive, got {self.sigma!r}")
         if self.data_mode not in ("quadrature", "analytic"):
             raise ParameterError(f"unknown data mode {self.data_mode!r}")
-        return self
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -150,8 +150,8 @@ class ExperimentConfig:
     def from_dict(cls, d: dict, base: "ExperimentConfig | None" = None) -> "ExperimentConfig":
         """Inverse of to_dict; missing fields take base's values (the
         defaults without one), and missing alpha_grid entries their
-        defaults.  The types are checked by validate() and AlphaGrid, so a
-        mistyped value is a ParameterError."""
+        defaults.  The types are checked by the constructors of the config
+        and of AlphaGrid, so a mistyped value is a ParameterError."""
         if not isinstance(d, dict):
             raise ParameterError("a config must be a JSON object")
         d = dict(d) if base is None else {**base.to_dict(), **d}
@@ -162,7 +162,7 @@ class ExperimentConfig:
                 raise ParameterError(f"config field 'alpha_grid' must be an object, got {ag!r}")
             _reject_unknown("alpha_grid", ag, fields(AlphaGrid))
             d["alpha_grid"] = AlphaGrid(**ag)
-        config = cls(**d).validate()
+        config = cls(**d)
         # to the field types, so that {"max": 100} and {"max": 100.0} hash alike
         grid = config.alpha_grid
         floats = {f.name: float(getattr(config, f.name)) for f in fields(cls) if type(f.default) is float}
@@ -325,38 +325,29 @@ def run_cell(config: ExperimentConfig, seed: int | None = None, pencils: dict | 
     the returned solution vector is at that scale too (multiply by sqrt(n)
     for point values).  A fixed penalty's pencil (identity, a1, a2) is taken
     from ``pencils``, keyed (example, n, method, penalty), and built on
-    first use, or built for this call only without a dict; a GraphtikError
-    its build raised is kept in its place and raised again.  A table shares
-    one dict across its cells and seeds, for the values of separate calls
-    bit for bit; caching pencils for the process instead would hold about
-    24 MB per (K, A) pair at n = 1000.  a3 and matched pencils are built
-    from this seed's noisy data.
+    first use, or built for this call only without a dict; a build that
+    raises stores nothing, so every seed that needs it raises again.  A
+    table shares one dict across its cells and seeds, for the values of
+    separate calls bit for bit; caching pencils for the process instead
+    would hold about 24 MB per (K, A) pair at n = 1000.  a3 and matched
+    pencils are built from this seed's noisy data.
     """
-    config.validate()
     if seed is None:
         seed = config.seeds[0]
     n = config.n
-    K = forward_matrix(config.example, n, config.method)
-    if config.penalty not in _DATA_PENALTIES:
-        pencils = {} if pencils is None else pencils
-        key = (config.example, n, config.method, config.penalty)
-        if key not in pencils:
-            try:
-                pencils[key] = TikhonovPencil(K, _penalty_operator(config, None, None))
-            except GraphtikError as exc:
-                pencils[key] = exc
-                raise
-        pencil = pencils[key]
-        if isinstance(pencil, GraphtikError):
-            # a raise appends this call's frames to the traceback, and
-            # they hold its arrays: start from none on every seed
-            raise pencil.with_traceback(None)
     root = sqrt(n)
     g_clean = _clean_data(config.example, config.test_function, n, config.data_mode) / root
     reference = get_test_function(config.test_function).eval(Grid(n, "interior").nodes) / root
     g_eps = add_noise(g_clean, NoiseModel(config.epsilon, int(seed)))
+    K = forward_matrix(config.example, n, config.method)
     if config.penalty in _DATA_PENALTIES:
         pencil = TikhonovPencil(K, _penalty_operator(config, g_eps, reference))
+    else:
+        pencils = {} if pencils is None else pencils
+        key = (config.example, n, config.method, config.penalty)
+        if key not in pencils:
+            pencils[key] = TikhonovPencil(K, _penalty_operator(config, None, None))
+        pencil = pencils[key]
     problem = TikhonovProblem(pencil.forward, pencil.penalty, g_eps, pencil)
     best, _curve = alpha_sweep(problem, config.alpha_grid, reference)
     return best, best.rre
@@ -534,7 +525,7 @@ def emit_figure_data(fig_id: int, config: ExperimentConfig | None = None):
     signal (point scale) for every (method, penalty) pair, one noisy draw.
     """
     figure = _lookup(FIGURES, "figure", fig_id)
-    config = (config or figure.template).validate()
+    config = config or figure.template
     n = config.n
     if figure.metric == "reciprocal_spectrum":
         scale = 1.0 / n**2

@@ -14,31 +14,11 @@ Saunders 1981; Hansen 1998, where the pencil is factored once and each data
 vector needs only a projection).
 
 - The pencil stage, ``TikhonovPencil``, depends only on (K, A).  It builds
-  a basis V of the pencil (K'K, A'A), V'(K'K + A'A)V = I with V'A'AV
-  diagonal, so every weight is a diagonal solve in V.  It is the standard
-  reduction of a symmetric-definite pencil (Martin & Wilkinson 1968; LAPACK
-  ``sygst``/``sygvd``): factor K'K + A'A = R'R by Cholesky, whiten A'A by
-  R^-1 and take one symmetric eigendecomposition of R^-T A'A R^-1 =
-  U diag(mu) U', so V = R^-1 U.  When K'K and A'A are both
-  centrosymmetric (both forward operators, with the identity, a1 or a2
-  penalty), the pencil splits into the half-size even and odd blocks of
-  ``discretization._even_odd_blocks``; each block gets the same recipe, at
-  about an eighth of the full-size cost, and ``_join_even_odd`` joins the
-  two block bases into V.
-  A data penalty (a3, matched) is not centrosymmetric and is one block.
-  So a pencil takes one Cholesky factorization and one eigh per block.
-  The eigenvalues mu are the GSVD pairs of the pencil: v_i'A'Av_i = mu_i
-  and v_i'K'Kv_i = 1 - mu_i (c^2 + s^2 = 1), so no product with K or A
-  gives them.  mu is clipped to [0, 1], where it lies in exact arithmetic.
-  The Cholesky pivots R_ii^2 give the well-posedness floor: a failed
-  factorization, or a pivot at most ``_KERNEL_TOL`` times the largest one,
-  means K and A share a near-null direction.  Each pivot lies between the
-  smallest and the largest eigenvalue of its block, so the floor rejects
-  no pencil that the same floor on the eigenvalues would accept.  A
-  tridiagonal penalty (identity, a1, a2) gets A'A written from its three
-  diagonals, which has the bits of ``A.T @ A``.  The pencil also keeps the
-  Frobenius products that bound ||K'K + w A'A||, from the unsplit K'K and
-  A'A.
+  a basis V of the pencil (K'K, A'A), V'(K'K + A'A)V = I with V'A'AV =
+  diag(mu), so every weight is a diagonal solve in V.  ``_pencil_basis``
+  states the recipe (one Cholesky factorization and one eigh per even or
+  odd block), and ``_KERNEL_TOL`` the well-posedness floor on the Cholesky
+  pivots; ``TikhonovPencil`` states what else the pencil keeps.
 - The data stage, ``TikhonovProblem`` and ``alpha_sweep``, runs once per
   data vector: it checks the data, projects K'g, solves the whole grid as
   one batched product, certifies it and scores it.
@@ -124,14 +104,17 @@ def _pencil_basis(KtK: np.ndarray, AtA: np.ndarray) -> tuple[np.ndarray, np.ndar
     otherwise the pencil is one block.  The split's own test decides, one
     test per matrix: A'A is split first, so a data penalty, which fails it,
     costs one test.  Each block M_b of K'K + A'A is factored M_b = R'R, and
-    the pivot floor is checked on the pivots R_ii^2 of all blocks before
-    any whitening.  Then, block by block, W = R^-1 (``_upper_inverse``, in
-    place of R) whitens the block of A'A, W'A'A_bW = U diag(mu) U', and the
-    block basis is WU (the symmetric-definite reduction of Martin &
-    Wilkinson 1968, LAPACK ``sygst``).  eigh reads one triangle of
+    the pivot floor ``_KERNEL_TOL`` is checked on the pivots R_ii^2 of all
+    blocks before any whitening.  Then, block by block, W = R^-1
+    (``_upper_inverse``, in place of R) whitens the block of A'A,
+    W'A'A_bW = U diag(mu) U', and the block basis is WU (the
+    symmetric-definite reduction of Martin & Wilkinson 1968, LAPACK
+    ``sygst``).  eigh reads one triangle of
     W'A'A_bW, and the two computed triangles differ by roundoff; it is
-    given their average, which leaves fewer sweep columns to the fallback
-    solve.  mu are joined in the column order of V and clipped to [0, 1]
+    given their average.  Summed over the 20-seed pass of tables 4-7 and
+    over the n = 1000 cells of seeds 0-11, the average leaves fewer sweep
+    columns to the fallback solve than one triangle, though not at every
+    seed (counts in ``CHANGES.md``).  mu are joined in the column order of V and clipped to [0, 1]
     (see ``TikhonovPencil``).  Each temporary is dropped once used up,
     because a build's transient arrays set the peak memory of an n = 1000
     run.
@@ -226,31 +209,22 @@ class TikhonovPencil:
     Construction rejects operators on different grids or with non-finite
     entries, then forms K'K and A'A; a tridiagonal A (identity, a1, a2)
     gets A'A from its three diagonals (``_gram``), with the bits of
-    ``A.T @ A``.  M = K'K + A'A is handled per block: the even and the odd
-    block when K'K and A'A are both centrosymmetric, else M itself.  Each
-    block is factored M_b = R'R by Cholesky, and construction verifies that
-    ker(penalty) and ker(forward) intersect trivially: every factorization
-    must succeed and the smallest pivot R_ii^2 of all blocks must clear a
-    relative floor, otherwise no weight makes the normal equations
-    solvable.  A pivot lies in [eigmin, eigmax] of its block, so the pivot
-    floor is one-sided: it rejects only pencils that the floor on the
-    eigenvalues rejects too.  The same factors give the basis V used by
-    ``alpha_sweep``: whitening each block of A'A by R^-1 and
-    diagonalizing it, R^-T A'A_b R^-1 = U diag(mu) U', yields V_b = R^-1 U
-    with V'MV = I and V'A'AV diagonal, so V simultaneously diagonalizes
-    K'K + w A'A for every weight w.  That is one Cholesky and one eigh per
-    block; R^-1 is a recursive blocking of GEMMs in numpy's OpenBLAS (see
-    the module notes).  The
-    diagonal of V'A'AV is mu, and that of V'K'KV is 1 - mu, since the two
-    add up to the identity; so neither needs a product with K or A.  mu is
-    clipped to [0, 1], where it lies in exact arithmetic: roundoff puts it
-    a few eps outside (down to -5e-15 on the a2 pencil at n = 100, up to
-    1 + 4e-15 at n = 1000), and the diagonal 1 - mu + w mu would then be 0
-    or negative at a large weight (mu < 0) or a tiny one (mu > 1).  A
-    split basis is exact for the blocks of the averages (X + JXJ)/2, within
-    the 1e-10 centrosymmetry test of the true ones; the sweep certifies and
-    falls back against the unsplit K'K and A'A.  The pencil also keeps the
-    three Frobenius products that give ||K'K + w A'A||_F.
+    ``A.T @ A``.  ``_pencil_basis`` builds the basis V used by
+    ``alpha_sweep``, with V'(K'K + A'A)V = I and V'A'AV = diag(mu), so V
+    diagonalizes K'K + w A'A for every weight w; it raises
+    ``IllPosedProblemError`` when its pivots fail the floor
+    ``_KERNEL_TOL``, i.e. when ker(penalty) and ker(forward) meet and no
+    weight makes the normal equations solvable.  The diagonal of V'A'AV is
+    mu, and that of V'K'KV is 1 - mu, since the two add up to the identity;
+    so neither needs a product with K or A.  mu is clipped to [0, 1], where
+    it lies in exact arithmetic: roundoff puts it a few eps outside (down
+    to -5e-15 on the a2 pencil at n = 100, up to 1 + 4e-15 at n = 1000),
+    and the diagonal 1 - mu + w mu would then be 0 or negative at a large
+    weight (mu < 0) or a tiny one (mu > 1).  A split basis is exact for the
+    blocks of the averages (X + JXJ)/2, within the 1e-10 centrosymmetry
+    test of the true ones; the sweep certifies and falls back against the
+    unsplit K'K and A'A.  The pencil also keeps the three Frobenius
+    products that give ||K'K + w A'A||_F.
 
     Every ``TikhonovProblem`` on the same (K, A) can share one pencil.  At
     n = 1000 it holds about 24 MB (K'K, A'A and V), so callers keep it only
@@ -368,8 +342,6 @@ def _solve_normal_equations(p: TikhonovProblem, weight: float) -> np.ndarray:
 
     def optimal(f):
         gap = float(np.linalg.norm(M @ f - p._Ktg))
-        if gap <= 1e-8 * norm_Ktg:
-            return True  # within the bound whatever ||M|| is
         return _optimal(gap, norm_Ktg, float(np.linalg.norm(M, "fro")), float(np.linalg.norm(f)))
 
     try:
@@ -395,18 +367,23 @@ def _solve_normal_equations(p: TikhonovProblem, weight: float) -> np.ndarray:
     return f
 
 
+def _solution(p: TikhonovProblem, f: np.ndarray, alpha: float, rre: float | None = None):
+    """The record of solution f of p at parameter alpha, with its norms."""
+    pen = p.pencil
+    return RegularizedSolution(
+        solution=f,
+        alpha=float(alpha),
+        residual_norm=float(np.linalg.norm(pen._K @ f - p.data)),
+        penalty_norm=float(np.linalg.norm(pen._A @ f)),
+        rre=rre,
+    )
+
+
 def tikhonov_solve(p: TikhonovProblem, alpha: float) -> RegularizedSolution:
     """Minimizer of ||K f - g||^2 + alpha ||A f||^2, alpha the direct weight."""
     if not (alpha > 0.0):
         raise ParameterError("alpha must be positive")
-    f = _solve_normal_equations(p, alpha)
-    K, A = p.pencil._K, p.pencil._A
-    return RegularizedSolution(
-        solution=f,
-        alpha=float(alpha),
-        residual_norm=float(np.linalg.norm(K @ f - p.data)),
-        penalty_norm=float(np.linalg.norm(A @ f)),
-    )
+    return _solution(p, _solve_normal_equations(p, alpha), alpha)
 
 
 def filter_solution(svd, g: np.ndarray, alpha: float) -> np.ndarray:
@@ -501,13 +478,5 @@ def alpha_sweep(p: TikhonovProblem, grid: AlphaGrid, reference: np.ndarray):
     tied = np.flatnonzero(errs == errs.min())
     best = min(tied, key=lambda i: alphas[i])
     f = sols[best].copy()  # a row view would keep all count x n solutions alive
-    return (
-        RegularizedSolution(
-            solution=f,
-            alpha=float(alphas[best]),  # the grid value, not the applied weight
-            residual_norm=float(np.linalg.norm(pen._K @ f - p.data)),
-            penalty_norm=float(np.linalg.norm(pen._A @ f)),
-            rre=float(errs[best]),
-        ),
-        curve,
-    )
+    # alpha is the grid value, not the applied weight
+    return _solution(p, f, alphas[best], float(errs[best])), curve
