@@ -7,13 +7,16 @@ keys; JSON writes every float as its shortest round-trip repr, so two digests
 agree exactly when every cell has the same bits.  Each restoration table
 (tables 4-7) gets a second line that hashes the JSON list of its cells'
 ``alpha_median`` values alone, so a change that moves table values by
-roundoff but no chosen alpha keeps that line.  Each figure line hashes the
-figure's column names and the bytes of its data array.  Running the script
-on two commits with the same seeds shows whether a change kept the bytes of
-every table and figure, and whether it kept every chosen alpha.  The default
-seeds are 0..19; the figures take their templates' own seed.
+roundoff but no chosen alpha keeps that line.  Every table then gets a
+report line that hashes ``report_to_json`` of the same report: its
+config-hash header, its seeds and its roundtrip record as well as its cells.
+Each figure line hashes the figure's column names and the bytes of its data
+array.  Running the script on two commits with the same seeds shows whether
+a change kept the bytes of every table, report and figure, and whether it
+kept every chosen alpha.  The default seeds are 0..19; the figures take
+their templates' own seed.
 
-After those 14 lines come 11 more, one per fixed command line of ``CLI_RUNS``
+After those 21 lines come 11 more, one per fixed command line of ``CLI_RUNS``
 (each as ``python -m graphtik.cli ...``; ``--seeds`` does not change them).
 Each is run in-process through ``graphtik.cli.main`` with stdout and stderr
 captured, and its line hashes the exit code, stdout and stderr, so two
@@ -30,6 +33,7 @@ import sys
 
 from graphtik import cli
 from graphtik.experiments import FIGURES, TABLES, emit_figure_data, run_table
+from graphtik.reporting import report_to_json
 
 CLI_RUNS = (
     "spectrum --n 21 --method galerkin",
@@ -57,11 +61,13 @@ def main(argv=None) -> int:
 
     seeds = cli.parse_seeds(args.seeds)
     for tid, table in TABLES.items():
-        cells = run_table(tid, seeds).cells
+        report = run_table(tid, seeds)
+        cells = report.cells
         print(f"table {tid}: {_sha(json.dumps(cells, sort_keys=True).encode())}")
         if table.metric == "rre_median":
             alphas = json.dumps([cell["alpha_median"] for cell in cells])
             print(f"table {tid} alpha_median: {_sha(alphas.encode())}")
+        print(f"table {tid} report: {_sha(report_to_json(report).encode())}")
     for fid in FIGURES:
         names, data = emit_figure_data(fid)
         print(f"figure {fid}: {_sha(','.join(names).encode() + data.tobytes())}")

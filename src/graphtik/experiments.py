@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import lru_cache
 from math import ceil, isfinite, sqrt
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 
@@ -45,7 +45,7 @@ from .discretization import (
     continuous_eigenvalues,
     pseudo_inverse,
 )
-from .errors import GraphtikError, ParameterError
+from .errors import GraphtikError, ParameterError, UnsupportedProblemError
 from .metrics import lsre, max_abs_error, msre, rre
 from .penalty import (
     SimilarityParams,
@@ -58,13 +58,14 @@ from .problems import (
     EXAMPLES,
     TEST_FUNCTIONS,
     NoiseModel,
+    _is_int,
     add_noise,
     get_example,
     get_test_function,
     synthesize_data,
 )
 from .regularization import AlphaGrid, TikhonovPencil, TikhonovProblem, alpha_sweep
-from .reporting import ExperimentReport, config_hash
+from .reporting import ExperimentReport
 
 __all__ = [
     "ExperimentConfig",
@@ -105,7 +106,9 @@ class ExperimentConfig:
         including one made by ``dataclasses.replace``, is valid.
 
         A scalar must have its default's type (an int is accepted where a
-        float is expected, a bool never), and the seeds must be integers."""
+        float is expected, a bool never), and the seeds must be integers.
+        Each checked scalar is stored as its default's type and the seeds as
+        a tuple of ints, so equal configs hash alike however they are made."""
         for f in fields(self):
             value, kind = getattr(self, f.name), type(f.default)
             if kind is int:
@@ -118,8 +121,10 @@ class ExperimentConfig:
                 continue  # seeds below; alpha_grid checks its own fields
             if not ok:
                 raise ParameterError(f"config field {f.name!r} must be {kind.__name__}, got {value!r}")
+            object.__setattr__(self, f.name, kind(value))
         if not isinstance(self.seeds, (list, tuple)) or not all(_is_int(s) for s in self.seeds):
             raise ParameterError(f"config field 'seeds' must be a list of integers, got {self.seeds!r}")
+        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         if self.example not in EXAMPLES:
             raise ParameterError(f"example must be one of {tuple(EXAMPLES)}, got {self.example!r}")
         if self.test_function not in TEST_FUNCTIONS:
@@ -150,8 +155,10 @@ class ExperimentConfig:
     def from_dict(cls, d: dict, base: "ExperimentConfig | None" = None) -> "ExperimentConfig":
         """Inverse of to_dict; missing fields take base's values (the
         defaults without one), and missing alpha_grid entries their
-        defaults.  The types are checked by the constructors of the config
-        and of AlphaGrid, so a mistyped value is a ParameterError."""
+        defaults.  The constructors of the config and of AlphaGrid check
+        the types and store each value as its field's type, so a mistyped
+        value is a ParameterError and ``{"max": 100}`` and
+        ``{"max": 100.0}`` give the same config."""
         if not isinstance(d, dict):
             raise ParameterError("a config must be a JSON object")
         d = dict(d) if base is None else {**base.to_dict(), **d}
@@ -162,20 +169,7 @@ class ExperimentConfig:
                 raise ParameterError(f"config field 'alpha_grid' must be an object, got {ag!r}")
             _reject_unknown("alpha_grid", ag, fields(AlphaGrid))
             d["alpha_grid"] = AlphaGrid(**ag)
-        config = cls(**d)
-        # to the field types, so that {"max": 100} and {"max": 100.0} hash alike
-        grid = config.alpha_grid
-        floats = {f.name: float(getattr(config, f.name)) for f in fields(cls) if type(f.default) is float}
-        return replace(
-            config,
-            seeds=tuple(int(s) for s in config.seeds),
-            alpha_grid=AlphaGrid(float(grid.max), float(grid.min), int(grid.count)),
-            **floats,
-        )
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, Integral) and not isinstance(x, bool)
+        return cls(**d)
 
 
 def _reject_unknown(where: str, d: dict, known) -> None:
@@ -290,7 +284,7 @@ def forward_image_error(example_id: int, n: int, fid: int, method: str) -> float
         image *= _lattice_weight(n)
     try:
         u = synthesize_data(ex, f, Grid(n, "interior"), "analytic")
-    except GraphtikError:
+    except UnsupportedProblemError:  # no closed form: the quadrature data
         u = _clean_data(example_id, fid, n, "quadrature")
     return max_abs_error(image, u)
 
@@ -338,7 +332,7 @@ def run_cell(config: ExperimentConfig, seed: int | None = None, pencils: dict | 
     root = sqrt(n)
     g_clean = _clean_data(config.example, config.test_function, n, config.data_mode) / root
     reference = get_test_function(config.test_function).eval(Grid(n, "interior").nodes) / root
-    g_eps = add_noise(g_clean, NoiseModel(config.epsilon, int(seed)))
+    g_eps = add_noise(g_clean, NoiseModel(config.epsilon, seed))
     K = forward_matrix(config.example, n, config.method)
     if config.penalty in _DATA_PENALTIES:
         pencil = TikhonovPencil(K, _penalty_operator(config, g_eps, reference))
@@ -396,11 +390,12 @@ FIGURES = {
 }
 
 
-def _lookup(catalogue: dict, kind: str, item_id) -> Spec:
-    try:
-        return catalogue[int(item_id)]
-    except KeyError:
-        raise ParameterError(f"{kind} id must be one of {sorted(catalogue)}, got {item_id!r}") from None
+def _lookup(catalogue: dict, kind: str, item_id) -> tuple[int, Spec]:
+    """(id, entry) for an integer id of the catalogue, with the id as a
+    Python int, so that a numpy integer id is written as a JSON number."""
+    if not (_is_int(item_id) and item_id in catalogue):
+        raise ParameterError(f"{kind} id must be one of {sorted(catalogue)}, got {item_id!r}")
+    return int(item_id), catalogue[item_id]
 
 
 # ------------------------------------------------------------------ tables
@@ -450,7 +445,7 @@ def _restoration_cells(table_id: int, table: Spec, seeds: tuple):
                     if sample is None:
                         sample = {
                             "config": config.to_dict(),
-                            "seed": int(s),
+                            "seed": s,
                             "solution": [float(v) for v in sol.solution],
                             "value": err,
                         }
@@ -489,12 +484,10 @@ def _roundtrip_check(sample: dict | None) -> dict | None:
 
 
 def run_table(table_id: int, seeds=tuple(range(20))) -> ExperimentReport:
-    """Reproduce one table of ``TABLES``; noisy cells are seed medians."""
-    table_id = int(table_id)
-    table = _lookup(TABLES, "table", table_id)
-    seeds = tuple(int(s) for s in seeds)
-    if not seeds:
-        raise ParameterError("need at least one seed")
+    """Reproduce one table of ``TABLES``; noisy cells are seed medians.
+    The seeds pass the config's own check, and none may repeat."""
+    table_id, table = _lookup(TABLES, "table", table_id)
+    seeds = replace(table.template, seeds=tuple(seeds)).seeds
     if len(set(seeds)) != len(seeds):
         raise ParameterError(f"seeds must not repeat, got {list(seeds)}")
     sample = None
@@ -503,13 +496,7 @@ def run_table(table_id: int, seeds=tuple(range(20))) -> ExperimentReport:
     else:
         cells = _diagnostic_cells(table_id, table)
     meta = {"table": table_id, "seeds": list(seeds)}
-    return ExperimentReport(
-        config=meta,
-        cells=cells,
-        seeds=list(seeds),
-        config_hash=config_hash(meta),
-        roundtrip=_roundtrip_check(sample),
-    )
+    return ExperimentReport(config=meta, cells=cells, seeds=list(seeds), roundtrip=_roundtrip_check(sample))
 
 
 # ----------------------------------------------------------------- figures
@@ -524,7 +511,7 @@ def emit_figure_data(fig_id: int, config: ExperimentConfig | None = None):
     Figures 2 and 3: node positions, the target signal, and the restored
     signal (point scale) for every (method, penalty) pair, one noisy draw.
     """
-    figure = _lookup(FIGURES, "figure", fig_id)
+    _, figure = _lookup(FIGURES, "figure", fig_id)
     config = config or figure.template
     n = config.n
     if figure.metric == "reciprocal_spectrum":

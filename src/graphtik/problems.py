@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable
 
 import numpy as np
@@ -32,6 +33,12 @@ __all__ = [
 ]
 
 _QUAD_TOL = 1e-12
+
+
+def _is_int(x) -> bool:
+    """The package's one integer rule for ids and seeds: an integer (numpy's
+    too), never a bool, a float or a string."""
+    return isinstance(x, Integral) and not isinstance(x, bool)
 
 
 def _f1(x):
@@ -96,10 +103,9 @@ TEST_FUNCTIONS = {
 
 
 def get_test_function(fid: int) -> TestFunction:
-    try:
-        return TEST_FUNCTIONS[int(fid)]
-    except (KeyError, ValueError, TypeError):
-        raise ParameterError(f"unknown test function id {fid!r}") from None
+    if not (_is_int(fid) and fid in TEST_FUNCTIONS):
+        raise ParameterError(f"unknown test function id {fid!r}")
+    return TEST_FUNCTIONS[fid]
 
 
 _FACTORS_EXAMPLE1 = (lambda t: t, lambda t: t - 1.0)
@@ -176,10 +182,9 @@ EXAMPLES = {
 
 
 def get_example(example_id: int) -> ExampleProblem:
-    try:
-        return EXAMPLES[int(example_id)]
-    except (KeyError, ValueError, TypeError):
-        raise ParameterError(f"unknown example id {example_id!r}") from None
+    if not (_is_int(example_id) and example_id in EXAMPLES):
+        raise ParameterError(f"unknown example id {example_id!r}")
+    return EXAMPLES[example_id]
 
 
 def synthesize_data(
@@ -255,6 +260,8 @@ class NoiseModel:
     def __post_init__(self):
         if not (np.isfinite(self.epsilon) and self.epsilon >= 0.0):
             raise ParameterError(f"epsilon must be finite and >= 0, got {self.epsilon!r}")
+        if not _is_int(self.seed):
+            raise ParameterError(f"noise seed must be an integer, got {self.seed!r}")
 
 
 def add_noise(g_n: np.ndarray, m: NoiseModel) -> np.ndarray:

@@ -27,19 +27,8 @@ Data vectors on the same (K, A), such as the noise seeds of one table
 cell, share one pencil.  The caller holds it only as long as those vectors
 last; nothing here caches it.
 
-In the data stage one batched refinement step against the normal equations
-follows the batched solve.  A column is certified when the next refinement
-correction is at most 1e-8 times its distance to the reference, so its
-error is settled far below any printed digit, and when its residual meets
-the solver's optimality bound.  The other columns sit typically at the
-ill-conditioned ends of the grid and in cells whose error curve is flat
-below roundoff.  Each of them that could still be the minimum (its refined
-distance to the reference, less the next correction, at most
-``_FALLBACK_FACTOR`` times the best distance so far) falls back to
-``tikhonov_solve`` and keeps the per-weight solve's value; the rest keep
-their refined value in the curve, which is no candidate for the minimum.
-So an ``IllPosedProblemError`` comes only from a column that was solved.
-The returned curve keeps its (alpha, rre) format.
+Which sweep columns are certified, and which of the others fall back to
+``tikhonov_solve``, is stated once, in ``alpha_sweep``.
 
 numpy and scipy each bundle an OpenBLAS whose workers spin after a call,
 so a factorization in one copy right after a call in the other runs about
@@ -77,21 +66,14 @@ __all__ = [
 # its per-weight fallback then meet the conditioning column by column.
 _KERNEL_TOL = 1e-12
 
-# Rows of the triangular blocks that _upper_inverse hands to np.linalg.inv
-# instead of halving further: at n = 1000 a 500-row factor is inverted in
-# about 3 ms (2 cores), against about 30 ms for that block's eigh.
+# Rows of a triangular block that _upper_inverse hands to np.linalg.inv
+# instead of halving further; with it the blocked inverse costs little
+# beside the block's eigh (timings in CHANGES.md).
 _TRIANGULAR_BLOCK = 64
 
-# An uncertified sweep column gets the per-weight solve only when its refined
-# distance to the reference, less the next refinement correction, is at most
-# this factor times the smallest distance among the certified and the
-# already solved columns.  Where the refinement converges, the correction
-# bounds how far the refined column is from the normal-equation solution;
-# where it diverges (wide grids) the correction dwarfs the distance and the
-# column is always solved.  On the table cells (tables 4-7, seeds 0-59) the
-# per-weight RRE of an uncertified column was at most 2.5% from its refined
-# RRE, and no column skipped under the factor 2 came closer than 2.2 times
-# the chosen RRE.
+# The factor of alpha_sweep's fallback rule; 2 leaves a wide margin over the
+# largest gap measured between a column's refined and per-weight errors on
+# the table cells (CHANGES.md).
 _FALLBACK_FACTOR = 2.0
 
 
@@ -302,6 +284,10 @@ class AlphaGrid:
             raise ParameterError(f"alpha_grid count must be an integer, got {self.count!r}")
         if self.count < 1:
             raise ParameterError("need count >= 1")
+        # stored as the field types, so that max=100 and max=100.0 hash alike
+        object.__setattr__(self, "max", float(self.max))
+        object.__setattr__(self, "min", float(self.min))
+        object.__setattr__(self, "count", int(self.count))
 
     @property
     def values(self) -> np.ndarray:
@@ -426,11 +412,15 @@ def alpha_sweep(p: TikhonovProblem, grid: AlphaGrid, reference: np.ndarray):
     ascending order of that score, and ``tikhonov_solve`` replaces a column
     only if it could still be the minimum: ||f - reference|| less the next
     correction must be at most ``_FALLBACK_FACTOR`` times the smallest
-    ||f - reference|| of the certified and already solved columns.  A skipped
-    column keeps its refined score in the curve; it is at least that factor
-    above the chosen one.  ``IllPosedProblemError`` comes only from a column
-    that was solved.  Each column is scored as ``metrics.rre`` defines it,
-    with the reference checked and its norm taken once for the whole grid.
+    ||f - reference|| of the certified and already solved columns.  Where
+    the refinement converges, the correction bounds how far the refined
+    column is from the normal-equation solution; where it diverges (wide
+    grids) the correction dwarfs the distance and the column is always
+    solved.  A skipped column keeps its refined score in the curve; it is
+    at least that factor above the chosen one.  ``IllPosedProblemError``
+    comes only from a column that was solved.  Each column is scored as
+    ``metrics.rre`` defines it, with the reference checked and its norm
+    taken once for the whole grid.
     """
     reference = np.asarray(reference, dtype=float)
     if reference.shape != p.data.shape or not np.all(np.isfinite(reference)):

@@ -46,9 +46,11 @@ class ExperimentReport:
     config: dict
     cells: list
     seeds: list
-    config_hash: str
     roundtrip: dict | None = None
-    format_version: str = FORMAT_VERSION
+
+    @property
+    def config_hash(self) -> str:
+        return config_hash(self.config)
 
 
 def _open_out(path):
@@ -97,7 +99,7 @@ def write_table_csv(path, report: ExperimentReport):
 
 def report_to_json(report: ExperimentReport) -> str:
     payload = {
-        "format_version": report.format_version,
+        "format_version": FORMAT_VERSION,
         "config_hash": report.config_hash,
         "config": report.config,
         "seeds": report.seeds,

@@ -18,7 +18,7 @@ from graphtik.discretization import (
     build_schrodinger_operator,
     pseudo_inverse,
 )
-from graphtik.errors import IllPosedProblemError, ParameterError
+from graphtik.errors import EvaluationError, IllPosedProblemError, ParameterError
 from graphtik.experiments import (
     ExperimentConfig,
     continuous_spectrum,
@@ -31,7 +31,7 @@ from graphtik.experiments import (
     run_table,
 )
 from graphtik.metrics import lsre, max_abs_error, msre
-from graphtik.problems import EXAMPLES, get_test_function, synthesize_data
+from graphtik.problems import EXAMPLES, get_example, get_test_function, synthesize_data
 from graphtik.regularization import AlphaGrid
 from graphtik.reporting import config_hash, report_to_json
 
@@ -106,14 +106,40 @@ def test_config_accepts_an_integer_where_a_float_is_expected():
     assert cfg.alpha_grid == AlphaGrid(max=100.0, min=1e-6, count=7)
 
 
-@pytest.mark.parametrize("field", [f.name for f in fields(ExperimentConfig) if type(f.default) is float])
-def test_config_integer_and_float_values_hash_alike(field):
+@pytest.mark.parametrize(
+    "field,as_int,as_float,raw",
+    [
+        *[
+            pytest.param(f.name, 1, 1.0, 1, id=f.name)
+            for f in fields(ExperimentConfig)
+            if type(f.default) is float
+        ],
+        pytest.param("alpha_grid", AlphaGrid(max=100), AlphaGrid(max=100.0), {"max": 100}, id="alpha_grid"),
+    ],
+)
+def test_config_integer_and_float_values_hash_alike(field, as_int, as_float, raw):
     # equal configs must write one header hash, whether a float field was
-    # given as an integer or as a float (1 is valid in every float field)
-    as_int = ExperimentConfig.from_dict({field: 1})
-    as_float = ExperimentConfig.from_dict({field: 1.0})
-    assert as_int == as_float
-    assert config_hash(as_int.to_dict()) == config_hash(as_float.to_dict())
+    # given as an integer or as a float (1 is valid in every float field),
+    # and whether the config was made by the constructor, by replace or
+    # from a dict (raw is as_int as a JSON value)
+    want = ExperimentConfig(**{field: as_float})
+    for got in (
+        ExperimentConfig(**{field: as_int}),
+        replace(ExperimentConfig(), **{field: as_int}),
+        ExperimentConfig.from_dict({field: raw}),
+    ):
+        assert got == want
+        assert hash(got) == hash(want)
+        assert config_hash(got.to_dict()) == config_hash(want.to_dict())
+
+
+def test_config_seeds_are_stored_as_a_tuple_of_ints():
+    want = ExperimentConfig(seeds=(0, 1))
+    for seeds in ([0, 1], tuple(np.arange(2))):
+        got = ExperimentConfig(seeds=seeds)
+        assert got == want
+        assert hash(got) == hash(want)
+        assert config_hash(got.to_dict()) == config_hash(want.to_dict())
 
 
 @pytest.mark.parametrize(
@@ -233,6 +259,21 @@ def test_discrete_spectrum_sorted_positive():
         assert lam.shape == (20,)
         assert np.all(lam > 0.0)
         assert np.all(np.diff(lam) <= 0.0)
+
+
+def test_forward_image_error_raises_a_failed_closed_form(monkeypatch):
+    # only a missing closed form falls back to the quadrature data; any
+    # other error of the closed-form lookup reaches the caller
+    real = experiments.synthesize_data
+
+    def failing(example, f, grid, mode):
+        if mode == "analytic":
+            raise EvaluationError("closed form is not finite")
+        return real(example, f, grid, mode)
+
+    monkeypatch.setattr(experiments, "synthesize_data", failing)
+    with pytest.raises(EvaluationError):
+        forward_image_error(2, 20, 3, "graph")
 
 
 def test_forward_image_error_small():
@@ -480,6 +521,37 @@ def test_non_finite_data_fails_only_its_seed(monkeypatch):
         assert cell["error"] == f"seed 1: {culprit} has non-finite entries"
         assert cell["seeds_used"] == 2
         assert (cell["value"], cell["alpha_median"]) == (want["value"], want["alpha_median"])
+
+
+_SMALL_CELL = ExperimentConfig(example=1, test_function=3, n=20, epsilon=0.01)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: run_table(4.9), id="run_table(4.9)"),
+        pytest.param(lambda: run_table(True), id="run_table(True)"),
+        pytest.param(lambda: emit_figure_data(1.5), id="emit_figure_data(1.5)"),
+        pytest.param(lambda: run_table(4, (0.5,)), id="run_table(4, (0.5,))"),
+        pytest.param(lambda: run_table(4, (True,)), id="run_table(4, (True,))"),
+        pytest.param(lambda: run_cell(_SMALL_CELL, 2.7), id="run_cell(cfg, 2.7)"),
+        pytest.param(lambda: get_example(1.7), id="get_example(1.7)"),
+        pytest.param(lambda: get_example("2"), id='get_example("2")'),
+        pytest.param(lambda: get_test_function(True), id="get_test_function(True)"),
+    ],
+)
+def test_ids_and_seeds_must_be_integers(call):
+    # one integer rule for every id and seed: a float, a bool or a string
+    # is refused, not truncated
+    with pytest.raises(ParameterError):
+        call()
+
+
+def test_numpy_integer_ids_and_seeds_pass():
+    assert report_to_json(run_table(np.int64(4), (np.int64(0),))) == report_to_json(run_table(4, (0,)))
+    assert get_example(np.int64(2)) is EXAMPLES[2]
+    assert get_test_function(np.int32(3)) is get_test_function(3)
+    assert run_cell(_SMALL_CELL, np.int64(2))[1] == run_cell(_SMALL_CELL, 2)[1]
 
 
 def test_run_table_validation():

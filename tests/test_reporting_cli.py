@@ -50,9 +50,7 @@ def test_write_csv_layout(tmp_path):
 
 
 def test_report_json_roundtrip():
-    rep = ExperimentReport(
-        config={"table": 4}, cells=[{"value": 1.0}], seeds=[0], config_hash="abc"
-    )
+    rep = ExperimentReport(config={"table": 4}, cells=[{"value": 1.0}], seeds=[0])
     payload = json.loads(report_to_json(rep))
     assert payload["format_version"] == FORMAT_VERSION
     assert payload["cells"] == [{"value": 1.0}]
