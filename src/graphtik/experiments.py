@@ -118,13 +118,15 @@ class ExperimentConfig:
             elif kind is str:
                 ok = isinstance(value, str)
             else:
-                continue  # seeds below; alpha_grid checks its own fields
+                continue  # seeds and alpha_grid below; AlphaGrid checks its own fields
             if not ok:
                 raise ParameterError(f"config field {f.name!r} must be {kind.__name__}, got {value!r}")
             object.__setattr__(self, f.name, kind(value))
         if not isinstance(self.seeds, (list, tuple)) or not all(_is_int(s) for s in self.seeds):
             raise ParameterError(f"config field 'seeds' must be a list of integers, got {self.seeds!r}")
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        if not isinstance(self.alpha_grid, AlphaGrid):
+            raise ParameterError(f"config field 'alpha_grid' must be an AlphaGrid, got {self.alpha_grid!r}")
         if self.example not in EXAMPLES:
             raise ParameterError(f"example must be one of {tuple(EXAMPLES)}, got {self.example!r}")
         if self.test_function not in TEST_FUNCTIONS:

@@ -163,6 +163,8 @@ def test_config_seeds_are_stored_as_a_tuple_of_ints():
         ("n", 10.0),
         ("seeds", (0.5,)),
         ("example", True),
+        ("alpha_grid", 5),
+        ("alpha_grid", {"max": 10.0}),
     ],
 )
 def test_config_validation(field, value):
