@@ -31,6 +31,7 @@ from .errors import (
     NumericalError,
     ParameterError,
     UnsupportedProblemError,
+    _is_int,
 )
 
 __all__ = [
@@ -90,8 +91,8 @@ class Grid:
     convention: str = "interior"
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ParameterError("grid needs n >= 1")
+        if not (_is_int(self.n) and self.n >= 1):
+            raise ParameterError(f"grid needs an integer n >= 1, got {self.n!r}")
         if self.convention not in ("interior", "midpoint"):
             raise ParameterError(f"unknown grid convention {self.convention!r}")
 
@@ -121,8 +122,8 @@ class DiscreteOperator:
 
 def toeplitz_stencil(n: int) -> np.ndarray:
     """First row of the long-range difference stencil, t[k] = (-1)^k 2/k^2."""
-    if n < 1:
-        raise ParameterError("stencil needs n >= 1")
+    if not (_is_int(n) and n >= 1):
+        raise ParameterError(f"stencil needs an integer n >= 1, got {n!r}")
     t = np.empty(n)
     t[0] = np.pi**2 / 3.0
     k = np.arange(1, n, dtype=float)
@@ -240,6 +241,7 @@ def build_galerkin_operator(p: ContinuousProblem, n: int) -> DiscreteOperator:
     matching column below, so the result is exactly symmetric, and the
     diagonal cells are written last.
     """
+    grid = Grid(n, "midpoint")  # checks n first
     u, v = p.factors
     gx, gw = np.polynomial.legendre.leggauss(_QUAD_POINTS)
     mids = (np.arange(n) + 0.5) / n
@@ -262,7 +264,7 @@ def build_galerkin_operator(p: ContinuousProblem, n: int) -> DiscreteOperator:
     for i in range(n - 1):  # above it h = u(x) v(y), the transpose
         K[i, i + 1:] = K[i + 1:, i]
     np.fill_diagonal(K, diag)
-    return DiscreteOperator(K, Grid(n, "midpoint"), "galerkin")
+    return DiscreteOperator(K, grid, "galerkin")
 
 
 def _is_centrosymmetric(A: np.ndarray) -> bool:
@@ -357,8 +359,8 @@ def _join_even_odd(V_even: np.ndarray, V_odd: np.ndarray) -> np.ndarray:
 
 def continuous_eigenvalues(p: ContinuousProblem, count: int) -> np.ndarray:
     """lambda_1..lambda_count from the problem's registered eigenvalue law."""
-    if count < 0:
-        raise ParameterError("count must be >= 0")
+    if not (_is_int(count) and count >= 0):
+        raise ParameterError(f"count must be an integer >= 0, got {count!r}")
     if count == 0:
         return np.empty(0)
     if p.eigenvalue_law is None:

@@ -1,9 +1,18 @@
-"""Exception hierarchy.
+"""Exception hierarchy, and the package's input rules.
 
 Two broad families matter downstream: configuration problems (bad inputs,
 unusable specs) and numerical failures (solver or quadrature breakdown).
 The CLI maps the former to exit code 1 and the latter to exit code 2.
+
+The rules for scalar inputs live here, in the one module every other module
+imports, and every public check goes through them: ``_is_int`` is the one
+integer rule (ids, seeds, sizes, counts, truncations, radii),
+``_finite_real`` the one rule for a real parameter, and ``_lookup`` the one
+lookup of an integer id in a catalogue.  Each refuses a bad input with a
+``ParameterError``.
 """
+from math import inf, isfinite
+from numbers import Integral, Real
 
 
 class GraphtikError(Exception):
@@ -52,3 +61,30 @@ class ToleranceError(NumericalFailure):
 
 class IllPosedProblemError(NumericalFailure):
     """Regularized normal equations are numerically singular."""
+
+
+def _is_int(x) -> bool:
+    """An integer (numpy's too), never a bool, a float or a string."""
+    return isinstance(x, Integral) and not isinstance(x, bool)
+
+
+def _finite_real(name: str, value) -> float:
+    """value as a float, for a real number (an integer too, never a bool)
+    that is finite as a float; an integer too large for a float is not."""
+    if not isinstance(value, Real) or isinstance(value, bool):
+        raise ParameterError(f"{name} must be a real number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        x = inf
+    if not isfinite(x):
+        raise ParameterError(f"{name} must be finite, got {value!r}")
+    return x
+
+
+def _lookup(catalogue: dict, kind: str, key):
+    """(key, entry) for an integer key of the catalogue, with the key as a
+    Python int, so that a numpy integer id is written as a JSON number."""
+    if not (_is_int(key) and key in catalogue):
+        raise ParameterError(f"{kind} id must be one of {sorted(catalogue)}, got {key!r}")
+    return int(key), catalogue[key]

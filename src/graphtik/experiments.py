@@ -29,8 +29,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import lru_cache
-from math import ceil, isfinite, sqrt
-from numbers import Real
+from math import ceil, sqrt
 
 import numpy as np
 
@@ -45,7 +44,7 @@ from .discretization import (
     continuous_eigenvalues,
     pseudo_inverse,
 )
-from .errors import GraphtikError, ParameterError, UnsupportedProblemError
+from .errors import GraphtikError, ParameterError, UnsupportedProblemError, _finite_real, _is_int, _lookup
 from .metrics import lsre, max_abs_error, msre, rre
 from .penalty import (
     SimilarityParams,
@@ -58,7 +57,6 @@ from .problems import (
     EXAMPLES,
     TEST_FUNCTIONS,
     NoiseModel,
-    _is_int,
     add_noise,
     get_example,
     get_test_function,
@@ -105,36 +103,34 @@ class ExperimentConfig:
         """Check every field's type, then its range, so that every config,
         including one made by ``dataclasses.replace``, is valid.
 
-        A scalar must have its default's type (an int is accepted where a
-        float is expected, a bool never), and the seeds must be integers.
-        Each checked scalar is stored as its default's type and the seeds as
-        a tuple of ints, so equal configs hash alike however they are made."""
+        A scalar must have its default's type, by the rules of ``errors``:
+        an int field takes an integer, a float field a real number that is
+        finite as a float (an integer too, a bool never).  The seeds must be
+        integers.  Each checked scalar is stored as its default's type and
+        the seeds as a tuple of ints, so equal configs hash alike however
+        they are made."""
         for f in fields(self):
             value, kind = getattr(self, f.name), type(f.default)
-            if kind is int:
-                ok = _is_int(value)
-            elif kind is float:
-                ok = isinstance(value, Real) and not isinstance(value, bool)
-            elif kind is str:
-                ok = isinstance(value, str)
+            if kind is float:
+                value = _finite_real(f"config field {f.name!r}", value)
+            elif kind in (int, str):
+                if not (_is_int(value) if kind is int else isinstance(value, str)):
+                    raise ParameterError(f"config field {f.name!r} must be {kind.__name__}, got {value!r}")
+                value = kind(value)
             else:
                 continue  # seeds and alpha_grid below; AlphaGrid checks its own fields
-            if not ok:
-                raise ParameterError(f"config field {f.name!r} must be {kind.__name__}, got {value!r}")
-            object.__setattr__(self, f.name, kind(value))
+            object.__setattr__(self, f.name, value)
         if not isinstance(self.seeds, (list, tuple)) or not all(_is_int(s) for s in self.seeds):
             raise ParameterError(f"config field 'seeds' must be a list of integers, got {self.seeds!r}")
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         if not isinstance(self.alpha_grid, AlphaGrid):
             raise ParameterError(f"config field 'alpha_grid' must be an AlphaGrid, got {self.alpha_grid!r}")
-        if self.example not in EXAMPLES:
-            raise ParameterError(f"example must be one of {tuple(EXAMPLES)}, got {self.example!r}")
-        if self.test_function not in TEST_FUNCTIONS:
-            raise ParameterError(f"test function must be one of {tuple(TEST_FUNCTIONS)}, got {self.test_function!r}")
+        _lookup(EXAMPLES, "example", self.example)
+        _lookup(TEST_FUNCTIONS, "test function", self.test_function)
         if self.n < 2:
             raise ParameterError("n must be >= 2")
-        if not (isfinite(self.epsilon) and self.epsilon >= 0.0):
-            raise ParameterError(f"epsilon must be finite and >= 0, got {self.epsilon!r}")
+        if self.epsilon < 0.0:
+            raise ParameterError(f"epsilon must be >= 0, got {self.epsilon!r}")
         if len(self.seeds) == 0:
             raise ParameterError("need at least one seed")
         if self.method not in _METHODS:
@@ -143,8 +139,8 @@ class ExperimentConfig:
             raise ParameterError(f"penalty must be one of {PENALTY_NAMES}, got {self.penalty!r}")
         if not (0.0 < self.r_fraction <= 1.0):
             raise ParameterError("r_fraction must be in (0, 1]")
-        if not (isfinite(self.sigma) and self.sigma > 0.0):
-            raise ParameterError(f"sigma must be finite and positive, got {self.sigma!r}")
+        if self.sigma <= 0.0:
+            raise ParameterError(f"sigma must be positive, got {self.sigma!r}")
         if self.data_mode not in ("quadrature", "analytic"):
             raise ParameterError(f"unknown data mode {self.data_mode!r}")
 
@@ -390,14 +386,6 @@ FIGURES = {
     2: Spec(replace(_EX1_NOISY, test_function=1), "restoration", penalties=_NOISY_PENALTIES),
     3: Spec(replace(_EX2_NOISY, test_function=1), "restoration", penalties=_NOISY_PENALTIES),
 }
-
-
-def _lookup(catalogue: dict, kind: str, item_id) -> tuple[int, Spec]:
-    """(id, entry) for an integer id of the catalogue, with the id as a
-    Python int, so that a numpy integer id is written as a JSON number."""
-    if not (_is_int(item_id) and item_id in catalogue):
-        raise ParameterError(f"{kind} id must be one of {sorted(catalogue)}, got {item_id!r}")
-    return int(item_id), catalogue[item_id]
 
 
 # ------------------------------------------------------------------ tables

@@ -16,12 +16,11 @@ builds T independently, entry by entry, so that the two can be compared.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Callable
 
 import numpy as np
 
-from .errors import InsufficientSpecificationError, ParameterError
+from .errors import InsufficientSpecificationError, ParameterError, _is_int
 
 __all__ = [
     "DirichletSubsetSpec",
@@ -47,7 +46,7 @@ class DirichletSubsetSpec:
         idx = self.interior_indices
         if len(idx) == 0:
             raise ParameterError("empty interior subset")
-        if not all(isinstance(i, Integral) and not isinstance(i, bool) for i in idx):
+        if not all(_is_int(i) for i in idx):
             raise ParameterError(f"interior labels must be integers, got {idx!r}")
         if len(set(idx)) != len(idx):
             raise ParameterError(f"interior labels must be distinct, got {idx!r}")
@@ -55,8 +54,8 @@ class DirichletSubsetSpec:
 
 def line_interior(n: int) -> DirichletSubsetSpec:
     """The subset {1, ..., n} of the integer line."""
-    if n < 1:
-        raise ParameterError("n must be >= 1")
+    if not (_is_int(n) and n >= 1):
+        raise ParameterError(f"n must be an integer >= 1, got {n!r}")
     return DirichletSubsetSpec(tuple(range(1, n + 1)))
 
 
@@ -104,8 +103,8 @@ def m_path_dirichlet_laplacian(spec: DirichletSubsetSpec, m: int) -> np.ndarray:
     (inside ones from the difference part, outside ones as the Dirichlet
     boundary potential).
     """
-    if m < 1:
-        raise ParameterError("m must be a positive integer")
+    if not (_is_int(m) and m >= 1):
+        raise ParameterError(f"m must be a positive integer, got {m!r}")
     idx = np.asarray(spec.interior_indices)
     # every integer has exactly two nodes at distance m, so diag is 2
     gap = np.abs(idx[:, None] - idx[None, :])
@@ -148,9 +147,9 @@ def transformed_path_laplacian(
         np.fill_diagonal(A, 2.0 * t.tail_rule(0))
         return A
 
+    if not (_is_int(truncation) and truncation >= 1):
+        raise ParameterError(f"truncation must be an integer >= 1 or 'analytic', got {truncation!r}")
     M = int(truncation)
-    if M < 1:
-        raise ParameterError("truncation must be >= 1 or 'analytic'")
     A = _line_gap_matrix(idx, t.phi, M)
     diag = 2.0 * sum(t.phi(m) for m in range(1, M + 1))
     if t.tail_rule is not None:

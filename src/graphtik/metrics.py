@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, _is_int
 
 __all__ = [
     "lsre",
@@ -21,7 +21,7 @@ def lsre(discrete_eigs, continuous_eigs, m: int) -> float:
     """
     d = np.asarray(discrete_eigs, dtype=float)
     c = np.asarray(continuous_eigs, dtype=float)
-    if not (1 <= m <= d.size and m <= c.size):
+    if not (_is_int(m) and 1 <= m <= d.size and m <= c.size):
         raise ParameterError(f"index m={m} out of range")
     if c[m - 1] == 0.0:
         raise ParameterError("continuous eigenvalue is zero")

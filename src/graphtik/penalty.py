@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretization import DiscreteOperator, Grid, symmetric_toeplitz
-from .errors import DegenerateAnchorError, ParameterError
+from .errors import DegenerateAnchorError, ParameterError, _finite_real, _is_int
 
 __all__ = [
     "SimilarityParams",
@@ -28,22 +28,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SimilarityParams:
-    """Neighborhood radius r (in lattice steps) and Gaussian width sigma."""
+    """Neighborhood radius r (in lattice steps) and Gaussian width sigma.
+
+    r must be an integer >= 1, and at most the data length, which
+    ``similarity_weights`` checks; sigma a finite positive real."""
 
     r: int
     sigma: float
 
-    def validate(self, n: int) -> None:
-        if not (1 <= self.r <= n):
-            raise ParameterError(f"radius r={self.r} outside 1..{n}")
-        if not (self.sigma > 0.0):
-            raise ParameterError("sigma must be positive")
+    def __post_init__(self):
+        if not (_is_int(self.r) and self.r >= 1):
+            raise ParameterError(f"radius r must be an integer >= 1, got {self.r!r}")
+        if _finite_real("sigma", self.sigma) <= 0.0:
+            raise ParameterError(f"sigma must be positive, got {self.sigma!r}")
 
 
 def dirichlet_penalty(n: int) -> DiscreteOperator:
     """tridiag(-1, 2, -1)."""
-    if n < 2:
-        raise ParameterError("n must be >= 2")
+    if not (_is_int(n) and n >= 2):
+        raise ParameterError(f"n must be an integer >= 2, got {n!r}")
     t = np.zeros(n)
     t[0], t[1] = 2.0, -1.0
     return DiscreteOperator(symmetric_toeplitz(t), Grid(n, "interior"), "penalty")
@@ -62,7 +65,8 @@ def similarity_weights(g_eps: np.ndarray, p: SimilarityParams) -> np.ndarray:
     """W_ij = exp(-(g_i - g_j)^2 / sigma^2) for 0 < |i - j| <= r, else 0."""
     g = np.asarray(g_eps, dtype=float)
     n = g.size
-    p.validate(n)
+    if p.r > n:
+        raise ParameterError(f"radius r={p.r} outside 1..{n}")
     i = np.arange(n)
     band = np.abs(i[:, None] - i[None, :]) <= p.r
     W = np.where(band, np.exp(-np.subtract.outer(g, g) ** 2 / p.sigma**2), 0.0)

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Callable
 
 import numpy as np
 
 from .discretization import ContinuousProblem, Grid
-from .errors import ParameterError, ToleranceError, UnsupportedProblemError
+from .errors import ParameterError, ToleranceError, UnsupportedProblemError, _finite_real, _is_int, _lookup
 
 __all__ = [
     "TestFunction",
@@ -33,12 +32,6 @@ __all__ = [
 ]
 
 _QUAD_TOL = 1e-12
-
-
-def _is_int(x) -> bool:
-    """The package's one integer rule for ids and seeds: an integer (numpy's
-    too), never a bool, a float or a string."""
-    return isinstance(x, Integral) and not isinstance(x, bool)
 
 
 def _f1(x):
@@ -103,9 +96,7 @@ TEST_FUNCTIONS = {
 
 
 def get_test_function(fid: int) -> TestFunction:
-    if not (_is_int(fid) and fid in TEST_FUNCTIONS):
-        raise ParameterError(f"unknown test function id {fid!r}")
-    return TEST_FUNCTIONS[fid]
+    return _lookup(TEST_FUNCTIONS, "test function", fid)[1]
 
 
 _FACTORS_EXAMPLE1 = (lambda t: t, lambda t: t - 1.0)
@@ -182,9 +173,7 @@ EXAMPLES = {
 
 
 def get_example(example_id: int) -> ExampleProblem:
-    if not (_is_int(example_id) and example_id in EXAMPLES):
-        raise ParameterError(f"unknown example id {example_id!r}")
-    return EXAMPLES[example_id]
+    return _lookup(EXAMPLES, "example", example_id)[1]
 
 
 def synthesize_data(
@@ -258,8 +247,8 @@ class NoiseModel:
     seed: int
 
     def __post_init__(self):
-        if not (np.isfinite(self.epsilon) and self.epsilon >= 0.0):
-            raise ParameterError(f"epsilon must be finite and >= 0, got {self.epsilon!r}")
+        if _finite_real("epsilon", self.epsilon) < 0.0:
+            raise ParameterError(f"epsilon must be >= 0, got {self.epsilon!r}")
         if not _is_int(self.seed):
             raise ParameterError(f"noise seed must be an integer, got {self.seed!r}")
 

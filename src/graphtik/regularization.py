@@ -39,12 +39,11 @@ twice as slow.  Every O(n^3) call here is therefore numpy's (R^-1 is
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from numbers import Integral, Real
 
 import numpy as np
 
 from .discretization import DiscreteOperator, _even_odd_blocks, _join_even_odd
-from .errors import ContractViolationError, IllPosedProblemError, ParameterError
+from .errors import ContractViolationError, IllPosedProblemError, ParameterError, _finite_real, _is_int
 
 __all__ = [
     "TikhonovPencil",
@@ -75,6 +74,17 @@ _TRIANGULAR_BLOCK = 64
 # largest gap measured between a column's refined and per-weight errors on
 # the table cells (CHANGES.md).
 _FALLBACK_FACTOR = 2.0
+
+
+def _finite(name: str, x, shape: tuple | None = None) -> np.ndarray:
+    """x as a float array with finite entries, and of the given shape if
+    one is given: the check every operator and data vector passes."""
+    x = np.asarray(x, dtype=float)
+    if shape is not None and x.shape != shape:
+        raise ParameterError(f"{name} length does not match: shape {x.shape}, want {shape}")
+    if not np.all(np.isfinite(x)):
+        raise ParameterError(f"{name} has non-finite entries")
+    return x
 
 
 def _pencil_basis(KtK: np.ndarray, AtA: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -221,12 +231,8 @@ class TikhonovPencil:
             raise ParameterError(
                 "forward and penalty operators live on different grids"
             )
-        K = np.asarray(self.forward.matrix, dtype=float)
-        A = np.asarray(self.penalty.matrix, dtype=float)
-        for name, x in (("forward operator", K), ("penalty operator", A)):
-            if not np.all(np.isfinite(x)):
-                raise ParameterError(f"{name} has non-finite entries")
-        self._K, self._A = K, A
+        self._K = K = _finite("forward operator", self.forward.matrix)
+        self._A = A = _finite("penalty operator", self.penalty.matrix)
         self._KtK = KtK = K.T @ K
         self._AtA = AtA = _gram(A)
         # v_i'A'Av_i = mu_i and v_i'K'Kv_i = 1 - mu_i
@@ -252,11 +258,7 @@ class TikhonovProblem:
     pencil: TikhonovPencil | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=float)
-        if self.data.shape != (self.forward.grid.n,):
-            raise ParameterError("data length does not match the grid")
-        if not np.all(np.isfinite(self.data)):
-            raise ParameterError("data has non-finite entries")
+        self.data = _finite("data", self.data, (self.forward.grid.n,))
         if self.pencil is None:
             self.pencil = TikhonovPencil(self.forward, self.penalty)
         elif self.pencil.forward is not self.forward or self.pencil.penalty is not self.penalty:
@@ -273,20 +275,15 @@ class AlphaGrid:
     count: int = 50
 
     def __post_init__(self):
-        for name, value in (("max", self.max), ("min", self.min)):
-            if not isinstance(value, Real) or isinstance(value, bool):
-                raise ParameterError(f"alpha_grid {name} must be a real number, got {value!r}")
-            if not np.isfinite(value):
-                raise ParameterError(f"alpha_grid {name} must be finite, got {value!r}")
+        # stored as the field types, so that max=100 and max=100.0 hash alike
+        for name in ("max", "min"):
+            object.__setattr__(self, name, _finite_real(f"alpha_grid {name}", getattr(self, name)))
         if not (self.max > self.min > 0.0):
             raise ParameterError("need max > min > 0")
-        if not isinstance(self.count, Integral) or isinstance(self.count, bool):
+        if not _is_int(self.count):
             raise ParameterError(f"alpha_grid count must be an integer, got {self.count!r}")
         if self.count < 1:
             raise ParameterError("need count >= 1")
-        # stored as the field types, so that max=100 and max=100.0 hash alike
-        object.__setattr__(self, "max", float(self.max))
-        object.__setattr__(self, "min", float(self.min))
         object.__setattr__(self, "count", int(self.count))
 
     @property
@@ -367,7 +364,7 @@ def _solution(p: TikhonovProblem, f: np.ndarray, alpha: float, rre: float | None
 
 def tikhonov_solve(p: TikhonovProblem, alpha: float) -> RegularizedSolution:
     """Minimizer of ||K f - g||^2 + alpha ||A f||^2, alpha the direct weight."""
-    if not (alpha > 0.0):
+    if _finite_real("alpha", alpha) <= 0.0:
         raise ParameterError("alpha must be positive")
     return _solution(p, _solve_normal_equations(p, alpha), alpha)
 
@@ -380,14 +377,10 @@ def filter_solution(svd, g: np.ndarray, alpha: float) -> np.ndarray:
     The data must be a finite vector with one entry per row of U, as
     ``TikhonovProblem`` requires of its data.
     """
-    if not (alpha > 0.0):
+    if _finite_real("alpha", alpha) <= 0.0:
         raise ParameterError("alpha must be positive")
     U, s, Vt = svd
-    g = np.asarray(g, dtype=float)
-    if g.shape != (U.shape[0],):
-        raise ParameterError("data length does not match the operator")
-    if not np.all(np.isfinite(g)):
-        raise ParameterError("data has non-finite entries")
+    g = _finite("data", g, (U.shape[0],))
     coef = s / (s**2 + alpha) * (U.T @ g)
     return Vt.T @ coef
 
@@ -422,9 +415,7 @@ def alpha_sweep(p: TikhonovProblem, grid: AlphaGrid, reference: np.ndarray):
     ``metrics.rre`` defines it, with the reference checked and its norm
     taken once for the whole grid.
     """
-    reference = np.asarray(reference, dtype=float)
-    if reference.shape != p.data.shape or not np.all(np.isfinite(reference)):
-        raise ParameterError("reference must be a finite vector on the grid")
+    reference = _finite("reference", reference, p.data.shape)
     norm_ref = np.linalg.norm(reference)
     if norm_ref == 0.0:
         raise ParameterError("reference vector is zero")

@@ -15,8 +15,11 @@ from graphtik.discretization import (
     Grid,
     _even_odd_blocks,
     _even_odd_solve,
+    build_galerkin_operator,
     build_schrodinger_operator,
+    continuous_eigenvalues,
     pseudo_inverse,
+    toeplitz_stencil,
 )
 from graphtik.errors import EvaluationError, IllPosedProblemError, ParameterError
 from graphtik.experiments import (
@@ -31,6 +34,7 @@ from graphtik.experiments import (
     run_table,
 )
 from graphtik.metrics import lsre, max_abs_error, msre
+from graphtik.penalty import SimilarityParams, dirichlet_penalty
 from graphtik.problems import EXAMPLES, get_example, get_test_function, synthesize_data
 from graphtik.regularization import AlphaGrid
 from graphtik.reporting import config_hash, report_to_json
@@ -165,6 +169,9 @@ def test_config_seeds_are_stored_as_a_tuple_of_ints():
         ("example", True),
         ("alpha_grid", 5),
         ("alpha_grid", {"max": 10.0}),
+        # finite as an integer, but not as a float
+        pytest.param("epsilon", 10**400, id="epsilon-10**400"),
+        pytest.param("sigma", 10**400, id="sigma-10**400"),
     ],
 )
 def test_config_validation(field, value):
@@ -540,11 +547,20 @@ _SMALL_CELL = ExperimentConfig(example=1, test_function=3, n=20, epsilon=0.01)
         pytest.param(lambda: get_example(1.7), id="get_example(1.7)"),
         pytest.param(lambda: get_example("2"), id='get_example("2")'),
         pytest.param(lambda: get_test_function(True), id="get_test_function(True)"),
+        pytest.param(lambda: Grid(2.5), id="Grid(2.5)"),
+        pytest.param(lambda: Grid(True), id="Grid(True)"),
+        pytest.param(lambda: continuous_eigenvalues(EXAMPLES[2].problem, 2.5), id="continuous_eigenvalues(p, 2.5)"),
+        pytest.param(lambda: SimilarityParams(r=2.5, sigma=0.01), id="SimilarityParams(r=2.5)"),
+        pytest.param(lambda: SimilarityParams(r=True, sigma=0.01), id="SimilarityParams(r=True)"),
+        pytest.param(lambda: toeplitz_stencil(2.5), id="toeplitz_stencil(2.5)"),
+        pytest.param(lambda: dirichlet_penalty(4.0), id="dirichlet_penalty(4.0)"),
+        pytest.param(lambda: build_galerkin_operator(EXAMPLES[2].problem, 2.5), id="build_galerkin_operator(p, 2.5)"),
+        pytest.param(lambda: lsre(np.ones(3), np.ones(3), 1.5), id="lsre(d, c, 1.5)"),
     ],
 )
 def test_ids_and_seeds_must_be_integers(call):
-    # one integer rule for every id and seed: a float, a bool or a string
-    # is refused, not truncated
+    # one integer rule for every id, seed, size, count and index: a float, a
+    # bool or a string is refused, not truncated
     with pytest.raises(ParameterError):
         call()
 

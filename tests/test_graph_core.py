@@ -44,15 +44,18 @@ def test_m_path_line_beyond_largest_gap():
 
 
 def test_m_path_rejects_bad_m():
-    with pytest.raises(ParameterError):
-        m_path_dirichlet_laplacian(line_interior(3), 0)
+    # a fractional m is refused, not read as its integer part
+    for m in (0, 1.5, True):
+        with pytest.raises(ParameterError):
+            m_path_dirichlet_laplacian(line_interior(3), m)
 
 
 def test_subset_spec_rejects_empty_and_improper():
     with pytest.raises(ParameterError):
         DirichletSubsetSpec(())
-    with pytest.raises(ParameterError):
-        line_interior(0)
+    for n in (0, 2.5, True):
+        with pytest.raises(ParameterError):
+            line_interior(n)
 
 
 @pytest.mark.parametrize("idx", [(1, 1, 2), (1, 1.5), (1, 2.5), (True, 2)])
@@ -145,9 +148,11 @@ def test_analytic_needs_line_and_tail_rule():
 
 
 def test_transform_rejects_bad_truncation():
+    # 2.7 and True are refused, not truncated to 2 and 1
     t = alternating_inverse_square_transform()
-    with pytest.raises(ParameterError):
-        transformed_path_laplacian(line_interior(3), t, 0)
+    for truncation in (0, 2.7, True, "exact"):
+        with pytest.raises(ParameterError):
+            transformed_path_laplacian(line_interior(3), t, truncation)
 
 
 def test_summability_guard():

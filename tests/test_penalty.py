@@ -100,6 +100,10 @@ def test_similarity_params_validation():
         similarity_weights(np.zeros(4), SimilarityParams(r=5, sigma=1.0))
     with pytest.raises(ParameterError):
         similarity_weights(np.zeros(4), SimilarityParams(r=1, sigma=0.0))
+    # refused when made: an infinite width would make every weight 1
+    for sigma in (float("inf"), float("nan"), 10**400, "0.1", True):
+        with pytest.raises(ParameterError, match="sigma"):
+            SimilarityParams(r=1, sigma=sigma)
 
 
 def test_data_graph_constant_equals_neumann():

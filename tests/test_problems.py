@@ -324,7 +324,7 @@ def test_noise_zero_epsilon_copies():
     ge = add_noise(g, NoiseModel(0.0, seed=1))
     np.testing.assert_array_equal(ge, g)
     assert ge is not g
-    for eps in (-0.1, float("nan"), float("inf")):
+    for eps in (-0.1, float("nan"), float("inf"), 10**400, "0.1"):
         with pytest.raises(ParameterError, match="epsilon"):
             NoiseModel(eps, seed=0)
 

@@ -114,8 +114,11 @@ def test_construction_validation():
         TikhonovProblem(_op(np.eye(2)), _op(np.eye(2), Grid(2, "midpoint")), np.ones(2))
     with pytest.raises(ParameterError):
         _problem(np.eye(2), np.eye(2), np.ones(3))
-    with pytest.raises(ParameterError):
-        tikhonov_solve(_problem(np.eye(2), np.eye(2), np.ones(2)), 0.0)
+    # alpha is a finite positive real: inf reached LAPACK and raised its
+    # LinAlgError, 10**400 an OverflowError and "1" a TypeError
+    for alpha in (0.0, float("inf"), float("nan"), 10**400, "1"):
+        with pytest.raises(ParameterError):
+            tikhonov_solve(_problem(np.eye(2), np.eye(2), np.ones(2)), alpha)
 
 
 def test_filter_equals_identity_penalty_solve():
@@ -144,8 +147,9 @@ def test_filter_small_alpha_limit():
     g = rng.standard_normal(5)
     f = filter_solution(np.linalg.svd(K), g, 1e-13)
     np.testing.assert_allclose(f, np.linalg.solve(K, g), rtol=1e-9)
-    with pytest.raises(ParameterError):
-        filter_solution(np.linalg.svd(K), g, -1.0)
+    for alpha in (-1.0, float("inf"), 10**400, "1"):
+        with pytest.raises(ParameterError):
+            filter_solution(np.linalg.svd(K), g, alpha)
 
 
 @pytest.mark.parametrize(
@@ -181,7 +185,7 @@ def test_alpha_grid_validation():
     with pytest.raises(ParameterError):
         AlphaGrid(count=0)
     for name in ("max", "min"):
-        for value in (float("inf"), float("nan")):
+        for value in (float("inf"), float("nan"), 10**400):
             with pytest.raises(ParameterError, match=f"alpha_grid {name} must be finite"):
                 AlphaGrid(**{name: value})
         # a mistyped bound is a configuration error, not numpy's TypeError

@@ -187,6 +187,32 @@ def _bench_runs(workload, values):
     ]
 
 
+def test_code_lines_counts_code_only(tmp_path, capsys):
+    # blank lines, comments and the module, class and function docstrings
+    # are not code; a string that is not a docstring, and each line of a
+    # statement that spans lines, are
+    source = (
+        '"""Module\ndocstring."""\n'
+        "# a comment\n"
+        "\n"
+        "class C:\n"
+        '    """Class docstring."""\n'
+        "\n"
+        "    def f(self, x):\n"
+        '        """Function\n        docstring."""\n'
+        "        y = (x +  # trailing comment\n"
+        "             1)\n"
+        '        "not a docstring"\n'
+        "        return y\n"
+    )
+    script = _script("code_lines")
+    assert script.code_lines(source) == 6
+    (tmp_path / "a.py").write_text(source)
+    (tmp_path / "b.py").write_text("x = 1\n")
+    assert script.main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out.split() == ["6", "a.py", "1", "b.py", "7", "total"]
+
+
 def test_bench_pairs_states_gain_and_regression():
     script = _script("bench_pairs")
     better = {"cells_per_s": "higher", "peak_rss_mb": "lower"}
@@ -328,11 +354,17 @@ def test_cli_exit_code_mistyped_config(tmp_path, capsys, raw):
 
 @pytest.mark.parametrize(
     "raw,field",
-    [('{"epsilon": NaN}', "epsilon"), ('{"alpha_grid": {"max": Infinity}}', "alpha_grid max")],
-    ids=["nan-epsilon", "infinite-alpha-max"],
+    [
+        ('{"epsilon": NaN}', "epsilon"),
+        ('{"alpha_grid": {"max": Infinity}}', "alpha_grid max"),
+        ('{"epsilon": 1%s}' % ("0" * 400), "epsilon"),
+        ('{"alpha_grid": {"max": 1%s}}' % ("0" * 400), "alpha_grid max"),
+    ],
+    ids=["nan-epsilon", "infinite-alpha-max", "overflowing-epsilon", "overflowing-alpha-max"],
 )
 def test_cli_exit_code_nonfinite_config(tmp_path, capsys, raw, field):
-    # the error names the config field, not the data it would have spoiled
+    # the error names the config field, not the data it would have spoiled;
+    # an integer too large for a float is not finite either
     cfg = tmp_path / "cfg.json"
     cfg.write_text(raw)
     assert cli.main(["deblur", "--config", str(cfg)]) == 1
