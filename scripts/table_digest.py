@@ -22,6 +22,14 @@ Each is run in-process through ``graphtik.cli.main`` with stdout and stderr
 captured, and its line hashes the exit code, stdout and stderr, so two
 checkouts agree on it exactly when the command prints the same bytes and
 exits with the same code.
+
+The last 8 lines cover ``run_cell`` at n = 1000, where the sweep's
+fallback solve runs most: example 2, test function 3, epsilon 0.02, one
+line per method (graph, galerkin) and penalty (identity, a1, a2, a3), the
+configs of the deblur-n1000 benchmark workload.  Each hashes the chosen
+alpha, the RRE and the solution bytes at noise seeds 0 and 1 (``--seeds``
+does not change them), so two checkouts agree on it exactly when both
+seeds' solutions have the same bits.
 """
 import argparse
 import contextlib
@@ -32,7 +40,7 @@ import shlex
 import sys
 
 from graphtik import cli
-from graphtik.experiments import FIGURES, TABLES, emit_figure_data, run_table
+from graphtik.experiments import FIGURES, TABLES, ExperimentConfig, emit_figure_data, run_cell, run_table
 from graphtik.reporting import report_to_json
 
 CLI_RUNS = (
@@ -48,6 +56,13 @@ CLI_RUNS = (
     "deblur --n 1",  # exit 1
     "deblur --method x",  # exit 1
 )
+
+N1000_CONFIGS = tuple(
+    ExperimentConfig(example=2, test_function=3, n=1000, epsilon=0.02, method=method, penalty=penalty)
+    for method in ("graph", "galerkin")
+    for penalty in ("identity", "a1", "a2", "a3")
+)
+N1000_SEEDS = (0, 1)
 
 
 def _sha(data: bytes) -> str:
@@ -76,6 +91,12 @@ def main(argv=None) -> int:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(shlex.split(command))
         print(f"cli {command}: {_sha(json.dumps([code, out.getvalue(), err.getvalue()]).encode())}")
+    for config in N1000_CONFIGS:
+        pencils, data = {}, b""
+        for seed in N1000_SEEDS:
+            sol, err = run_cell(config, seed, pencils)
+            data += json.dumps([sol.alpha, err]).encode() + sol.solution.tobytes()
+        print(f"deblur n1000 {config.method} {config.penalty}: {_sha(data)}")
     return 0
 
 

@@ -18,7 +18,7 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from .discretization import Grid
-from .errors import ConfigurationError, NumericalFailure
+from .errors import ConfigurationError, NumericalFailure, ParameterError
 from .experiments import (
     FIGURES,
     TABLES,
@@ -109,11 +109,18 @@ def _cmd_deblur(args) -> int:
 
 
 def parse_seeds(text: str | None) -> tuple:
-    """A --seeds value ("0,1,2") as integers; None is seeds 0..19."""
+    """A --seeds value ("0,1,2") as integers; None is seeds 0..19.  An item
+    that is not an integer is a ParameterError naming it."""
     if text is None:
         return tuple(range(20))
+    seeds = []
     # "" is an empty list, which run_table rejects like a repeated seed
-    return tuple(int(s) for s in text.split(",")) if text else ()
+    for item in text.split(",") if text else ():
+        try:
+            seeds.append(int(item))
+        except ValueError:
+            raise ParameterError(f"--seeds item {item!r} is not an integer") from None
+    return tuple(seeds)
 
 
 def _cmd_table(args) -> int:

@@ -106,9 +106,9 @@ class ExperimentConfig:
         A scalar must have its default's type, by the rules of ``errors``:
         an int field takes an integer, a float field a real number that is
         finite as a float (an integer too, a bool never).  The seeds must be
-        integers.  Each checked scalar is stored as its default's type and
-        the seeds as a tuple of ints, so equal configs hash alike however
-        they are made."""
+        integers >= 0, as numpy's generator takes them.  Each checked scalar
+        is stored as its default's type and the seeds as a tuple of ints, so
+        equal configs hash alike however they are made."""
         for f in fields(self):
             value, kind = getattr(self, f.name), type(f.default)
             if kind is float:
@@ -120,8 +120,8 @@ class ExperimentConfig:
             else:
                 continue  # seeds and alpha_grid below; AlphaGrid checks its own fields
             object.__setattr__(self, f.name, value)
-        if not isinstance(self.seeds, (list, tuple)) or not all(_is_int(s) for s in self.seeds):
-            raise ParameterError(f"config field 'seeds' must be a list of integers, got {self.seeds!r}")
+        if not isinstance(self.seeds, (list, tuple)) or not all(_is_int(s) and s >= 0 for s in self.seeds):
+            raise ParameterError(f"config field 'seeds' must be a list of integers >= 0, got {self.seeds!r}")
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         if not isinstance(self.alpha_grid, AlphaGrid):
             raise ParameterError(f"config field 'alpha_grid' must be an AlphaGrid, got {self.alpha_grid!r}")
@@ -475,9 +475,10 @@ def _roundtrip_check(sample: dict | None) -> dict | None:
 
 def run_table(table_id: int, seeds=tuple(range(20))) -> ExperimentReport:
     """Reproduce one table of ``TABLES``; noisy cells are seed medians.
-    The seeds pass the config's own check, and none may repeat."""
+    The seeds, any iterable of them, pass the config's own check, and none
+    may repeat."""
     table_id, table = _lookup(TABLES, "table", table_id)
-    seeds = replace(table.template, seeds=tuple(seeds)).seeds
+    seeds = replace(table.template, seeds=tuple(seeds) if np.iterable(seeds) else seeds).seeds
     if len(set(seeds)) != len(seeds):
         raise ParameterError(f"seeds must not repeat, got {list(seeds)}")
     sample = None

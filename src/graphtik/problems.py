@@ -249,8 +249,8 @@ class NoiseModel:
     def __post_init__(self):
         if _finite_real("epsilon", self.epsilon) < 0.0:
             raise ParameterError(f"epsilon must be >= 0, got {self.epsilon!r}")
-        if not _is_int(self.seed):
-            raise ParameterError(f"noise seed must be an integer, got {self.seed!r}")
+        if not (_is_int(self.seed) and self.seed >= 0):
+            raise ParameterError(f"noise seed must be an integer >= 0, got {self.seed!r}")
 
 
 def add_noise(g_n: np.ndarray, m: NoiseModel) -> np.ndarray:

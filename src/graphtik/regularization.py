@@ -216,7 +216,7 @@ class TikhonovPencil:
     blocks of the averages (X + JXJ)/2, within the 1e-10 centrosymmetry
     test of the true ones; the sweep certifies and falls back against the
     unsplit K'K and A'A.  The pencil also keeps the three Frobenius
-    products that give ||K'K + w A'A||_F.
+    products that give ||K'K + w A'A||_F (``_frobenius_norm``).
 
     Every ``TikhonovProblem`` on the same (K, A) can share one pencil.  At
     n = 1000 it holds about 24 MB (K'K, A'A and V), so callers keep it only
@@ -295,10 +295,13 @@ class AlphaGrid:
 
 @dataclass
 class RegularizedSolution:
+    """A Tikhonov solution f, the parameter alpha it was solved at, and,
+    from ``alpha_sweep``, its RRE against the sweep's reference (None from
+    ``tikhonov_solve``).  ``alpha`` is the grid value from the sweep and
+    the direct weight from ``tikhonov_solve``."""
+
     solution: np.ndarray
     alpha: float
-    residual_norm: float  # ||K f - g||
-    penalty_norm: float  # ||A f||
     rre: float | None = None
 
 
@@ -309,10 +312,20 @@ def _optimal(gap, norm_Ktg, norm_M, norm_f):
     backward-error floor eps*||M||*||f|| below which no float64 solve can
     push the computed residual (the weight grid spans 18 decades, so
     cond(M) routinely exceeds 1e10 at the edges).  Works elementwise on
-    arrays of columns.
+    arrays of columns.  Both callers, ``_solve_normal_equations`` and
+    ``alpha_sweep``, take ||M||_F = ||K'K + w A'A||_F from the pencil's
+    closed form, ``_frobenius_norm``.
     """
     eps = np.finfo(float).eps
     return gap <= 1e-8 * norm_Ktg + 128.0 * eps * norm_M * norm_f
+
+
+def _frobenius_norm(pen: TikhonovPencil, weight):
+    """||K'K + w A'A||_F for a weight w, or elementwise for an array of
+    them: sqrt(kk_f + 2 w ka_f + w^2 aa_f) from the pencil's three
+    Frobenius products, with no n x n matrix formed."""
+    kk_f, ka_f, aa_f = pen._frobenius
+    return np.sqrt(kk_f + 2.0 * weight * ka_f + weight * weight * aa_f)
 
 
 def _solve_normal_equations(p: TikhonovProblem, weight: float) -> np.ndarray:
@@ -321,11 +334,11 @@ def _solve_normal_equations(p: TikhonovProblem, weight: float) -> np.ndarray:
     pen = p.pencil
     M = weight * pen._AtA
     M += pen._KtK
-    norm_Ktg = float(np.linalg.norm(p._Ktg))
+    norm_Ktg, norm_M = float(np.linalg.norm(p._Ktg)), float(_frobenius_norm(pen, weight))
 
     def optimal(f):
         gap = float(np.linalg.norm(M @ f - p._Ktg))
-        return _optimal(gap, norm_Ktg, float(np.linalg.norm(M, "fro")), float(np.linalg.norm(f)))
+        return _optimal(gap, norm_Ktg, norm_M, float(np.linalg.norm(f)))
 
     try:
         # numpy's upper factor has scipy cho_factor's bits; only the O(n^2)
@@ -350,23 +363,11 @@ def _solve_normal_equations(p: TikhonovProblem, weight: float) -> np.ndarray:
     return f
 
 
-def _solution(p: TikhonovProblem, f: np.ndarray, alpha: float, rre: float | None = None):
-    """The record of solution f of p at parameter alpha, with its norms."""
-    pen = p.pencil
-    return RegularizedSolution(
-        solution=f,
-        alpha=float(alpha),
-        residual_norm=float(np.linalg.norm(pen._K @ f - p.data)),
-        penalty_norm=float(np.linalg.norm(pen._A @ f)),
-        rre=rre,
-    )
-
-
 def tikhonov_solve(p: TikhonovProblem, alpha: float) -> RegularizedSolution:
     """Minimizer of ||K f - g||^2 + alpha ||A f||^2, alpha the direct weight."""
     if _finite_real("alpha", alpha) <= 0.0:
         raise ParameterError("alpha must be positive")
-    return _solution(p, _solve_normal_equations(p, alpha), alpha)
+    return RegularizedSolution(_solve_normal_equations(p, alpha), float(alpha))
 
 
 def filter_solution(svd, g: np.ndarray, alpha: float) -> np.ndarray:
@@ -413,7 +414,8 @@ def alpha_sweep(p: TikhonovProblem, grid: AlphaGrid, reference: np.ndarray):
     at least that factor above the chosen one.  ``IllPosedProblemError``
     comes only from a column that was solved.  Each column is scored as
     ``metrics.rre`` defines it, with the reference checked and its norm
-    taken once for the whole grid.
+    taken once for the whole grid; that one distance ||f - reference|| per
+    column serves the certification, the fallback rule and the score.
     """
     reference = _finite("reference", reference, p.data.shape)
     norm_ref = np.linalg.norm(reference)
@@ -436,15 +438,13 @@ def alpha_sweep(p: TikhonovProblem, grid: AlphaGrid, reference: np.ndarray):
     F += correction(residual(F))
     R = residual(F)
     step = np.linalg.norm(correction(R), axis=0)
-    norm_f = np.linalg.norm(F, axis=0)
-    kk_f, ka_f, aa_f = pen._frobenius
-    norm_M = np.sqrt(kk_f + 2.0 * weights * ka_f + weights**2 * aa_f)
-    ok = _optimal(np.linalg.norm(R, axis=0), float(np.linalg.norm(Ktg)), norm_M, norm_f)
-    ok &= step <= 1e-8 * np.linalg.norm(F - reference[:, None], axis=0)
     sols = np.ascontiguousarray(F.T)
     # metrics.rre column by column, with the same operations in the same order
     # (for a 1-D float64 vector numpy's norm is sqrt(x.dot(x)))
     dist = np.sqrt([d.dot(d) for d in sols - reference])
+    norm_M, norm_f = _frobenius_norm(pen, weights), np.linalg.norm(F, axis=0)
+    ok = _optimal(np.linalg.norm(R, axis=0), float(np.linalg.norm(Ktg)), norm_M, norm_f)
+    ok &= step <= 1e-8 * dist
     best_dist = dist[ok].min(initial=np.inf)
     uncertified = np.flatnonzero(~ok)
     for j in uncertified[np.argsort(dist[uncertified], kind="stable")]:
@@ -460,4 +460,4 @@ def alpha_sweep(p: TikhonovProblem, grid: AlphaGrid, reference: np.ndarray):
     best = min(tied, key=lambda i: alphas[i])
     f = sols[best].copy()  # a row view would keep all count x n solutions alive
     # alpha is the grid value, not the applied weight
-    return _solution(p, f, alphas[best], float(errs[best])), curve
+    return RegularizedSolution(f, float(alphas[best]), float(errs[best])), curve

@@ -35,7 +35,7 @@ from graphtik.experiments import (
 )
 from graphtik.metrics import lsre, max_abs_error, msre
 from graphtik.penalty import SimilarityParams, dirichlet_penalty
-from graphtik.problems import EXAMPLES, get_example, get_test_function, synthesize_data
+from graphtik.problems import EXAMPLES, NoiseModel, get_example, get_test_function, synthesize_data
 from graphtik.regularization import AlphaGrid
 from graphtik.reporting import config_hash, report_to_json
 
@@ -543,7 +543,11 @@ _SMALL_CELL = ExperimentConfig(example=1, test_function=3, n=20, epsilon=0.01)
         pytest.param(lambda: emit_figure_data(1.5), id="emit_figure_data(1.5)"),
         pytest.param(lambda: run_table(4, (0.5,)), id="run_table(4, (0.5,))"),
         pytest.param(lambda: run_table(4, (True,)), id="run_table(4, (True,))"),
+        pytest.param(lambda: run_table(6, (-1, 0)), id="run_table(6, (-1, 0))"),
+        pytest.param(lambda: run_table(4, 5), id="run_table(4, 5)"),
         pytest.param(lambda: run_cell(_SMALL_CELL, 2.7), id="run_cell(cfg, 2.7)"),
+        pytest.param(lambda: run_cell(_SMALL_CELL, -3), id="run_cell(cfg, -3)"),
+        pytest.param(lambda: NoiseModel(0.01, -1), id="NoiseModel(0.01, -1)"),
         pytest.param(lambda: get_example(1.7), id="get_example(1.7)"),
         pytest.param(lambda: get_example("2"), id='get_example("2")'),
         pytest.param(lambda: get_test_function(True), id="get_test_function(True)"),
@@ -560,7 +564,8 @@ _SMALL_CELL = ExperimentConfig(example=1, test_function=3, n=20, epsilon=0.01)
 )
 def test_ids_and_seeds_must_be_integers(call):
     # one integer rule for every id, seed, size, count and index: a float, a
-    # bool or a string is refused, not truncated
+    # bool or a string is refused, not truncated; a seed is also >= 0, as
+    # numpy's generator takes it, and a seed list is an iterable
     with pytest.raises(ParameterError):
         call()
 

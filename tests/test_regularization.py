@@ -44,7 +44,8 @@ def test_identity_shrinkage():
     for a in (0.5, 1.0, 10.0):
         sol = tikhonov_solve(_problem(np.eye(2), np.eye(2), g), a)
         np.testing.assert_allclose(sol.solution, g / (1.0 + a), rtol=1e-12)
-        np.testing.assert_allclose(sol.residual_norm, a / (1.0 + a) * np.linalg.norm(g), rtol=1e-10)
+        residual_norm = np.linalg.norm(sol.solution - g)  # ||K f - g|| with K = I
+        np.testing.assert_allclose(residual_norm, a / (1.0 + a) * np.linalg.norm(g), rtol=1e-10)
 
 
 def test_partial_penalty():
@@ -60,7 +61,7 @@ def test_shrinkage_monotone_in_alpha():
     p = _problem(K, np.eye(8), g)
     alphas = np.logspace(-4, 4, 9)
     norms = [np.linalg.norm(tikhonov_solve(p, a).solution) for a in alphas]
-    residuals = [tikhonov_solve(p, a).residual_norm for a in alphas]
+    residuals = [np.linalg.norm(K @ tikhonov_solve(p, a).solution - g) for a in alphas]
     assert np.all(np.diff(norms) < 0)
     assert np.all(np.diff(residuals) > 0)
 
@@ -780,6 +781,30 @@ def test_pipeline_pencils_read_their_diagonals_from_mu(monkeypatch):
                 experiments.run_cell(config, 0)
                 _assert_pencil_basis(captured[-1])
     assert len(captured) == 20
+
+
+def test_closed_form_frobenius_norm_matches_the_formed_matrix(monkeypatch):
+    # ||K'K + w A'A||_F as the sweep and the fallback solve take it, from the
+    # pencil's three Frobenius products, against the norm of the formed matrix:
+    # the identity, a1, a2 and a3 pencils at n = 100, every default grid
+    # weight, one weight at a time as the fallback passes it too
+    captured = []
+    real = experiments.alpha_sweep
+
+    def spy(p, grid, reference):
+        captured.append(p.pencil)
+        return real(p, grid, reference)
+
+    monkeypatch.setattr(experiments, "alpha_sweep", spy)
+    weights = AlphaGrid().values ** 2
+    for method in ("graph", "galerkin"):
+        for penalty in ("identity", "a1", "a2", "a3"):
+            experiments.run_cell(replace(_EX2_N100, method=method, penalty=penalty), 0)
+            pen = captured[-1]
+            closed = regularization._frobenius_norm(pen, weights)
+            direct = [np.linalg.norm(pen._KtK + w * pen._AtA, "fro") for w in weights]
+            np.testing.assert_allclose(closed, direct, rtol=1e-12, atol=0)
+            assert [regularization._frobenius_norm(pen, float(w)) for w in weights] == list(closed)
 
 
 def test_a2_sweep_down_to_tiny_alpha_is_finite(monkeypatch):

@@ -135,11 +135,14 @@ def test_cli_deblur_rejects_alpha_min_above_max(capsys):
     assert "max > min" in capsys.readouterr().err
 
 
-def test_cli_deblur_seed_flag(tmp_path):
+def test_cli_deblur_seed_flag(tmp_path, capsys):
     cfg = ExperimentConfig(example=1, test_function=3, n=40, epsilon=0.05, penalty="a2")
     rre_line = _deblur_comments(tmp_path, "--seed", "3")[0]
     assert rre_line == f"# rre={run_cell(cfg, 3)[1]:.9g}"
     assert rre_line != f"# rre={run_cell(cfg, 0)[1]:.9g}"
+    # a negative seed is a configuration error that names the field
+    assert cli.main(["deblur", "--n", "10", "--eps", "0.01", "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: config field 'seeds' must be a list of integers >= 0, got [-1]\n"
 
 
 def test_cli_table_json(tmp_path):
@@ -270,10 +273,19 @@ def test_bench_pairs_prints_every_end_to_end_metric(tmp_path, capsys):
     assert pooled["change"] == pytest.approx({"median": 1.2, "q1": 1.125, "q3": 1.275, "n": 6})
 
 
-@pytest.mark.parametrize("seeds,message", [("", "need at least one seed"), ("0,1,0", "must not repeat")])
+@pytest.mark.parametrize(
+    "seeds,message",
+    [
+        ("", "need at least one seed"),
+        ("0,1,0", "must not repeat"),
+        pytest.param("1,,2", "--seeds item '' is not an integer", id="empty-item"),
+        pytest.param("0,x", "--seeds item 'x' is not an integer", id="non-integer-item"),
+        pytest.param("-1", "must be a list of integers >= 0", id="negative-seed"),
+    ],
+)
 def test_table_seed_list_must_be_non_empty_and_distinct(tmp_path, capsys, seeds, message):
     # an empty --seeds is not the default list, and a repeated seed would
-    # count twice in every median
+    # count twice in every median; every item is an integer >= 0
     assert cli.main(["table", "--id", "4", "--seeds", seeds]) == 1
     assert message in capsys.readouterr().err
     with pytest.raises(ParameterError, match=message):
@@ -343,7 +355,9 @@ def test_cli_exit_code_bad_config(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("raw", [{"n": "100"}, {"alpha_grid": 5}], ids=["string-n", "scalar-alpha-grid"])
+@pytest.mark.parametrize(
+    "raw", [{"n": "100"}, {"alpha_grid": 5}, {"seeds": [-1]}], ids=["string-n", "scalar-alpha-grid", "negative-seed"]
+)
 def test_cli_exit_code_mistyped_config(tmp_path, capsys, raw):
     # a configuration error (exit 1 with a message), not a traceback
     cfg = tmp_path / "cfg.json"
