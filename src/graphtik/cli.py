@@ -22,6 +22,7 @@ from .errors import ConfigurationError, NumericalFailure, ParameterError
 from .experiments import (
     FIGURES,
     TABLES,
+    _DEFAULT_SEEDS,
     _METHODS,
     ExperimentConfig,
     discrete_spectrum,
@@ -112,7 +113,7 @@ def parse_seeds(text: str | None) -> tuple:
     """A --seeds value ("0,1,2") as integers; None is seeds 0..19.  An item
     that is not an integer is a ParameterError naming it."""
     if text is None:
-        return tuple(range(20))
+        return _DEFAULT_SEEDS
     seeds = []
     # "" is an empty list, which run_table rejects like a repeated seed
     for item in text.split(",") if text else ():
@@ -199,10 +200,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
+    except (ConfigurationError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalFailure as exc:

@@ -54,6 +54,7 @@ from .penalty import (
     neumann_penalty,
 )
 from .problems import (
+    _DATA_MODES,
     EXAMPLES,
     TEST_FUNCTIONS,
     NoiseModel,
@@ -81,6 +82,7 @@ __all__ = [
 
 PENALTY_NAMES = ("identity", "a1", "a2", "a3", "matched")
 _METHODS = ("graph", "galerkin")
+_DEFAULT_SEEDS = tuple(range(20))  # of a table, from the API or the CLI
 
 
 @dataclass(frozen=True)
@@ -141,7 +143,7 @@ class ExperimentConfig:
             raise ParameterError("r_fraction must be in (0, 1]")
         if self.sigma <= 0.0:
             raise ParameterError(f"sigma must be positive, got {self.sigma!r}")
-        if self.data_mode not in ("quadrature", "analytic"):
+        if self.data_mode not in _DATA_MODES:
             raise ParameterError(f"unknown data mode {self.data_mode!r}")
 
     def to_dict(self) -> dict:
@@ -180,29 +182,22 @@ def _reject_unknown(where: str, d: dict, known) -> None:
 
 
 @lru_cache(maxsize=None)
-def _graph_forward_matrix(example_id: int, n: int) -> np.ndarray:
-    # L itself is not kept: the diagnostics read its blocks from the stencil
+def _forward_matrix(example_id: int, n: int, method: str) -> np.ndarray:
+    """The one cache of forward matrices, one per (example, n, method)."""
     ex = get_example(example_id)
+    if method == "galerkin":
+        return build_galerkin_operator(ex.problem, n).matrix
+    # L itself is not kept: the diagnostics read its blocks from the stencil
     L = build_schrodinger_operator(ex.problem.potential, n)
     # orient the inverse like the example's printed kernel
     return ex.green_sign * pseudo_inverse(L).matrix
 
 
-@lru_cache(maxsize=None)
-def _galerkin_matrix(example_id: int, n: int) -> np.ndarray:
-    ex = get_example(example_id)
-    return build_galerkin_operator(ex.problem, n).matrix
-
-
 def forward_matrix(example_id: int, n: int, method: str) -> DiscreteOperator:
     """Forward operator used in solves, on the shared interior lattice."""
-    if method == "graph":
-        m = _graph_forward_matrix(example_id, n)
-    elif method == "galerkin":
-        m = _galerkin_matrix(example_id, n)
-    else:
+    if method not in _METHODS:
         raise ParameterError(f"method must be one of {_METHODS}")
-    return DiscreteOperator(m, Grid(n, "interior"), method)
+    return DiscreteOperator(_forward_matrix(example_id, n, method), Grid(n, "interior"), method)
 
 
 def diagnostic_matrix(example_id: int, n: int, method: str) -> DiscreteOperator:
@@ -212,15 +207,18 @@ def diagnostic_matrix(example_id: int, n: int, method: str) -> DiscreteOperator:
     on interior-lattice samples approximates the continuous operator; the
     graph operator is used as is.
     """
-    if method == "galerkin":
-        m = _galerkin_matrix(example_id, n) * _lattice_weight(n)
-        return DiscreteOperator(m, Grid(n, "interior"), method)
-    return forward_matrix(example_id, n, method)
+    op = forward_matrix(example_id, n, method)
+    return replace(op, matrix=op.matrix * _lattice_weight(n)) if method == "galerkin" else op
 
 
 def _lattice_weight(n: int) -> float:
     """n/(n+1), the weight of the Galerkin matrix on interior-lattice samples."""
     return n / (n + 1.0)
+
+
+def _target(fid: int, n: int) -> np.ndarray:
+    """The test function on the interior lattice, at coefficient scale."""
+    return get_test_function(fid).eval(Grid(n, "interior").nodes) / sqrt(n)
 
 
 @lru_cache(maxsize=None)
@@ -327,9 +325,8 @@ def run_cell(config: ExperimentConfig, seed: int | None = None, pencils: dict | 
     if seed is None:
         seed = config.seeds[0]
     n = config.n
-    root = sqrt(n)
-    g_clean = _clean_data(config.example, config.test_function, n, config.data_mode) / root
-    reference = get_test_function(config.test_function).eval(Grid(n, "interior").nodes) / root
+    g_clean = _clean_data(config.example, config.test_function, n, config.data_mode) / sqrt(n)
+    reference = _target(config.test_function, n)
     g_eps = add_noise(g_clean, NoiseModel(config.epsilon, seed))
     K = forward_matrix(config.example, n, config.method)
     if config.penalty in _DATA_PENALTIES:
@@ -460,10 +457,7 @@ def _roundtrip_check(sample: dict | None) -> dict | None:
     if sample is None:
         return None
     config = ExperimentConfig.from_dict(sample["config"])
-    n = config.n
-    reference = get_test_function(config.test_function).eval(Grid(n, "interior").nodes)
-    reference = reference / sqrt(n)
-    recomputed = rre(np.array(sample["solution"]), reference)
+    recomputed = rre(np.array(sample["solution"]), _target(config.test_function, config.n))
     return {
         "cell": {k: sample["config"][k] for k in ("example", "test_function", "method", "penalty")},
         "seed": sample["seed"],
@@ -473,7 +467,7 @@ def _roundtrip_check(sample: dict | None) -> dict | None:
     }
 
 
-def run_table(table_id: int, seeds=tuple(range(20))) -> ExperimentReport:
+def run_table(table_id: int, seeds=_DEFAULT_SEEDS) -> ExperimentReport:
     """Reproduce one table of ``TABLES``; noisy cells are seed medians.
     The seeds, any iterable of them, pass the config's own check, and none
     may repeat."""

@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 _QUAD_TOL = 1e-12
+_DATA_MODES = ("quadrature", "analytic")  # of synthesize_data
 
 
 def _f1(x):
@@ -194,7 +195,7 @@ def synthesize_data(
     and u(x_i) v(y) above it.  That is the value ``ContinuousProblem.kernel``
     gives, bit for bit, without its two-branch ``np.where``.
     """
-    if mode not in ("quadrature", "analytic"):
+    if mode not in _DATA_MODES:
         raise ParameterError(f"unknown data mode {mode!r}")
     x = grid.nodes
     if mode == "analytic":

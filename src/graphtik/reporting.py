@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 FORMAT_VERSION = "graphtik v1"
@@ -53,25 +54,26 @@ class ExperimentReport:
         return config_hash(self.config)
 
 
-def _open_out(path):
+@contextmanager
+def _output(path):
+    """stdout for no path or "-", else the file, opened for writing and
+    closed on exit."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w"), True
+        yield sys.stdout
+        return
+    with open(path, "w") as out:
+        yield out
 
 
 def write_csv(path, header: list, rows: list, cfg_hash: str, comments: list = ()):
     """rows are sequences; floats get 9 significant digits."""
-    out, close = _open_out(path)
-    try:
+    with _output(path) as out:
         out.write(f"# {FORMAT_VERSION}, config-hash={cfg_hash}\n")
         for c in comments:
             out.write(f"# {c}\n")
         out.write(",".join(header) + "\n")
         for row in rows:
             out.write(",".join(format_float(v) for v in row) + "\n")
-    finally:
-        if close:
-            out.close()
 
 
 # column order of table CSVs; columns that no cell has are left out
@@ -110,9 +112,5 @@ def report_to_json(report: ExperimentReport) -> str:
 
 
 def write_report_json(path, report: ExperimentReport):
-    out, close = _open_out(path)
-    try:
+    with _output(path) as out:
         out.write(report_to_json(report) + "\n")
-    finally:
-        if close:
-            out.close()
