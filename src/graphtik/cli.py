@@ -134,11 +134,9 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_figure(args) -> int:
-    base = _config(args, FIGURES[args.id].template) if args.config else None
-    names, data = emit_figure_data(args.id, base)
-    meta = {"command": "figure", "id": args.id}
-    if base is not None:
-        meta["config"] = base.to_dict()
+    config = _config(args, FIGURES[args.id].template)
+    names, data = emit_figure_data(args.id, config)
+    meta = {"command": "figure", "id": args.id, "config": config.to_dict()}
     write_csv(args.out, names, [tuple(r) for r in data], config_hash(meta))
     return 0
 
@@ -200,7 +198,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ConfigurationError, OSError, ValueError) as exc:
+    except (ConfigurationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalFailure as exc:

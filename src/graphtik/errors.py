@@ -52,7 +52,7 @@ class EvaluationError(NumericalFailure):
 
 
 class NumericalError(NumericalFailure):
-    """Dense linear algebra failure (factorization, SVD)."""
+    """Dense linear algebra failure (factorization, SVD, overflow)."""
 
 
 class ToleranceError(NumericalFailure):

@@ -470,9 +470,11 @@ def _roundtrip_check(sample: dict | None) -> dict | None:
 def run_table(table_id: int, seeds=_DEFAULT_SEEDS) -> ExperimentReport:
     """Reproduce one table of ``TABLES``; noisy cells are seed medians.
     The seeds, any iterable of them, pass the config's own check, and none
-    may repeat."""
+    may repeat.  The report's config is the table's whole entry, its
+    template holding these seeds, so its hash changes with any of them."""
     table_id, table = _lookup(TABLES, "table", table_id)
-    seeds = replace(table.template, seeds=tuple(seeds) if np.iterable(seeds) else seeds).seeds
+    template = replace(table.template, seeds=tuple(seeds) if np.iterable(seeds) else seeds)
+    seeds = template.seeds
     if len(set(seeds)) != len(seeds):
         raise ParameterError(f"seeds must not repeat, got {list(seeds)}")
     sample = None
@@ -480,8 +482,9 @@ def run_table(table_id: int, seeds=_DEFAULT_SEEDS) -> ExperimentReport:
         cells, sample = _restoration_cells(table_id, table, seeds)
     else:
         cells = _diagnostic_cells(table_id, table)
-    meta = {"table": table_id, "seeds": list(seeds)}
-    return ExperimentReport(config=meta, cells=cells, seeds=list(seeds), roundtrip=_roundtrip_check(sample))
+    axes = {axis: list(getattr(table, axis)) for axis in ("sizes", "modes", "test_functions", "penalties")}
+    config = {"table": table_id, "template": template.to_dict(), "metric": table.metric, **axes}
+    return ExperimentReport(config=config, cells=cells, roundtrip=_roundtrip_check(sample))
 
 
 # ----------------------------------------------------------------- figures

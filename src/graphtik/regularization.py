@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .discretization import DiscreteOperator, _even_odd_blocks, _join_even_odd
-from .errors import ContractViolationError, IllPosedProblemError, ParameterError, _finite_real, _is_int
+from .errors import ContractViolationError, IllPosedProblemError, NumericalError, ParameterError, _finite_real, _is_int
 
 __all__ = [
     "TikhonovPencil",
@@ -415,7 +415,9 @@ def alpha_sweep(p: TikhonovProblem, grid: AlphaGrid, reference: np.ndarray):
     comes only from a column that was solved.  Each column is scored as
     ``metrics.rre`` defines it, with the reference checked and its norm
     taken once for the whole grid; that one distance ||f - reference|| per
-    column serves the certification, the fallback rule and the score.
+    column serves the certification, the fallback rule and the score.  A
+    sweep in which that distance overflows at every column has no minimum,
+    and raises ``NumericalError``.
     """
     reference = _finite("reference", reference, p.data.shape)
     norm_ref = np.linalg.norm(reference)
@@ -455,6 +457,8 @@ def alpha_sweep(p: TikhonovProblem, grid: AlphaGrid, reference: np.ndarray):
         dist[j] = np.sqrt(d.dot(d))
         best_dist = min(best_dist, dist[j])
     errs = dist / norm_ref
+    if not np.isfinite(errs.min()):
+        raise NumericalError("the restoration error overflows at every grid alpha")
     curve = [(float(a), float(e)) for a, e in zip(alphas, errs)]
     tied = np.flatnonzero(errs == errs.min())
     best = min(tied, key=lambda i: alphas[i])

@@ -46,7 +46,6 @@ class ExperimentReport:
 
     config: dict
     cells: list
-    seeds: list
     roundtrip: dict | None = None
 
     @property
@@ -104,7 +103,6 @@ def report_to_json(report: ExperimentReport) -> str:
         "format_version": FORMAT_VERSION,
         "config_hash": report.config_hash,
         "config": report.config,
-        "seeds": report.seeds,
         "cells": report.cells,
         "roundtrip": report.roundtrip,
     }

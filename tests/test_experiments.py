@@ -372,9 +372,22 @@ def test_run_table_json_is_reproducible():
     first, second = (report_to_json(run_table(4, (0,))) for _ in range(2))
     assert first == second
     # no wall-clock field: every key is a function of the configuration
-    assert set(json.loads(first)) == {
-        "format_version", "config_hash", "config", "seeds", "cells", "roundtrip"
-    }
+    assert set(json.loads(first)) == {"format_version", "config_hash", "config", "cells", "roundtrip"}
+
+
+def test_table_config_hash_covers_its_template_and_axes(monkeypatch):
+    # sigma does not enter the identity cells of table 4, so only the hash
+    # can tell this entry from the paper's
+    paper = run_table(4, (0,))
+    template = replace(experiments.TABLES[4].template, sigma=0.02)
+    monkeypatch.setitem(experiments.TABLES, 4, replace(experiments.TABLES[4], template=template))
+    edited = run_table(4, (0,))
+    assert edited.cells == paper.cells
+    assert edited.config_hash != paper.config_hash
+    assert edited.config["table"] == 4
+    assert edited.config["template"] == replace(template, seeds=(0,)).to_dict()
+    assert edited.config["penalties"] == ["identity"]
+    assert run_table(4, (1,)).config_hash != paper.config_hash
 
 
 def test_noise_free_table_runs_one_seed():

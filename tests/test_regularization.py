@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from graphtik import discretization, experiments, regularization
 from graphtik.discretization import DiscreteOperator, Grid
-from graphtik.errors import IllPosedProblemError, ParameterError
+from graphtik.errors import IllPosedProblemError, NumericalError, ParameterError
 from graphtik.metrics import rre
 from graphtik.penalty import (
     SimilarityParams,
@@ -233,6 +233,14 @@ def test_sweep_tie_takes_smallest_alpha():
     best, curve = alpha_sweep(p, grid, np.ones(4))
     assert all(err == 1.0 for _, err in curve)
     assert best.alpha == grid.values.min()
+
+
+def test_sweep_whose_error_overflows_at_every_alpha_is_a_numerical_error():
+    # data near 1e300 give solutions whose distance to the reference
+    # overflows at every weight, so no column can be the minimum
+    p = _problem(np.eye(4), np.eye(4), np.full(4, 1e300))
+    with np.errstate(over="ignore"), pytest.raises(NumericalError, match="overflows at every grid alpha"):
+        alpha_sweep(p, AlphaGrid(max=10.0, min=0.1, count=7), np.ones(4))
 
 
 def test_shared_pencil_sweeps_like_a_fresh_problem():

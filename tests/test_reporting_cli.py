@@ -50,7 +50,7 @@ def test_write_csv_layout(tmp_path):
 
 
 def test_report_json_roundtrip():
-    rep = ExperimentReport(config={"table": 4}, cells=[{"value": 1.0}], seeds=[0])
+    rep = ExperimentReport(config={"table": 4}, cells=[{"value": 1.0}])
     payload = json.loads(report_to_json(rep))
     assert payload["format_version"] == FORMAT_VERSION
     assert payload["cells"] == [{"value": 1.0}]
@@ -319,6 +319,13 @@ def test_cli_figure_config_overlays_the_figure_template(tmp_path):
     assert out.read_text().splitlines() == header + rows
 
 
+def test_cli_figure_header_hashes_the_figure_template(tmp_path):
+    out = tmp_path / "fig2.csv"
+    assert cli.main(["figure", "--id", "2", "--out", str(out)]) == 0
+    config = experiments.FIGURES[2].template
+    assert _header_hash(out) == config_hash({"command": "figure", "id": 2, "config": config.to_dict()})
+
+
 def test_figure_script_writes_the_cli_csv(tmp_path):
     script = _script("run_figures")
     assert script.main(["--out-dir", str(tmp_path), "--figures", "1"]) == 0
@@ -402,6 +409,26 @@ def test_cli_exit_code_numerical_failure(monkeypatch, capsys):
     rc = cli.main(["deblur", "--example", "1", "--f", "3", "--n", "40", "--eps", "0"])
     assert rc == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_cli_does_not_report_an_untyped_error_as_a_configuration_error(monkeypatch):
+    # every input rule raises ParameterError, so a ValueError is a bug and
+    # keeps its traceback
+    def bug(cfg, seed=None):
+        raise ValueError("synthetic bug")
+
+    monkeypatch.setattr(cli, "run_cell", bug)
+    with pytest.raises(ValueError, match="synthetic bug"):
+        cli.main(["deblur", "--n", "10"])
+
+
+def test_cli_overflowing_restoration_error_exits_2(capsys):
+    # at epsilon 1e300 every column's restoration error overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli.main(["deblur", "--n", "10", "--eps", "1e300"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "numerical failure: the restoration error overflows at every grid alpha\n"
+    assert captured.out == ""
 
 
 def _header_hash(path):
