@@ -30,6 +30,12 @@ configs of the deblur-n1000 benchmark workload.  Each hashes the chosen
 alpha, the RRE and the solution bytes at noise seeds 0 and 1 (``--seeds``
 does not change them), so two checkouts agree on it exactly when both
 seeds' solutions have the same bits.
+
+The 2 lines after those are CLI runs like the 11 above, one per command of
+``LATE_CLI_RUNS``: an alpha grid whose max overflows when squared, and an
+a3 penalty whose similarity weights all underflow; both exit 1.  They
+come last so that the 40 lines before them still compare with checkouts
+that predate them.
 """
 import argparse
 import contextlib
@@ -56,6 +62,10 @@ CLI_RUNS = (
     "deblur --n 1",  # exit 1
     "deblur --method x",  # exit 1
 )
+LATE_CLI_RUNS = (
+    "deblur --n 20 --eps 0.01 --alpha-max 1e200 --alpha-min 1e-6",  # exit 1
+    "deblur --n 20 --eps 0.01 --penalty a3 --sigma 1e-10",  # exit 1
+)
 
 N1000_CONFIGS = tuple(
     ExperimentConfig(example=2, test_function=3, n=1000, epsilon=0.02, method=method, penalty=penalty)
@@ -67,6 +77,13 @@ N1000_SEEDS = (0, 1)
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _cli_line(command: str) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(shlex.split(command))
+    return f"cli {command}: {_sha(json.dumps([code, out.getvalue(), err.getvalue()]).encode())}"
 
 
 def main(argv=None) -> int:
@@ -87,16 +104,15 @@ def main(argv=None) -> int:
         names, data = emit_figure_data(fid)
         print(f"figure {fid}: {_sha(','.join(names).encode() + data.tobytes())}")
     for command in CLI_RUNS:
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(shlex.split(command))
-        print(f"cli {command}: {_sha(json.dumps([code, out.getvalue(), err.getvalue()]).encode())}")
+        print(_cli_line(command))
     for config in N1000_CONFIGS:
         pencils, data = {}, b""
         for seed in N1000_SEEDS:
             sol, err = run_cell(config, seed, pencils)
             data += json.dumps([sol.alpha, err]).encode() + sol.solution.tobytes()
         print(f"deblur n1000 {config.method} {config.penalty}: {_sha(data)}")
+    for command in LATE_CLI_RUNS:
+        print(_cli_line(command))
     return 0
 
 

@@ -337,7 +337,7 @@ def run_cell(config: ExperimentConfig, seed: int | None = None, pencils: dict | 
         if key not in pencils:
             pencils[key] = TikhonovPencil(K, _penalty_operator(config, None, None))
         pencil = pencils[key]
-    problem = TikhonovProblem(pencil.forward, pencil.penalty, g_eps, pencil)
+    problem = TikhonovProblem(pencil, g_eps)
     best, _curve = alpha_sweep(problem, config.alpha_grid, reference)
     return best, best.rre
 

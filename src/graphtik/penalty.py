@@ -75,9 +75,16 @@ def similarity_weights(g_eps: np.ndarray, p: SimilarityParams) -> np.ndarray:
 
 
 def data_graph_laplacian(g_eps: np.ndarray, p: SimilarityParams) -> DiscreteOperator:
-    """D - W with D the diagonal of row sums of the similarity weights."""
+    """D - W with D the diagonal of row sums of the similarity weights.
+
+    A sigma so small that every weight underflows to 0 would make the
+    penalty the zero matrix, and the restoration unregularized; it is
+    refused."""
     W = similarity_weights(g_eps, p)
-    A = np.diag(W.sum(axis=1)) - W
+    degree = W.sum(axis=1)
+    if not degree.any():
+        raise ParameterError(f"sigma={p.sigma!r} is too small: every similarity weight underflows to 0")
+    A = np.diag(degree) - W
     return DiscreteOperator(A, Grid(W.shape[0], "interior"), "penalty")
 
 

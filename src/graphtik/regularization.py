@@ -1,9 +1,11 @@
 """Generalized Tikhonov solves and the oracle sweep over the weight grid.
 
 min_f ||K f - g||^2 + w ||A f||^2 is defined by the normal equations
-(K'K + w A'A) f = K'g; ``tikhonov_solve`` solves them by Cholesky (stacked
-least squares if that misses the optimality bound), and ``filter_solution``
-is the SVD shortcut for A = I.
+(K'K + w A'A) f = K'g.  The two direct solvers take the weight w itself,
+which for a grid value alpha is w = alpha^2: ``tikhonov_solve(problem,
+weight)`` returns the minimizer, by Cholesky (stacked least squares if that
+misses the optimality bound), and ``filter_solution(svd, g, weight)`` is the
+SVD shortcut for A = I.
 
 The sweep evaluates a log grid of candidate parameters alpha, each applied
 as the weight w = alpha^2, and returns the solution whose restoration error
@@ -19,9 +21,10 @@ vector needs only a projection).
   states the recipe (one Cholesky factorization and one eigh per even or
   odd block), and ``_KERNEL_TOL`` the well-posedness floor on the Cholesky
   pivots; ``TikhonovPencil`` states what else the pencil keeps.
-- The data stage, ``TikhonovProblem`` and ``alpha_sweep``, runs once per
-  data vector: it checks the data, projects K'g, solves the whole grid as
-  one batched product, certifies it and scores it.
+- The data stage, ``TikhonovProblem(pencil, data)`` and ``alpha_sweep``,
+  runs once per data vector: it checks the data, projects K'g, solves the
+  whole grid as one batched product, certifies it and scores it.  Only the
+  sweep makes a ``RegularizedSolution``.
 
 Data vectors on the same (K, A), such as the noise seeds of one table
 cell, share one pencil.  The caller holds it only as long as those vectors
@@ -243,26 +246,18 @@ class TikhonovPencil:
 
 @dataclass
 class TikhonovProblem:
-    """The data stage: a data vector on the pencil of (forward, penalty).
+    """The data stage: a data vector on a pencil.
 
-    Construction checks that the data is a finite vector on the grid, so a
-    bad data vector costs no decomposition, and projects it to K'g.
-    Without ``pencil`` it builds the pencil of (forward, penalty); a pencil
-    passed in must have been built from these same operator objects, and
-    its decomposition is reused as it is.
+    Construction checks that the data is a finite vector on the pencil's
+    grid, so a bad data vector costs no product, and projects it to K'g;
+    the pencil's decomposition is reused as it is.
     """
 
-    forward: DiscreteOperator
-    penalty: DiscreteOperator
+    pencil: TikhonovPencil = field(repr=False)
     data: np.ndarray
-    pencil: TikhonovPencil | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        self.data = _finite("data", self.data, (self.forward.grid.n,))
-        if self.pencil is None:
-            self.pencil = TikhonovPencil(self.forward, self.penalty)
-        elif self.pencil.forward is not self.forward or self.pencil.penalty is not self.penalty:
-            raise ParameterError("pencil was built from other operators")
+        self.data = _finite("data", self.data, (self.pencil.forward.grid.n,))
         self._Ktg = self.pencil._K.T @ self.data
 
 
@@ -280,6 +275,8 @@ class AlphaGrid:
             object.__setattr__(self, name, _finite_real(f"alpha_grid {name}", getattr(self, name)))
         if not (self.max > self.min > 0.0):
             raise ParameterError("need max > min > 0")
+        if not np.isfinite(self.max * self.max):  # the sweep's largest weight
+            raise ParameterError(f"alpha_grid max must square to a finite weight, got {self.max!r}")
         if not _is_int(self.count):
             raise ParameterError(f"alpha_grid count must be an integer, got {self.count!r}")
         if self.count < 1:
@@ -295,14 +292,13 @@ class AlphaGrid:
 
 @dataclass
 class RegularizedSolution:
-    """A Tikhonov solution f, the parameter alpha it was solved at, and,
-    from ``alpha_sweep``, its RRE against the sweep's reference (None from
-    ``tikhonov_solve``).  ``alpha`` is the grid value from the sweep and
-    the direct weight from ``tikhonov_solve``."""
+    """The solution f that ``alpha_sweep`` chose, its grid value alpha
+    (solved at the weight alpha^2) and its RRE against the sweep's
+    reference."""
 
     solution: np.ndarray
     alpha: float
-    rre: float | None = None
+    rre: float
 
 
 def _optimal(gap, norm_Ktg, norm_M, norm_f):
@@ -312,7 +308,7 @@ def _optimal(gap, norm_Ktg, norm_M, norm_f):
     backward-error floor eps*||M||*||f|| below which no float64 solve can
     push the computed residual (the weight grid spans 18 decades, so
     cond(M) routinely exceeds 1e10 at the edges).  Works elementwise on
-    arrays of columns.  Both callers, ``_solve_normal_equations`` and
+    arrays of columns.  Both callers, ``tikhonov_solve`` and
     ``alpha_sweep``, take ||M||_F = ||K'K + w A'A||_F from the pencil's
     closed form, ``_frobenius_norm``.
     """
@@ -328,7 +324,10 @@ def _frobenius_norm(pen: TikhonovPencil, weight):
     return np.sqrt(kk_f + 2.0 * weight * ka_f + weight * weight * aa_f)
 
 
-def _solve_normal_equations(p: TikhonovProblem, weight: float) -> np.ndarray:
+def tikhonov_solve(p: TikhonovProblem, weight: float) -> np.ndarray:
+    """Minimizer of ||K f - g||^2 + w ||A f||^2 at the weight w > 0."""
+    if _finite_real("weight", weight) <= 0.0:
+        raise ParameterError("weight must be positive")
     import scipy.linalg as sla  # only the fallback needs it (see the module notes)
 
     pen = p.pencil
@@ -363,26 +362,19 @@ def _solve_normal_equations(p: TikhonovProblem, weight: float) -> np.ndarray:
     return f
 
 
-def tikhonov_solve(p: TikhonovProblem, alpha: float) -> RegularizedSolution:
-    """Minimizer of ||K f - g||^2 + alpha ||A f||^2, alpha the direct weight."""
-    if _finite_real("alpha", alpha) <= 0.0:
-        raise ParameterError("alpha must be positive")
-    return RegularizedSolution(_solve_normal_equations(p, alpha), float(alpha))
-
-
-def filter_solution(svd, g: np.ndarray, alpha: float) -> np.ndarray:
+def filter_solution(svd, g: np.ndarray, weight: float) -> np.ndarray:
     """Identity-penalty solution from a precomputed SVD of K.
 
-    Coefficients are s_i / (s_i^2 + alpha) against the left singular basis,
-    i.e. the spectral filter t^2/(t^2 + alpha) applied to the naive inverse.
+    Coefficients are s_i / (s_i^2 + w) against the left singular basis,
+    i.e. the spectral filter t^2/(t^2 + w) applied to the naive inverse.
     The data must be a finite vector with one entry per row of U, as
     ``TikhonovProblem`` requires of its data.
     """
-    if _finite_real("alpha", alpha) <= 0.0:
-        raise ParameterError("alpha must be positive")
+    if _finite_real("weight", weight) <= 0.0:
+        raise ParameterError("weight must be positive")
     U, s, Vt = svd
     g = _finite("data", g, (U.shape[0],))
-    coef = s / (s**2 + alpha) * (U.T @ g)
+    coef = s / (s**2 + weight) * (U.T @ g)
     return Vt.T @ coef
 
 
@@ -452,7 +444,7 @@ def alpha_sweep(p: TikhonovProblem, grid: AlphaGrid, reference: np.ndarray):
     for j in uncertified[np.argsort(dist[uncertified], kind="stable")]:
         if dist[j] - step[j] > _FALLBACK_FACTOR * best_dist:
             continue  # cannot be the minimum: keeps its refined value
-        sols[j] = tikhonov_solve(p, float(weights[j])).solution
+        sols[j] = tikhonov_solve(p, float(weights[j]))
         d = sols[j] - reference
         dist[j] = np.sqrt(d.dot(d))
         best_dist = min(best_dist, dist[j])
@@ -463,5 +455,4 @@ def alpha_sweep(p: TikhonovProblem, grid: AlphaGrid, reference: np.ndarray):
     tied = np.flatnonzero(errs == errs.min())
     best = min(tied, key=lambda i: alphas[i])
     f = sols[best].copy()  # a row view would keep all count x n solutions alive
-    # alpha is the grid value, not the applied weight
     return RegularizedSolution(f, float(alphas[best]), float(errs[best])), curve

@@ -46,7 +46,7 @@ from graphtik.graph_core import (
 from graphtik.metrics import lsre, msre
 from graphtik.penalty import SimilarityParams, data_graph_laplacian, neumann_penalty
 from graphtik.problems import EXAMPLES
-from graphtik.regularization import TikhonovProblem, filter_solution, tikhonov_solve
+from graphtik.regularization import TikhonovPencil, TikhonovProblem, filter_solution, tikhonov_solve
 
 SEEDS = tuple(range(int(os.environ.get("GRAPHTIK_ACCEPT_SEEDS", "20"))))
 
@@ -347,11 +347,13 @@ def test_criterion_09_filter_equivalence(capsys):
         g = rng.standard_normal(n)
         alpha = 10.0 ** rng.uniform(-6, 2)
         p = TikhonovProblem(
-            DiscreteOperator(K, Grid(n), "penalty"),
-            DiscreteOperator(np.eye(n), Grid(n), "penalty"),
+            TikhonovPencil(
+                DiscreteOperator(K, Grid(n), "penalty"),
+                DiscreteOperator(np.eye(n), Grid(n), "penalty"),
+            ),
             g,
         )
-        f_solve = tikhonov_solve(p, alpha).solution
+        f_solve = tikhonov_solve(p, alpha)
         f_filter = filter_solution(np.linalg.svd(K), g, alpha)
         gap = np.linalg.norm(f_filter - f_solve) / max(np.linalg.norm(f_solve), 1e-300)
         worst = max(worst, float(gap))

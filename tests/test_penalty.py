@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphtik.errors import DegenerateAnchorError, ParameterError
+from graphtik.experiments import ExperimentConfig, run_cell
 from graphtik.graph_core import line_interior, m_path_dirichlet_laplacian
 from graphtik.penalty import (
     SimilarityParams,
@@ -122,6 +123,18 @@ def test_data_graph_invariants():
     assert np.linalg.eigvalsh(A)[0] >= -1e-10
 
 
+@pytest.mark.parametrize("penalty", ["a3", "matched"])
+def test_similarity_weights_that_all_underflow_are_refused(penalty):
+    # at sigma = 1e-10 every weight of the n = 20 cell's noisy data underflows
+    # to 0, which would make the penalty the zero matrix
+    config = ExperimentConfig(example=2, test_function=3, n=20, epsilon=0.01, penalty=penalty, sigma=1e-10)
+    with pytest.raises(ParameterError, match="sigma"):
+        run_cell(config)
+    g = np.linspace(0.0, 1.0, 20)  # neighbours 0.05 apart, the weights exp(-2.5e17)
+    with pytest.raises(ParameterError, match="sigma"):
+        data_graph_laplacian(g, SimilarityParams(r=2, sigma=1e-10))
+
+
 def test_matched_penalty_annihilates_anchor():
     rng = np.random.default_rng(11)
     anchor = 0.5 + rng.random(8)
@@ -148,10 +161,16 @@ def test_matched_penalty_rejects_zero_anchor():
     st.integers(min_value=1, max_value=19),
     st.floats(min_value=1e-3, max_value=10.0),
 )
+@example([0.0, 1.0, -1.0], 1, 1e-3)
 def test_data_graph_laplacian_properties(vals, r, sigma):
     g = np.asarray(vals)
     r = min(r, g.size)
-    A = data_graph_laplacian(g, SimilarityParams(r=r, sigma=sigma)).matrix
+    params = SimilarityParams(r=r, sigma=sigma)
+    if not similarity_weights(g, params).any():  # every weight underflows
+        with pytest.raises(ParameterError, match="sigma"):
+            data_graph_laplacian(g, params)
+        return
+    A = data_graph_laplacian(g, params).matrix
     np.testing.assert_allclose(A, A.T, atol=0)
     np.testing.assert_allclose(A.sum(axis=1), 0.0, atol=1e-10)
     assert np.linalg.eigvalsh(A)[0] >= -1e-10

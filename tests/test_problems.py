@@ -249,7 +249,7 @@ import numpy as np
 import graphtik
 from graphtik import experiments as E
 from graphtik.discretization import DiscreteOperator, Grid
-from graphtik.regularization import TikhonovProblem, tikhonov_solve
+from graphtik.regularization import TikhonovPencil, TikhonovProblem, tikhonov_solve
 
 assert scipy_modules() == [], scipy_modules()
 for n in (2, 3, 101):
@@ -264,10 +264,10 @@ n = 9
 rng = np.random.default_rng(0)
 K = np.eye(n) + 0.1 * rng.standard_normal((n, n))
 p = TikhonovProblem(
-    DiscreteOperator(K, Grid(n), "derived"), DiscreteOperator(np.eye(n), Grid(n), "penalty"),
+    TikhonovPencil(DiscreteOperator(K, Grid(n), "derived"), DiscreteOperator(np.eye(n), Grid(n), "penalty")),
     rng.standard_normal(n),
 )
-f = tikhonov_solve(p, 1.0).solution
+f = tikhonov_solve(p, 1.0)
 assert "scipy.linalg" in sys.modules and "scipy.integrate" not in sys.modules
 import scipy.linalg as sla
 M = p.pencil._KtK + p.pencil._AtA

@@ -35,23 +35,23 @@ def _op(matrix, grid=None):
 
 
 def _problem(K, A, g):
-    return TikhonovProblem(_op(K), _op(A), np.asarray(g, dtype=float))
+    return TikhonovProblem(TikhonovPencil(_op(K), _op(A)), g)
 
 
 def test_identity_shrinkage():
     # K = A = I: minimizer of |f-g|^2 + a|f|^2 is g/(1+a)
     g = np.array([3.0, -1.0])
     for a in (0.5, 1.0, 10.0):
-        sol = tikhonov_solve(_problem(np.eye(2), np.eye(2), g), a)
-        np.testing.assert_allclose(sol.solution, g / (1.0 + a), rtol=1e-12)
-        residual_norm = np.linalg.norm(sol.solution - g)  # ||K f - g|| with K = I
+        f = tikhonov_solve(_problem(np.eye(2), np.eye(2), g), a)
+        np.testing.assert_allclose(f, g / (1.0 + a), rtol=1e-12)
+        residual_norm = np.linalg.norm(f - g)  # ||K f - g|| with K = I
         np.testing.assert_allclose(residual_norm, a / (1.0 + a) * np.linalg.norm(g), rtol=1e-10)
 
 
 def test_partial_penalty():
     # penalty acting on the second coordinate only
-    sol = tikhonov_solve(_problem(np.eye(2), np.diag([0.0, 1.0]), [1.0, 1.0]), 1.0)
-    np.testing.assert_allclose(sol.solution, [1.0, 0.5], rtol=1e-12)
+    f = tikhonov_solve(_problem(np.eye(2), np.diag([0.0, 1.0]), [1.0, 1.0]), 1.0)
+    np.testing.assert_allclose(f, [1.0, 0.5], rtol=1e-12)
 
 
 def test_shrinkage_monotone_in_alpha():
@@ -60,8 +60,8 @@ def test_shrinkage_monotone_in_alpha():
     g = rng.standard_normal(8)
     p = _problem(K, np.eye(8), g)
     alphas = np.logspace(-4, 4, 9)
-    norms = [np.linalg.norm(tikhonov_solve(p, a).solution) for a in alphas]
-    residuals = [np.linalg.norm(K @ tikhonov_solve(p, a).solution - g) for a in alphas]
+    norms = [np.linalg.norm(tikhonov_solve(p, a)) for a in alphas]
+    residuals = [np.linalg.norm(K @ tikhonov_solve(p, a) - g) for a in alphas]
     assert np.all(np.diff(norms) < 0)
     assert np.all(np.diff(residuals) > 0)
 
@@ -74,8 +74,8 @@ def test_solution_linear_in_data():
     psum = _problem(K, np.eye(6), p1.data + p2.data)
     a = 0.3
     np.testing.assert_allclose(
-        tikhonov_solve(psum, a).solution,
-        tikhonov_solve(p1, a).solution + tikhonov_solve(p2, a).solution,
+        tikhonov_solve(psum, a),
+        tikhonov_solve(p1, a) + tikhonov_solve(p2, a),
         atol=1e-10,
     )
 
@@ -100,9 +100,8 @@ def test_shared_null_direction_rejected():
         (np.eye(2), np.eye(2), [np.inf, 1.0]),
         (np.eye(2), np.array([[1.0, np.inf], [0.0, 1.0]]), [1.0, 1.0]),
         (np.array([[np.nan, 0.0], [0.0, 1.0]]), np.eye(2), [1.0, 1.0]),
-        (np.diag([1.0, 0.0]), np.diag([1.0, 0.0]), [1.0, np.nan]),
     ],
-    ids=["nan-data", "inf-data", "inf-penalty", "nan-forward", "nan-data-singular-pencil"],
+    ids=["nan-data", "inf-data", "inf-penalty", "nan-forward"],
 )
 def test_non_finite_input_rejected(K, A, g):
     # a configuration error (exit 1), raised before any decomposition
@@ -112,7 +111,7 @@ def test_non_finite_input_rejected(K, A, g):
 
 def test_construction_validation():
     with pytest.raises(ParameterError):
-        TikhonovProblem(_op(np.eye(2)), _op(np.eye(2), Grid(2, "midpoint")), np.ones(2))
+        TikhonovPencil(_op(np.eye(2)), _op(np.eye(2), Grid(2, "midpoint")))
     with pytest.raises(ParameterError):
         _problem(np.eye(2), np.eye(2), np.ones(3))
     # alpha is a finite positive real: inf reached LAPACK and raised its
@@ -130,7 +129,7 @@ def test_filter_equals_identity_penalty_solve():
     svd = np.linalg.svd(K)
     for a in (1e-6, 1e-2, 10.0):
         f_filter = filter_solution(svd, g, a)
-        f_solve = tikhonov_solve(p, a).solution
+        f_solve = tikhonov_solve(p, a)
         assert np.linalg.norm(f_filter - f_solve) <= 1e-10 * np.linalg.norm(f_solve)
 
 
@@ -197,6 +196,10 @@ def test_alpha_grid_validation():
     for count in (2.5, 3.0, True, "3", None):
         with pytest.raises(ParameterError, match="alpha_grid count must be an integer"):
             AlphaGrid(count=count)
+    # the sweep solves at the weight max^2, which overflows above about 1.34e154
+    with pytest.raises(ParameterError, match="alpha_grid max"):
+        AlphaGrid(max=1e200)
+    assert AlphaGrid(max=1e154).values[0] ** 2 < np.inf
     assert AlphaGrid(count=np.int64(3)).values.shape == (3,)
     assert AlphaGrid(max=np.float64(10.0), min=1).values[-1] == pytest.approx(1.0)
 
@@ -213,7 +216,7 @@ def test_sweep_reports_grid_value():
     assert best.rre == min(err for _, err in curve)
     # squaring the grid value: the same solution is the direct solve at a^2
     direct = tikhonov_solve(p, best.alpha**2)
-    np.testing.assert_allclose(direct.solution, best.solution, rtol=1e-12)
+    np.testing.assert_allclose(direct, best.solution, rtol=1e-12)
 
 
 def test_sweep_solution_does_not_pin_the_grid_of_solutions():
@@ -252,16 +255,10 @@ def test_shared_pencil_sweeps_like_a_fresh_problem():
     reference = rng.standard_normal(9)
     for _ in range(3):
         g = K.matrix @ reference + 0.1 * rng.standard_normal(9)
-        shared, shared_curve = alpha_sweep(TikhonovProblem(K, A, g, pencil), _SWEEP_GRID, reference)
-        fresh, fresh_curve = alpha_sweep(TikhonovProblem(K, A, g), _SWEEP_GRID, reference)
+        shared, shared_curve = alpha_sweep(TikhonovProblem(pencil, g), _SWEEP_GRID, reference)
+        fresh, fresh_curve = alpha_sweep(TikhonovProblem(TikhonovPencil(K, A), g), _SWEEP_GRID, reference)
         assert shared_curve == fresh_curve
         np.testing.assert_array_equal(shared.solution, fresh.solution)
-
-
-def test_pencil_must_come_from_the_problem_operators():
-    K, A = _op(np.eye(2)), _op(np.eye(2))
-    with pytest.raises(ParameterError, match="other operators"):
-        TikhonovProblem(K, _op(np.eye(2)), np.ones(2), TikhonovPencil(K, A))
 
 
 def test_sweep_scores_like_rre():
@@ -302,7 +299,7 @@ def test_normal_equations_satisfied(n, seed, alpha):
     rng = np.random.default_rng(seed)
     K = rng.standard_normal((n, n))
     g = rng.standard_normal(n)
-    f = tikhonov_solve(_problem(K, np.eye(n), g), alpha).solution
+    f = tikhonov_solve(_problem(K, np.eye(n), g), alpha)
     M = K.T @ K + alpha * np.eye(n)
     gap = np.linalg.norm(M @ f - K.T @ g)
     assert gap <= 1e-6 * max(np.linalg.norm(K.T @ g), 1e-30)
@@ -310,7 +307,7 @@ def test_normal_equations_satisfied(n, seed, alpha):
 
 def _per_weight_curve(p, grid, reference):
     """The definition: one normal-equation solve per grid weight alpha^2."""
-    return [rre(tikhonov_solve(p, a**2).solution, reference) for a in grid.values]
+    return [rre(tikhonov_solve(p, a**2), reference) for a in grid.values]
 
 
 def _meets_solver_bound(p, weight, f):
@@ -518,9 +515,7 @@ def test_split_pencil_matches_the_definition(n, seed, penalty, decay, null):
     rng = np.random.default_rng(seed + 2)
     reference = rng.standard_normal(n)
     g = K @ reference + 0.1 * rng.standard_normal(n)
-    _assert_sweep_matches_per_weight_solves(
-        TikhonovProblem(pencil.forward, pencil.penalty, g, pencil), reference
-    )
+    _assert_sweep_matches_per_weight_solves(TikhonovProblem(pencil, g), reference)
 
 
 def test_data_penalty_pencil_is_one_block():
@@ -700,7 +695,7 @@ def test_roundoff_decided_cells_keep_the_normal_equation_solve(monkeypatch, tabl
     monkeypatch.setattr(experiments, "alpha_sweep", spy)
     config = replace(experiments.TABLES[table].template, method="graph", penalty=penalty)
     best, _ = experiments.run_cell(config, 0)
-    direct = tikhonov_solve(captured["problem"], best.alpha**2).solution
+    direct = tikhonov_solve(captured["problem"], best.alpha**2)
     np.testing.assert_array_equal(best.solution, direct)
 
 
@@ -728,6 +723,18 @@ def _traced_cell(monkeypatch, config, seed, factor=regularization._FALLBACK_FACT
 
 
 _EX2_N100 = experiments.ExperimentConfig(example=2, test_function=3, n=100, epsilon=0.02)
+
+
+def test_sweep_solves_each_uncertified_column_once_through_the_module(monkeypatch):
+    # the fallback looks tikhonov_solve up on the module at every call, so a
+    # wrapper there (the benchmark's tracer counts calls this way) sees each
+    # solved column once; the chosen column here is one of them
+    config = replace(experiments.TABLES[4].template, method="graph", penalty="identity")
+    best, (p, reference), solved = _traced_cell(monkeypatch, config, 0)
+    assert solved and len(set(solved)) == len(solved)
+    assert set(solved) <= set(config.alpha_grid.values ** 2)
+    assert best.alpha**2 in solved
+    np.testing.assert_array_equal(best.solution, tikhonov_solve(p, best.alpha**2))
 
 
 def test_columns_that_cannot_be_the_minimum_are_not_solved(monkeypatch):
@@ -765,7 +772,7 @@ def test_skipped_columns_cannot_undercut_the_chosen_one(monkeypatch):
             assert (best.alpha, best.rre) == (every.alpha, every.rre)
             np.testing.assert_array_equal(best.solution, every.solution)
             for weight in set(uncertified) - set(solved):
-                assert rre(tikhonov_solve(p, weight).solution, reference) > best.rre
+                assert rre(tikhonov_solve(p, weight), reference) > best.rre
                 skipped += 1
     assert skipped > 0
 
@@ -904,7 +911,7 @@ def _assert_solves_like_cho_factor(p, weight):
         assert not lower
         np.testing.assert_array_equal(np.linalg.cholesky(M, upper=True), np.triu(c))
     expected, path = _cho_factor_solve(p, weight)
-    got = tikhonov_solve(p, weight).solution
+    got = tikhonov_solve(p, weight)
     np.testing.assert_array_equal(got, expected)
     np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
     return path
@@ -957,7 +964,7 @@ def test_non_positive_definite_fails_on_both_sides_and_reaches_lstsq(monkeypatch
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(M, upper=True)
     monkeypatch.setattr(regularization.np.linalg, "lstsq", spy)
-    f = tikhonov_solve(p, 1e20).solution
+    f = tikhonov_solve(p, 1e20)
     assert calls
     expected, path = _cho_factor_solve(p, 1e20)
     assert path == "lstsq"

@@ -380,8 +380,12 @@ def test_cli_exit_code_mistyped_config(tmp_path, capsys, raw):
         ('{"alpha_grid": {"max": Infinity}}', "alpha_grid max"),
         ('{"epsilon": 1%s}' % ("0" * 400), "epsilon"),
         ('{"alpha_grid": {"max": 1%s}}' % ("0" * 400), "alpha_grid max"),
+        ('{"alpha_grid": {"max": 1e200}}', "alpha_grid max"),  # its square, the weight, overflows
     ],
-    ids=["nan-epsilon", "infinite-alpha-max", "overflowing-epsilon", "overflowing-alpha-max"],
+    ids=[
+        "nan-epsilon", "infinite-alpha-max", "overflowing-epsilon", "overflowing-alpha-max",
+        "overflowing-alpha-max-squared",
+    ],
 )
 def test_cli_exit_code_nonfinite_config(tmp_path, capsys, raw, field):
     # the error names the config field, not the data it would have spoiled;
@@ -399,6 +403,15 @@ def test_cli_exit_code_bad_parameter(capsys):
     )
     assert rc == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("penalty", ["a3", "matched"])
+def test_cli_exit_code_underflowing_similarity_weights(capsys, penalty):
+    # at sigma = 1e-10 every similarity weight of the n = 20 data is 0, so
+    # the penalty would be the zero matrix and the restoration unregularized
+    rc = cli.main(["deblur", "--n", "20", "--eps", "0.01", "--penalty", penalty, "--sigma", "1e-10"])
+    assert rc == 1
+    assert "sigma" in capsys.readouterr().err
 
 
 def test_cli_exit_code_numerical_failure(monkeypatch, capsys):
