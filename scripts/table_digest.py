@@ -31,17 +31,27 @@ alpha, the RRE and the solution bytes at noise seeds 0 and 1 (``--seeds``
 does not change them), so two checkouts agree on it exactly when both
 seeds' solutions have the same bits.
 
-The 2 lines after those are CLI runs like the 11 above, one per command of
-``LATE_CLI_RUNS``: an alpha grid whose max overflows when squared, and an
-a3 penalty whose similarity weights all underflow; both exit 1.  They
-come last so that the 40 lines before them still compare with checkouts
-that predate them.
+The 4 lines after those are CLI runs like the 11 above, one per command of
+``LATE_CLI_RUNS``: an alpha grid whose max overflows when squared, an a3
+penalty whose similarity weights all underflow, an alpha grid whose min
+underflows when squared, and a sigma whose square underflows; all four
+exit 1.  Each was appended after the lines before it, so that those lines
+still compare with checkouts that predate it (40 lines, then 42).
+
+The bits of the table values depend on the BLAS thread count: run with
+``OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1``, 24 of the first 42 lines
+differ from a run at the default thread count of a 2-core machine, while
+two checkouts agree line for line at either setting.  So compare two
+checkouts at the same thread settings on the same machine.  The script
+prints those settings and ``os.cpu_count()`` to stderr, which leaves its
+stdout lines comparable.
 """
 import argparse
 import contextlib
 import hashlib
 import io
 import json
+import os
 import shlex
 import sys
 
@@ -65,7 +75,10 @@ CLI_RUNS = (
 LATE_CLI_RUNS = (
     "deblur --n 20 --eps 0.01 --alpha-max 1e200 --alpha-min 1e-6",  # exit 1
     "deblur --n 20 --eps 0.01 --penalty a3 --sigma 1e-10",  # exit 1
+    "deblur --n 40 --eps 0 --alpha-min 1e-200 --alpha-max 1e-190",  # exit 1
+    "deblur --n 20 --eps 0.01 --penalty a3 --sigma 1e-300",  # exit 1
 )
+THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 N1000_CONFIGS = tuple(
     ExperimentConfig(example=2, test_function=3, n=1000, epsilon=0.02, method=method, penalty=penalty)
@@ -92,6 +105,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     seeds = cli.parse_seeds(args.seeds)
+    settings = [f"{name}={os.environ.get(name, 'unset')}" for name in THREAD_VARIABLES]
+    print("# " + " ".join(settings) + f" cpu_count={os.cpu_count()}", file=sys.stderr)
     for tid, table in TABLES.items():
         report = run_table(tid, seeds)
         cells = report.cells

@@ -45,7 +45,6 @@ from .penalty import (
 )
 from .problems import (
     EXAMPLES,
-    ExampleProblem,
     NoiseModel,
     TEST_FUNCTIONS,
     TestFunction,

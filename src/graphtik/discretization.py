@@ -54,22 +54,27 @@ _CENTRO_REL_TOL = 1e-10  # largest |A - JAJ| accepted, relative to max |A|
 
 @dataclass(frozen=True)
 class ContinuousProblem:
-    """A semiseparable integral operator plus the potential of its inverse.
+    """A semiseparable integral operator K = green_sign * L^-1 and the
+    potential q of its inverse L = -d^2/dx^2 + q, zero at both ends.
 
     factors = (u, v) define the kernel h(x, y) = u(min(x, y)) v(max(x, y));
     each maps an array of points in [0, 1] to an array of the same shape.
-    eigenvalue_law, when present, maps an integer array m to the pair
-    (lambda_m, delta_m) of operator and inverse-operator eigenvalue
-    magnitudes, with lambda_m * delta_m = 1.
+    potential maps an array of points to q there.
+    eigenvalue_law, when present, maps an integer array m to the operator's
+    eigenvalue magnitudes lambda_m.
     forward_oracle, when present, maps (f_id, x) to the closed-form image
     of test function f_id under the operator; it raises KeyError for
     unregistered ids.
+    green_sign (+1 or -1) orients the lattice inverse of L like the kernel
+    h, and id names the problem in messages.
     """
 
     factors: tuple[Callable, Callable]
     potential: Callable
     eigenvalue_law: Callable | None = None
     forward_oracle: Callable | None = None
+    green_sign: float = 1.0
+    id: str = ""
 
     def kernel(self, x, y) -> np.ndarray:
         """h(x, y), broadcast over x and y."""
@@ -365,5 +370,4 @@ def continuous_eigenvalues(p: ContinuousProblem, count: int) -> np.ndarray:
         return np.empty(0)
     if p.eigenvalue_law is None:
         raise UnsupportedProblemError("problem has no registered eigenvalue law")
-    lam, _ = p.eigenvalue_law(np.arange(1, count + 1))
-    return np.asarray(lam, dtype=float)
+    return np.asarray(p.eigenvalue_law(np.arange(1, count + 1)), dtype=float)

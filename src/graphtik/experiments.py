@@ -181,23 +181,21 @@ def _reject_unknown(where: str, d: dict, known) -> None:
 # ---------------------------------------------------------------- operators
 
 
-@lru_cache(maxsize=None)
-def _forward_matrix(example_id: int, n: int, method: str) -> np.ndarray:
-    """The one cache of forward matrices, one per (example, n, method)."""
-    ex = get_example(example_id)
-    if method == "galerkin":
-        return build_galerkin_operator(ex.problem, n).matrix
-    # L itself is not kept: the diagnostics read its blocks from the stencil
-    L = build_schrodinger_operator(ex.problem.potential, n)
-    # orient the inverse like the example's printed kernel
-    return ex.green_sign * pseudo_inverse(L).matrix
-
-
+@lru_cache(maxsize=None, typed=True)  # typed: 2.0 or True must not hit the entry of 2
 def forward_matrix(example_id: int, n: int, method: str) -> DiscreteOperator:
-    """Forward operator used in solves, on the shared interior lattice."""
+    """Forward operator used in solves, on the shared interior lattice; the
+    one cache of forward operators, one per (example, n, method)."""
     if method not in _METHODS:
         raise ParameterError(f"method must be one of {_METHODS}")
-    return DiscreteOperator(_forward_matrix(example_id, n, method), Grid(n, "interior"), method)
+    ex = get_example(example_id)
+    if method == "galerkin":
+        K = build_galerkin_operator(ex, n).matrix
+    else:
+        # L itself is not kept: the diagnostics read its blocks from the stencil
+        L = build_schrodinger_operator(ex.potential, n)
+        # orient the inverse like the example's printed kernel
+        K = ex.green_sign * pseudo_inverse(L).matrix
+    return DiscreteOperator(K, Grid(n, "interior"), method)
 
 
 def diagnostic_matrix(example_id: int, n: int, method: str) -> DiscreteOperator:
@@ -245,7 +243,7 @@ def discrete_spectrum(example_id: int, n: int, method: str) -> np.ndarray:
     ``diagnostic_matrix`` weights the matrix.
     """
     if method == "graph":
-        blocks = build_schrodinger_blocks(get_example(example_id).problem.potential, n)
+        blocks = build_schrodinger_blocks(get_example(example_id).potential, n)
     else:
         blocks = _even_odd_blocks(forward_matrix(example_id, n, method).matrix)
     lam = np.concatenate([np.linalg.eigvalsh(block) for block in blocks])
@@ -258,7 +256,7 @@ def discrete_spectrum(example_id: int, n: int, method: str) -> np.ndarray:
 
 
 def continuous_spectrum(example_id: int, n: int) -> np.ndarray:
-    return continuous_eigenvalues(get_example(example_id).problem, n)
+    return continuous_eigenvalues(get_example(example_id), n)
 
 
 def forward_image_error(example_id: int, n: int, fid: int, method: str) -> float:
@@ -274,7 +272,7 @@ def forward_image_error(example_id: int, n: int, fid: int, method: str) -> float
     x = Grid(n, "interior").nodes
     fx = f.eval(x)
     if method == "graph":
-        image = ex.green_sign * _even_odd_solve(*build_schrodinger_blocks(ex.problem.potential, n), fx)
+        image = ex.green_sign * _even_odd_solve(*build_schrodinger_blocks(ex.potential, n), fx)
     else:
         image = forward_matrix(example_id, n, method).matrix @ fx
         image *= _lattice_weight(n)

@@ -31,7 +31,8 @@ class SimilarityParams:
     """Neighborhood radius r (in lattice steps) and Gaussian width sigma.
 
     r must be an integer >= 1, and at most the data length, which
-    ``similarity_weights`` checks; sigma a finite positive real."""
+    ``similarity_weights`` checks; sigma a finite positive real whose
+    square does not underflow to 0 (sigma above about 1.5e-162)."""
 
     r: int
     sigma: float
@@ -41,6 +42,8 @@ class SimilarityParams:
             raise ParameterError(f"radius r must be an integer >= 1, got {self.r!r}")
         if _finite_real("sigma", self.sigma) <= 0.0:
             raise ParameterError(f"sigma must be positive, got {self.sigma!r}")
+        if not self.sigma * self.sigma > 0.0:  # the weights divide by sigma^2
+            raise ParameterError(f"sigma must square to a positive number, got {self.sigma!r}")
 
 
 def dirichlet_penalty(n: int) -> DiscreteOperator:

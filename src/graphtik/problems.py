@@ -1,12 +1,15 @@
 """Benchmark problems: two Green-type kernels, four target signals, data
 synthesis by quadrature or registered closed forms, and seeded noise.
 
-Each kernel is given by its factors (u, v), h(x, y) = u(min(x, y)) v(max(x, y)).
-Example 1 is the second-derivative model problem; its printed kernel is the
-sign-flipped Green function of -u'' with zero boundary values, so the graph
-forward operator carries green_sign = -1 to match the data orientation.
-Example 2 is the Helmholtz-type operator -u'' - u, whose factors are sines;
-there the kernel and the inverse-potential orientation agree.
+Each example is one ``ContinuousProblem``: its kernel is given by its
+factors (u, v), h(x, y) = u(min(x, y)) v(max(x, y)), and its inverse by a
+constant potential c, stated once for both q = c and the eigenvalue law
+1/(m^2 pi^2 + c).  Example 1 is the second-derivative model problem (c = 0);
+its printed kernel is the sign-flipped Green function of -u'' with zero
+boundary values, so it carries green_sign = -1 to match the data
+orientation.  Example 2 is the Helmholtz-type operator -u'' - u (c = -1),
+whose factors are sines; there the kernel and the inverse-potential
+orientation agree.
 """
 from __future__ import annotations
 
@@ -21,7 +24,6 @@ from .errors import ParameterError, ToleranceError, UnsupportedProblemError, _fi
 
 __all__ = [
     "TestFunction",
-    "ExampleProblem",
     "NoiseModel",
     "TEST_FUNCTIONS",
     "EXAMPLES",
@@ -105,14 +107,13 @@ _SIN1 = np.sin(1.0)
 _FACTORS_EXAMPLE2 = (np.sin, lambda t: np.sin(1.0 - t) / _SIN1)
 
 
-def _law_const_q(c: float):
-    # delta_m = m^2 pi^2 + c, lambda_m = 1/delta_m (magnitudes)
-    def law(m):
-        m = np.asarray(m, dtype=float)
-        delta = m**2 * np.pi**2 + c
-        return 1.0 / delta, delta
-
-    return law
+def _constant_potential(c: float) -> dict:
+    """The potential q = c and the eigenvalue law lambda_m = 1/(m^2 pi^2 + c)
+    of the operator whose inverse is -d^2/dx^2 + c, zero at both ends."""
+    return {
+        "potential": lambda x: np.full_like(np.asarray(x, dtype=float), c),
+        "eigenvalue_law": lambda m: 1.0 / (np.asarray(m, dtype=float) ** 2 * np.pi**2 + c),
+    }
 
 
 def _oracle_example1(fid: int, x):
@@ -142,43 +143,24 @@ def _oracle_example2(fid: int, x):
     raise KeyError(fid)
 
 
-@dataclass(frozen=True)
-class ExampleProblem:
-    id: str
-    problem: ContinuousProblem
-    green_sign: float  # orientation of the printed kernel vs the inverse operator
-
-
 EXAMPLES = {
-    1: ExampleProblem(
-        "example1",
-        ContinuousProblem(
-            factors=_FACTORS_EXAMPLE1,
-            potential=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-            eigenvalue_law=_law_const_q(0.0),
-            forward_oracle=_oracle_example1,
-        ),
-        green_sign=-1.0,
+    1: ContinuousProblem(
+        _FACTORS_EXAMPLE1, **_constant_potential(0.0), forward_oracle=_oracle_example1,
+        green_sign=-1.0, id="example1",
     ),
-    2: ExampleProblem(
-        "example2",
-        ContinuousProblem(
-            factors=_FACTORS_EXAMPLE2,
-            potential=lambda x: -np.ones_like(np.asarray(x, dtype=float)),
-            eigenvalue_law=_law_const_q(-1.0),
-            forward_oracle=_oracle_example2,
-        ),
-        green_sign=1.0,
+    2: ContinuousProblem(
+        _FACTORS_EXAMPLE2, **_constant_potential(-1.0), forward_oracle=_oracle_example2,
+        green_sign=1.0, id="example2",
     ),
 }
 
 
-def get_example(example_id: int) -> ExampleProblem:
+def get_example(example_id: int) -> ContinuousProblem:
     return _lookup(EXAMPLES, "example", example_id)[1]
 
 
 def synthesize_data(
-    example: ExampleProblem,
+    example: ContinuousProblem,
     f_true,
     grid: Grid,
     mode: str = "quadrature",
@@ -199,7 +181,7 @@ def synthesize_data(
         raise ParameterError(f"unknown data mode {mode!r}")
     x = grid.nodes
     if mode == "analytic":
-        oracle = example.problem.forward_oracle
+        oracle = example.forward_oracle
         fid = getattr(f_true, "id", None)
         if oracle is None or fid is None:
             raise UnsupportedProblemError("no closed-form image registered")
@@ -213,7 +195,7 @@ def synthesize_data(
     from scipy.integrate import IntegrationWarning, quad
 
     f = f_true.eval if isinstance(f_true, TestFunction) else f_true
-    u, v = example.problem.factors
+    u, v = example.factors
     g = np.empty(grid.n)
     with warnings.catch_warnings():
         warnings.simplefilter("error", IntegrationWarning)

@@ -277,6 +277,8 @@ class AlphaGrid:
             raise ParameterError("need max > min > 0")
         if not np.isfinite(self.max * self.max):  # the sweep's largest weight
             raise ParameterError(f"alpha_grid max must square to a finite weight, got {self.max!r}")
+        if not self.min * self.min > 0.0:  # the smallest weight, and so the largest too is positive
+            raise ParameterError(f"alpha_grid min must square to a positive weight, got {self.min!r}")
         if not _is_int(self.count):
             raise ParameterError(f"alpha_grid count must be an integer, got {self.count!r}")
         if self.count < 1:

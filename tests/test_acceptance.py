@@ -396,7 +396,7 @@ def test_criterion_11_penrose_identities(capsys):
             A[:, 0] = A[:, -1]  # exact rank deficiency
         ops.append(DiscreteOperator(A, Grid(n), "penalty"))
     for ex_id in (1, 2):
-        ops.append(build_schrodinger_operator(EXAMPLES[ex_id].problem.potential, 100))
+        ops.append(build_schrodinger_operator(EXAMPLES[ex_id].potential, 100))
     ops.append(forward_matrix(2, 100, "galerkin"))
     worst = 0.0
     for op in ops:
@@ -420,7 +420,7 @@ def test_criterion_12_cross_module_identity(capsys):
     transform = alternating_inverse_square_transform()
     bad = []
     for ex_id in (1, 2):
-        q = EXAMPLES[ex_id].problem.potential
+        q = EXAMPLES[ex_id].potential
         for n in (5, 100):
             L = build_schrodinger_operator(q, n).matrix
             tpl = transformed_path_laplacian(line_interior(n), transform, "analytic")

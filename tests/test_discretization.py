@@ -95,7 +95,7 @@ def test_schrodinger_scalar_potential_return():
 @pytest.mark.parametrize("ex_id", [1, 2])
 def test_schrodinger_matches_scipy_toeplitz_definition_bitwise(ex_id, n):
     # the definition the numpy Toeplitz build replaced, every bit kept
-    q = EXAMPLES[ex_id].problem.potential
+    q = EXAMPLES[ex_id].potential
     want = (n + 1) ** 2 * sla.toeplitz(toeplitz_stencil(n)) + np.diag(q(Grid(n).nodes))
     L = build_schrodinger_operator(q, n).matrix
     assert L.shape == want.shape and L.tobytes() == want.tobytes()
@@ -107,8 +107,8 @@ def test_schrodinger_rejects_nonfinite_potential():
 
 
 _EVEN_POTENTIALS = {
-    "example 1": EXAMPLES[1].problem.potential,
-    "example 2": EXAMPLES[2].problem.potential,
+    "example 1": EXAMPLES[1].potential,
+    "example 2": EXAMPLES[2].potential,
     "not constant": lambda x: 40.0 * (x - 0.5) ** 2 - 3.0 * np.cos(2.0 * np.pi * x),
 }
 
@@ -199,7 +199,7 @@ def _tensor_galerkin(p, n, q=8):
 @pytest.mark.parametrize("ex_id", [1, 2])
 @pytest.mark.parametrize("n", [1, 2, 7, 40])
 def test_galerkin_matches_tensor_quadrature(ex_id, n):
-    p = EXAMPLES[ex_id].problem
+    p = EXAMPLES[ex_id]
     want = _tensor_galerkin(p, n)
     got = build_galerkin_operator(p, n).matrix
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -209,7 +209,7 @@ def test_galerkin_matches_tensor_quadrature(ex_id, n):
 @pytest.mark.parametrize("ex_id", [1, 2])
 def test_galerkin_matrix_is_exactly_symmetric(ex_id, n):
     # the entries above the diagonal are copied from the ones below
-    K = build_galerkin_operator(EXAMPLES[ex_id].problem, n).matrix
+    K = build_galerkin_operator(EXAMPLES[ex_id], n).matrix
     assert K.tobytes() == np.ascontiguousarray(K.T).tobytes()
 
 
@@ -259,16 +259,16 @@ def test_eigendecomposition_second_difference():
 
 
 def test_continuous_eigenvalues():
-    lam2 = continuous_eigenvalues(EXAMPLES[2].problem, 3)
+    lam2 = continuous_eigenvalues(EXAMPLES[2], 3)
     np.testing.assert_allclose(lam2[0], 1.0 / (np.pi**2 - 1.0), rtol=1e-15)
-    lam1 = continuous_eigenvalues(EXAMPLES[1].problem, 2)
+    lam1 = continuous_eigenvalues(EXAMPLES[1], 2)
     np.testing.assert_allclose(lam1[1], 1.0 / (4.0 * np.pi**2), rtol=1e-15)
-    assert continuous_eigenvalues(EXAMPLES[1].problem, 0).size == 0
+    assert continuous_eigenvalues(EXAMPLES[1], 0).size == 0
 
 
 def test_continuous_eigenvalues_validation():
     with pytest.raises(ParameterError):
-        continuous_eigenvalues(EXAMPLES[1].problem, -1)
+        continuous_eigenvalues(EXAMPLES[1], -1)
     p = ContinuousProblem(factors=(lambda t: t, lambda t: t), potential=lambda x: x)
     with pytest.raises(UnsupportedProblemError):
         continuous_eigenvalues(p, 2)

@@ -188,6 +188,10 @@ def test_forward_matrices_share_grid():
     assert Kg.grid.convention == "interior"
     with pytest.raises(ParameterError):
         forward_matrix(2, 12, "spectral")
+    # equal but mistyped arguments are refused even once (2, 12) is cached
+    for args in ((2.0, 12, "graph"), (2, 12.0, "graph"), (True, 12, "graph")):
+        with pytest.raises(ParameterError):
+            forward_matrix(*args)
 
 
 def test_diagnostic_matrix_scaling():
@@ -203,7 +207,7 @@ def test_diagnostic_matrix_scaling():
 def test_graph_forward_matrix_inverts_the_lattice_matrix():
     for ex_id in (1, 2):
         ex = EXAMPLES[ex_id]
-        K = pseudo_inverse(build_schrodinger_operator(ex.problem.potential, 100)).matrix
+        K = pseudo_inverse(build_schrodinger_operator(ex.potential, 100)).matrix
         np.testing.assert_array_equal(forward_matrix(ex_id, 100, "graph").matrix, ex.green_sign * K)
 
 
@@ -211,7 +215,7 @@ def test_graph_forward_matrix_inverts_the_lattice_matrix():
 def test_registered_operators_split_like_full_lapack(n):
     b = np.cos(np.arange(n))  # neither even nor odd
     for ex_id in (1, 2):
-        L = build_schrodinger_operator(EXAMPLES[ex_id].problem.potential, n).matrix
+        L = build_schrodinger_operator(EXAMPLES[ex_id].potential, n).matrix
         G = diagnostic_matrix(ex_id, n, "galerkin").matrix
         for A in (L, G):
             lam = np.linalg.eigvalsh(A)
@@ -237,7 +241,7 @@ def test_table1_graph_image_error_matches_full_solve():
     n = 1000
     ex, f = EXAMPLES[2], get_test_function(3)
     grid = Grid(n, "interior")
-    L = build_schrodinger_operator(ex.problem.potential, n).matrix
+    L = build_schrodinger_operator(ex.potential, n).matrix
     image = ex.green_sign * sla.solve(L, f.eval(grid.nodes), assume_a="sym")
     want = max_abs_error(image, synthesize_data(ex, f, grid, "analytic"))
     assert abs(forward_image_error(2, n, 3, "graph") / want - 1.0) <= 1e-9
@@ -566,12 +570,12 @@ _SMALL_CELL = ExperimentConfig(example=1, test_function=3, n=20, epsilon=0.01)
         pytest.param(lambda: get_test_function(True), id="get_test_function(True)"),
         pytest.param(lambda: Grid(2.5), id="Grid(2.5)"),
         pytest.param(lambda: Grid(True), id="Grid(True)"),
-        pytest.param(lambda: continuous_eigenvalues(EXAMPLES[2].problem, 2.5), id="continuous_eigenvalues(p, 2.5)"),
+        pytest.param(lambda: continuous_eigenvalues(EXAMPLES[2], 2.5), id="continuous_eigenvalues(p, 2.5)"),
         pytest.param(lambda: SimilarityParams(r=2.5, sigma=0.01), id="SimilarityParams(r=2.5)"),
         pytest.param(lambda: SimilarityParams(r=True, sigma=0.01), id="SimilarityParams(r=True)"),
         pytest.param(lambda: toeplitz_stencil(2.5), id="toeplitz_stencil(2.5)"),
         pytest.param(lambda: dirichlet_penalty(4.0), id="dirichlet_penalty(4.0)"),
-        pytest.param(lambda: build_galerkin_operator(EXAMPLES[2].problem, 2.5), id="build_galerkin_operator(p, 2.5)"),
+        pytest.param(lambda: build_galerkin_operator(EXAMPLES[2], 2.5), id="build_galerkin_operator(p, 2.5)"),
         pytest.param(lambda: lsre(np.ones(3), np.ones(3), 1.5), id="lsre(d, c, 1.5)"),
     ],
 )

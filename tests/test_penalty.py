@@ -105,6 +105,9 @@ def test_similarity_params_validation():
     for sigma in (float("inf"), float("nan"), 10**400, "0.1", True):
         with pytest.raises(ParameterError, match="sigma"):
             SimilarityParams(r=1, sigma=sigma)
+    # and one whose square, which the weights divide by, underflows to 0
+    with pytest.raises(ParameterError, match="sigma"):
+        SimilarityParams(r=1, sigma=1e-300)
 
 
 def test_data_graph_constant_equals_neumann():

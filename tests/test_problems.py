@@ -148,10 +148,10 @@ def test_unknown_ids():
 
 
 def test_kernels_pointwise():
-    h1 = EXAMPLES[1].problem.kernel
+    h1 = EXAMPLES[1].kernel
     assert h1(0.3, 0.1) == pytest.approx(0.1 * (0.3 - 1.0))
     assert h1(0.1, 0.3) == pytest.approx(0.1 * (0.3 - 1.0))  # symmetric
-    h2 = EXAMPLES[2].problem.kernel
+    h2 = EXAMPLES[2].kernel
     want = np.sin(0.25) * np.sin(1.0 - 0.75) / np.sin(1.0)
     assert h2(0.25, 0.75) == pytest.approx(want)
     assert h2(0.75, 0.25) == pytest.approx(want)
@@ -159,16 +159,16 @@ def test_kernels_pointwise():
     t = np.linspace(0.0, 1.0, 11)
     x, y = t[:, None], t[None, :]
     want1 = np.where(y <= x, y * (x - 1.0), x * (y - 1.0))
-    np.testing.assert_array_equal(EXAMPLES[1].problem.kernel(x, y), want1)
+    np.testing.assert_array_equal(EXAMPLES[1].kernel(x, y), want1)
     want2 = np.where(y <= x, np.sin(1.0 - x) * np.sin(y), np.sin(x) * np.sin(1.0 - y)) / np.sin(1.0)
-    np.testing.assert_allclose(EXAMPLES[2].problem.kernel(x, y), want2, rtol=1e-15, atol=0)
+    np.testing.assert_allclose(EXAMPLES[2].kernel(x, y), want2, rtol=1e-15, atol=0)
 
 
 def test_example_orientation_signs():
     # first kernel is negative inside the square, second positive
     x = np.array([0.2, 0.5, 0.8])
-    assert np.all(EXAMPLES[1].problem.kernel(x[:, None], x[None, :]) < 0.0)
-    assert np.all(EXAMPLES[2].problem.kernel(x[:, None], x[None, :]) > 0.0)
+    assert np.all(EXAMPLES[1].kernel(x[:, None], x[None, :]) < 0.0)
+    assert np.all(EXAMPLES[2].kernel(x[:, None], x[None, :]) > 0.0)
     assert EXAMPLES[1].green_sign == -1.0
     assert EXAMPLES[2].green_sign == 1.0
 
@@ -194,7 +194,7 @@ def _definition_data(ex, f, grid):
     kernel evaluated through ContinuousProblem.kernel."""
     from scipy.integrate import quad
 
-    h = ex.problem.kernel
+    h = ex.kernel
     f = getattr(f, "eval", f)
     g = np.empty(grid.n)
     for i, xi in enumerate(grid.nodes):
@@ -330,9 +330,17 @@ def test_noise_zero_epsilon_copies():
 
 
 def test_eigenvalue_laws():
-    lam, delta = EXAMPLES[2].problem.eigenvalue_law(np.array([1, 2]))
-    np.testing.assert_allclose(delta, [np.pi**2 - 1.0, 4.0 * np.pi**2 - 1.0], rtol=1e-15)
-    np.testing.assert_allclose(lam * delta, 1.0, rtol=1e-15)
+    # each example's law is lambda_m = 1/(m^2 pi^2 + c) for the constant c
+    # its own potential returns
+    m = np.array([1, 2])
     x = np.array([0.1, 0.9])
-    np.testing.assert_array_equal(EXAMPLES[1].problem.potential(x), [0.0, 0.0])
-    np.testing.assert_array_equal(EXAMPLES[2].problem.potential(x), [-1.0, -1.0])
+    for ex in EXAMPLES.values():
+        c = ex.potential(x)[0]
+        delta = m**2 * np.pi**2 + c
+        lam = ex.eigenvalue_law(m)
+        np.testing.assert_array_equal(lam, 1.0 / delta)
+        np.testing.assert_allclose(lam * delta, 1.0, rtol=1e-15)
+    delta2 = 1.0 / EXAMPLES[2].eigenvalue_law(m)
+    np.testing.assert_allclose(delta2, [np.pi**2 - 1.0, 4.0 * np.pi**2 - 1.0], rtol=1e-15)
+    np.testing.assert_array_equal(EXAMPLES[1].potential(x), [0.0, 0.0])
+    np.testing.assert_array_equal(EXAMPLES[2].potential(x), [-1.0, -1.0])

@@ -200,6 +200,9 @@ def test_alpha_grid_validation():
     with pytest.raises(ParameterError, match="alpha_grid max"):
         AlphaGrid(max=1e200)
     assert AlphaGrid(max=1e154).values[0] ** 2 < np.inf
+    # and at the weight min^2, which underflows to 0 below about 1.5e-162
+    with pytest.raises(ParameterError, match="alpha_grid min"):
+        AlphaGrid(max=1e-190, min=1e-200)
     assert AlphaGrid(count=np.int64(3)).values.shape == (3,)
     assert AlphaGrid(max=np.float64(10.0), min=1).values[-1] == pytest.approx(1.0)
 

@@ -81,7 +81,7 @@ def test_cli_spectrum_odd_n_matches_full_eigvalsh(tmp_path, method):
     assert cli.main(["spectrum", "--example", "2", "--n", str(n), "--method", method, "--out", str(out)]) == 0
     got = np.array([[float(v) for v in r.split(",")] for r in out.read_text().splitlines()[2:]])
     if method == "graph":
-        lam = np.abs(1.0 / np.linalg.eigvalsh(build_schrodinger_operator(EXAMPLES[2].problem.potential, n).matrix))
+        lam = np.abs(1.0 / np.linalg.eigvalsh(build_schrodinger_operator(EXAMPLES[2].potential, n).matrix))
     else:
         lam = np.abs(np.linalg.eigvalsh(diagnostic_matrix(2, n, method).matrix))
     lam = np.sort(lam)[::-1]
@@ -381,10 +381,11 @@ def test_cli_exit_code_mistyped_config(tmp_path, capsys, raw):
         ('{"epsilon": 1%s}' % ("0" * 400), "epsilon"),
         ('{"alpha_grid": {"max": 1%s}}' % ("0" * 400), "alpha_grid max"),
         ('{"alpha_grid": {"max": 1e200}}', "alpha_grid max"),  # its square, the weight, overflows
+        ('{"alpha_grid": {"min": 1e-200, "max": 1e-190}}', "alpha_grid min"),  # its square underflows
     ],
     ids=[
         "nan-epsilon", "infinite-alpha-max", "overflowing-epsilon", "overflowing-alpha-max",
-        "overflowing-alpha-max-squared",
+        "overflowing-alpha-max-squared", "underflowing-alpha-min-squared",
     ],
 )
 def test_cli_exit_code_nonfinite_config(tmp_path, capsys, raw, field):
