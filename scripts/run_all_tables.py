@@ -2,8 +2,9 @@
 
 Tables 1-3 are deterministic (forward image error, LSRE, MSRE); tables 4-7
 are the deblurring benchmarks, aggregated as medians over the seed list.
-The full 20-seed run takes 5.4-6 s on two cores, 4.8-5.5 s of it in the
-tables (three runs); pass --seeds 0,1,2 for a quick one.
+The full 20-seed run takes 3.3-5.1 s on two cores, 3.0-4.4 s of it in the
+tables (three runs, numpy 2.4 with OpenBLAS); pass --seeds 0,1,2 for a quick
+one.
 """
 import argparse
 import pathlib

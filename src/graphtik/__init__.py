@@ -6,62 +6,26 @@ two ways (a lattice Schrodinger matrix whose inverse has an asymptotically
 exact spectrum, and a box-function Galerkin projection), assembles penalty
 operators including a graph Laplacian learned from the observed data, and
 solves the regularized inversion over an oracle parameter sweep.
+
+The package binds no names itself; import each from the module that
+defines it, one module per layer:
+
+- ``discretization``: grids, the lattice operator and its stencil, the
+  pseudoinverse, the Galerkin matrix and the continuous eigenvalues.
+- ``graph_core``: m-path Dirichlet Laplacians of node sets on the integer
+  line.
+- ``problems``: the two benchmark examples, the four test functions, data
+  synthesis and seeded noise.
+- ``penalty``: the Dirichlet and Neumann penalties, the data graph
+  Laplacian and its kernel-matched variant.
+- ``regularization``: the Tikhonov pencil, the direct solves and the oracle
+  sweep over the alpha grid.
+- ``metrics``: spectral and restoration errors.
+- ``experiments``: the cell config, the catalogue of tables and figures and
+  the runners that read it.
+- ``reporting``: report records and their CSV and JSON output.
+- ``cli``: the ``graphtik`` command line.
+- ``errors``: the exception hierarchy and the input rules.
+
+A leading underscore marks a name as private to its module.
 """
-
-from .discretization import (
-    ContinuousProblem,
-    DiscreteOperator,
-    Grid,
-    build_galerkin_operator,
-    build_schrodinger_operator,
-    continuous_eigenvalues,
-    pseudo_inverse,
-    toeplitz_stencil,
-)
-from .errors import GraphtikError
-from .experiments import (
-    ExperimentConfig,
-    emit_figure_data,
-    forward_matrix,
-    run_cell,
-    run_table,
-)
-from .graph_core import (
-    DirichletSubsetSpec,
-    PathTransform,
-    alternating_inverse_square_transform,
-    line_interior,
-    m_path_dirichlet_laplacian,
-    transformed_path_laplacian,
-)
-from .metrics import lsre, max_abs_error, msre, rre
-from .penalty import (
-    SimilarityParams,
-    data_graph_laplacian,
-    dirichlet_penalty,
-    kernel_matched_penalty,
-    neumann_penalty,
-    similarity_weights,
-)
-from .problems import (
-    EXAMPLES,
-    NoiseModel,
-    TEST_FUNCTIONS,
-    TestFunction,
-    add_noise,
-    get_example,
-    get_test_function,
-    synthesize_data,
-)
-from .regularization import (
-    AlphaGrid,
-    RegularizedSolution,
-    TikhonovPencil,
-    TikhonovProblem,
-    alpha_sweep,
-    filter_solution,
-    tikhonov_solve,
-)
-from .reporting import ExperimentReport, config_hash
-
-__version__ = "0.1.0"

@@ -34,19 +34,6 @@ from .errors import (
     _is_int,
 )
 
-__all__ = [
-    "ContinuousProblem",
-    "Grid",
-    "DiscreteOperator",
-    "toeplitz_stencil",
-    "symmetric_toeplitz",
-    "build_schrodinger_operator",
-    "build_schrodinger_blocks",
-    "pseudo_inverse",
-    "build_galerkin_operator",
-    "continuous_eigenvalues",
-]
-
 _PINV_REL_TOL = 1e-12  # singular values below this times sigma_max count as zero
 _QUAD_POINTS = 8  # Gauss-Legendre points per cell and direction
 _CENTRO_REL_TOL = 1e-10  # largest |A - JAJ| accepted, relative to max |A|

@@ -4,15 +4,20 @@ Two broad families matter downstream: configuration problems (bad inputs,
 unusable specs) and numerical failures (solver or quadrature breakdown).
 The CLI maps the former to exit code 1 and the latter to exit code 2.
 
-The rules for scalar inputs live here, in the one module every other module
-imports, and every public check goes through them: ``_is_int`` is the one
-integer rule (ids, seeds, sizes, counts, truncations, radii),
-``_finite_real`` the one rule for a real parameter, and ``_lookup`` the one
-lookup of an integer id in a catalogue.  Each refuses a bad input with a
+The input rules live here, in the one module every other module imports,
+and every public check goes through them: ``_is_int`` is the one integer
+rule (ids, seeds, sizes, counts, truncations, radii), ``_finite_real`` the
+one rule for a real parameter, ``_finite`` the one rule for an array
+(operators, data vectors, anchors), and ``_lookup`` the one lookup of an
+integer id in a catalogue.  Each refuses a bad input with a
 ``ParameterError``.
 """
+from __future__ import annotations
+
 from math import inf, isfinite
 from numbers import Integral, Real
+
+import numpy as np
 
 
 class GraphtikError(Exception):
@@ -79,6 +84,17 @@ def _finite_real(name: str, value) -> float:
         x = inf
     if not isfinite(x):
         raise ParameterError(f"{name} must be finite, got {value!r}")
+    return x
+
+
+def _finite(name: str, x, shape: tuple | None = None) -> np.ndarray:
+    """x as a float array with finite entries, and of the given shape if
+    one is given: the check every operator, data vector and anchor passes."""
+    x = np.asarray(x, dtype=float)
+    if shape is not None and x.shape != shape:
+        raise ParameterError(f"{name} length does not match: shape {x.shape}, want {shape}")
+    if not np.all(np.isfinite(x)):
+        raise ParameterError(f"{name} has non-finite entries")
     return x
 
 

@@ -66,20 +66,6 @@ from .problems import (
 from .regularization import AlphaGrid, TikhonovPencil, TikhonovProblem, alpha_sweep
 from .reporting import ExperimentReport
 
-__all__ = [
-    "ExperimentConfig",
-    "FIGURES",
-    "PENALTY_NAMES",
-    "TABLES",
-    "forward_matrix",
-    "diagnostic_matrix",
-    "discrete_spectrum",
-    "forward_image_error",
-    "run_cell",
-    "run_table",
-    "emit_figure_data",
-]
-
 PENALTY_NAMES = ("identity", "a1", "a2", "a3", "matched")
 _METHODS = ("graph", "galerkin")
 _DEFAULT_SEEDS = tuple(range(20))  # of a table, from the API or the CLI
@@ -141,8 +127,7 @@ class ExperimentConfig:
             raise ParameterError(f"penalty must be one of {PENALTY_NAMES}, got {self.penalty!r}")
         if not (0.0 < self.r_fraction <= 1.0):
             raise ParameterError("r_fraction must be in (0, 1]")
-        if self.sigma <= 0.0:
-            raise ParameterError(f"sigma must be positive, got {self.sigma!r}")
+        SimilarityParams(ceil(self.r_fraction * self.n), self.sigma)  # SimilarityParams holds the sigma rule
         if self.data_mode not in _DATA_MODES:
             raise ParameterError(f"unknown data mode {self.data_mode!r}")
 

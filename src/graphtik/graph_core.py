@@ -22,15 +22,6 @@ import numpy as np
 
 from .errors import InsufficientSpecificationError, ParameterError, _is_int
 
-__all__ = [
-    "DirichletSubsetSpec",
-    "PathTransform",
-    "alternating_inverse_square_transform",
-    "line_interior",
-    "m_path_dirichlet_laplacian",
-    "transformed_path_laplacian",
-]
-
 
 @dataclass(frozen=True)
 class DirichletSubsetSpec:

@@ -5,13 +5,6 @@ import numpy as np
 
 from .errors import ParameterError, _is_int
 
-__all__ = [
-    "lsre",
-    "msre",
-    "rre",
-    "max_abs_error",
-]
-
 
 def lsre(discrete_eigs, continuous_eigs, m: int) -> float:
     """|discrete[m]/continuous[m] - 1| for the 1-based index m.

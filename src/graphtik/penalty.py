@@ -14,16 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretization import DiscreteOperator, Grid, symmetric_toeplitz
-from .errors import DegenerateAnchorError, ParameterError, _finite_real, _is_int
-
-__all__ = [
-    "SimilarityParams",
-    "dirichlet_penalty",
-    "neumann_penalty",
-    "similarity_weights",
-    "data_graph_laplacian",
-    "kernel_matched_penalty",
-]
+from .errors import DegenerateAnchorError, ParameterError, _finite, _finite_real, _is_int
 
 
 @dataclass(frozen=True)
@@ -65,8 +56,9 @@ def neumann_penalty(n: int) -> DiscreteOperator:
 
 
 def similarity_weights(g_eps: np.ndarray, p: SimilarityParams) -> np.ndarray:
-    """W_ij = exp(-(g_i - g_j)^2 / sigma^2) for 0 < |i - j| <= r, else 0."""
-    g = np.asarray(g_eps, dtype=float)
+    """W_ij = exp(-(g_i - g_j)^2 / sigma^2) for 0 < |i - j| <= r, else 0,
+    for a data vector g with finite entries."""
+    g = _finite("data", g_eps, (np.size(g_eps),))
     n = g.size
     if p.r > n:
         raise ParameterError(f"radius r={p.r} outside 1..{n}")
@@ -95,9 +87,10 @@ def kernel_matched_penalty(delta: DiscreteOperator, anchor: np.ndarray) -> Discr
     """delta + diag(kappa) with kappa_i = -(delta @ anchor)_i / anchor_i.
 
     The added potential is the minimal diagonal modification that makes the
-    anchor an exact null vector of the result.
+    anchor an exact null vector of the result.  The anchor has one finite
+    entry per node, none of them zero.
     """
-    anchor = np.asarray(anchor, dtype=float)
+    anchor = _finite("anchor", anchor, (delta.grid.n,))
     if np.any(anchor == 0.0):
         raise DegenerateAnchorError("anchor has a zero entry")
     D = np.asarray(delta.matrix, dtype=float)

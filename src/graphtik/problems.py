@@ -20,18 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .discretization import ContinuousProblem, Grid
-from .errors import ParameterError, ToleranceError, UnsupportedProblemError, _finite_real, _is_int, _lookup
-
-__all__ = [
-    "TestFunction",
-    "NoiseModel",
-    "TEST_FUNCTIONS",
-    "EXAMPLES",
-    "get_example",
-    "get_test_function",
-    "synthesize_data",
-    "add_noise",
-]
+from .errors import ParameterError, ToleranceError, UnsupportedProblemError, _finite, _finite_real, _is_int, _lookup
 
 _QUAD_TOL = 1e-12
 _DATA_MODES = ("quadrature", "analytic")  # of synthesize_data
@@ -237,8 +226,9 @@ class NoiseModel:
 
 
 def add_noise(g_n: np.ndarray, m: NoiseModel) -> np.ndarray:
-    """g + epsilon * ||g|| * z / ||z|| with z drawn from the seeded generator."""
-    g = np.asarray(g_n, dtype=float)
+    """g + epsilon * ||g|| * z / ||z|| with z drawn from the seeded generator,
+    for a data vector g with finite entries."""
+    g = _finite("data", g_n, (np.size(g_n),))
     if m.epsilon == 0.0:
         return g.copy()
     z = np.random.default_rng(m.seed).standard_normal(g.size)

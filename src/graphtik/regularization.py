@@ -46,17 +46,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .discretization import DiscreteOperator, _even_odd_blocks, _join_even_odd
-from .errors import ContractViolationError, IllPosedProblemError, NumericalError, ParameterError, _finite_real, _is_int
-
-__all__ = [
-    "TikhonovPencil",
-    "TikhonovProblem",
-    "AlphaGrid",
-    "RegularizedSolution",
-    "tikhonov_solve",
-    "filter_solution",
-    "alpha_sweep",
-]
+from .errors import (
+    ContractViolationError, IllPosedProblemError, NumericalError, ParameterError, _finite, _finite_real, _is_int,
+)
 
 # Relative floor for the Cholesky pivots of K'K + A'A = R'R: the pencil is
 # rejected when a block's factorization fails or min R_ii^2 <= _KERNEL_TOL *
@@ -77,17 +69,6 @@ _TRIANGULAR_BLOCK = 64
 # largest gap measured between a column's refined and per-weight errors on
 # the table cells (CHANGES.md).
 _FALLBACK_FACTOR = 2.0
-
-
-def _finite(name: str, x, shape: tuple | None = None) -> np.ndarray:
-    """x as a float array with finite entries, and of the given shape if
-    one is given: the check every operator and data vector passes."""
-    x = np.asarray(x, dtype=float)
-    if shape is not None and x.shape != shape:
-        raise ParameterError(f"{name} length does not match: shape {x.shape}, want {shape}")
-    if not np.all(np.isfinite(x)):
-        raise ParameterError(f"{name} has non-finite entries")
-    return x
 
 
 def _pencil_basis(KtK: np.ndarray, AtA: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

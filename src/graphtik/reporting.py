@@ -16,17 +16,6 @@ from dataclasses import dataclass
 
 FORMAT_VERSION = "graphtik v1"
 
-__all__ = [
-    "FORMAT_VERSION",
-    "ExperimentReport",
-    "config_hash",
-    "format_float",
-    "write_csv",
-    "write_table_csv",
-    "report_to_json",
-    "write_report_json",
-]
-
 
 def config_hash(config: dict) -> str:
     """First 12 hex chars of sha256 over sorted-key JSON."""

@@ -172,6 +172,8 @@ def test_config_seeds_are_stored_as_a_tuple_of_ints():
         # finite as an integer, but not as a float
         pytest.param("epsilon", 10**400, id="epsilon-10**400"),
         pytest.param("sigma", 10**400, id="sigma-10**400"),
+        # positive, but its square, which the similarity weights divide by, underflows
+        ("sigma", 1e-300),
     ],
 )
 def test_config_validation(field, value):
@@ -287,6 +289,19 @@ def test_forward_image_error_raises_a_failed_closed_form(monkeypatch):
     monkeypatch.setattr(experiments, "synthesize_data", failing)
     with pytest.raises(EvaluationError):
         forward_image_error(2, 20, 3, "graph")
+
+
+@pytest.mark.parametrize("n", [3, 20])
+@pytest.mark.parametrize("method", ["graph", "galerkin"])
+def test_forward_image_error_without_a_closed_form_uses_the_quadrature_data(method, n):
+    # example 2 registers no closed-form image of f1: the true image is then
+    # the quadrature data, and the graph image differs from the pseudoinverse
+    # product by roundoff alone
+    grid = Grid(n, "interior")
+    f = get_test_function(1)
+    u = synthesize_data(EXAMPLES[2], f, grid, "quadrature")
+    want = max_abs_error(diagnostic_matrix(2, n, method).matrix @ f.eval(grid.nodes), u)
+    assert abs(forward_image_error(2, n, 1, method) - want) <= 1e-12 * np.max(np.abs(u))
 
 
 def test_forward_image_error_small():
@@ -542,9 +557,8 @@ def test_non_finite_data_fails_only_its_seed(monkeypatch):
     monkeypatch.undo()
     clean = run_table(6, (0, 2))
     for cell, want in zip(report.cells, clean.cells):
-        # a fixed penalty's shared pencil rejects the data; a3 is built from it
-        culprit = "penalty operator" if cell["penalty"] == "a3" else "data"
-        assert cell["error"] == f"seed 1: {culprit} has non-finite entries"
+        # a fixed penalty's problem rejects the data, and a3's penalty build does
+        assert cell["error"] == "seed 1: data has non-finite entries"
         assert cell["seeds_used"] == 2
         assert (cell["value"], cell["alpha_median"]) == (want["value"], want["alpha_median"])
 

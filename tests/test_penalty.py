@@ -108,6 +108,12 @@ def test_similarity_params_validation():
     # and one whose square, which the weights divide by, underflows to 0
     with pytest.raises(ParameterError, match="sigma"):
         SimilarityParams(r=1, sigma=1e-300)
+    # the data: a NaN sample made NaN weights, an inf one cut its node off,
+    # and 2-D data raised numpy's ValueError
+    for g in ([0.0, np.nan, 1.0, 2.0], [0.0, np.inf, 1.0, 2.0], np.zeros((2, 2))):
+        for build in (similarity_weights, data_graph_laplacian):
+            with pytest.raises(ParameterError, match="data"):
+                build(g, SimilarityParams(r=1, sigma=1.0))
 
 
 def test_data_graph_constant_equals_neumann():
@@ -156,6 +162,11 @@ def test_matched_penalty_ones_anchor():
 def test_matched_penalty_rejects_zero_anchor():
     with pytest.raises(DegenerateAnchorError):
         kernel_matched_penalty(dirichlet_penalty(3), np.array([1.0, 0.0, 1.0]))
+    # one finite entry per node: a NaN anchor made a NaN penalty, and a
+    # wrong-length one raised numpy's ValueError
+    for anchor in ([1.0, np.nan, 1.0], [1.0, np.inf, 1.0], np.ones(4), np.ones((3, 1))):
+        with pytest.raises(ParameterError, match="anchor"):
+            kernel_matched_penalty(dirichlet_penalty(3), anchor)
 
 
 @settings(max_examples=40, deadline=None)

@@ -294,6 +294,9 @@ def test_analytic_mode_requires_registration():
     grid = Grid(3, "interior")
     with pytest.raises(UnsupportedProblemError):
         synthesize_data(get_example(2), get_test_function(1), grid, "analytic")
+    # example 1 registers f1-f3 only
+    with pytest.raises(UnsupportedProblemError, match="f4 under example1"):
+        synthesize_data(get_example(1), get_test_function(4), grid, "analytic")
     with pytest.raises(UnsupportedProblemError):
         synthesize_data(get_example(1), lambda y: y, grid, "analytic")
     with pytest.raises(ParameterError):
@@ -327,6 +330,12 @@ def test_noise_zero_epsilon_copies():
     for eps in (-0.1, float("nan"), float("inf"), 10**400, "0.1"):
         with pytest.raises(ParameterError, match="epsilon"):
             NoiseModel(eps, seed=0)
+    # the data, at any level: NaN data gave NaN, and 2-D data raised numpy's
+    # ValueError or was copied
+    for g in ([0.0, np.nan], [np.inf, 1.0], np.ones((2, 2))):
+        for eps in (0.0, 0.1):
+            with pytest.raises(ParameterError, match="data"):
+                add_noise(g, NoiseModel(eps, seed=0))
 
 
 def test_eigenvalue_laws():

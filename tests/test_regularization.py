@@ -26,6 +26,8 @@ from graphtik.regularization import (
     tikhonov_solve,
 )
 
+from test_discretization import _centrosymmetric
+
 _GRID = Grid(2, "interior")
 
 
@@ -408,12 +410,6 @@ def test_sweep_on_two_nodes():
     for penalty in ("identity", "a1", "a2", "a3"):
         sol, err = experiments.run_cell(replace(cfg, penalty=penalty), 0)
         assert np.isfinite(err) and sol.alpha in cfg.alpha_grid.values
-
-
-def _centrosymmetric(n, seed):
-    B = np.random.default_rng(seed).standard_normal((n, n))
-    B = B + B.T
-    return 0.5 * (B + B[::-1, ::-1])  # exactly symmetric and centrosymmetric
 
 
 def _counted(build, split=True):
