@@ -30,7 +30,6 @@ from .errors import (
     EvaluationError,
     NumericalError,
     ParameterError,
-    UnsupportedProblemError,
     _is_int,
 )
 
@@ -46,9 +45,11 @@ class ContinuousProblem:
 
     factors = (u, v) define the kernel h(x, y) = u(min(x, y)) v(max(x, y));
     each maps an array of points in [0, 1] to an array of the same shape.
-    potential maps an array of points to q there.
+    potential maps an array of points to an array of the same shape, one
+    value of q per point.
     eigenvalue_law, when present, maps an integer array m to the operator's
-    eigenvalue magnitudes lambda_m.
+    eigenvalue magnitudes lambda_m; ``experiments.continuous_spectrum``
+    reads it.
     forward_oracle, when present, maps (f_id, x) to the closed-form image
     of test function f_id under the operator; it raises KeyError for
     unregistered ids.
@@ -102,7 +103,6 @@ class DiscreteOperator:
 
     matrix: np.ndarray
     grid: Grid
-    tag: str  # graph | galerkin | penalty | derived
 
     def __post_init__(self):
         m = np.asarray(self.matrix)
@@ -143,12 +143,12 @@ def _lattice_terms(q: Callable, n: int) -> tuple[Grid, np.ndarray, np.ndarray]:
     """The interior grid, the scaled stencil (n+1)^2 t and q on the grid.
 
     The scale is applied to the first row, which gives every entry the bits
-    of scaling the Toeplitz matrix."""
+    of scaling the Toeplitz matrix.  q must return one value per node."""
     grid = Grid(n, "interior")
     qx = np.asarray(q(grid.nodes), dtype=float)
-    if qx.shape == ():
-        qx = np.full(n, float(qx))
-    if qx.shape != (n,) or not np.all(np.isfinite(qx)):
+    if qx.shape != (n,):
+        raise ContractViolationError(f"potential must return shape {(n,)}, got {qx.shape}")
+    if not np.all(np.isfinite(qx)):
         raise EvaluationError("potential not finite on all grid nodes")
     return grid, (n + 1) ** 2 * toeplitz_stencil(n), qx
 
@@ -164,7 +164,7 @@ def build_schrodinger_operator(q: Callable, n: int) -> DiscreteOperator:
     grid, s, qx = _lattice_terms(q, n)
     L = symmetric_toeplitz(s)
     L.ravel()[:: n + 1] += qx
-    return DiscreteOperator(L, grid, "graph")
+    return DiscreteOperator(L, grid)
 
 
 def build_schrodinger_blocks(q: Callable, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -213,13 +213,13 @@ def pseudo_inverse(op: DiscreteOperator) -> DiscreteOperator:
     try:
         U, s, Vt = np.linalg.svd(np.asarray(op.matrix, dtype=float))
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD failed on {op.tag!r} operator") from exc
-    cutoff = _PINV_REL_TOL * (s[0] if s.size else 0.0)
+        raise NumericalError("SVD of the operator failed") from exc
+    cutoff = _PINV_REL_TOL * s[0]
     s_inv = np.zeros_like(s)
     keep = s > cutoff
     s_inv[keep] = 1.0 / s[keep]
     K = (Vt.T * s_inv) @ U.T
-    return DiscreteOperator(K, op.grid, op.tag if op.tag == "graph" else "derived")
+    return DiscreteOperator(K, op.grid)
 
 
 def build_galerkin_operator(p: ContinuousProblem, n: int) -> DiscreteOperator:
@@ -236,7 +236,7 @@ def build_galerkin_operator(p: ContinuousProblem, n: int) -> DiscreteOperator:
     grid = Grid(n, "midpoint")  # checks n first
     u, v = p.factors
     gx, gw = np.polynomial.legendre.leggauss(_QUAD_POINTS)
-    mids = (np.arange(n) + 0.5) / n
+    mids = grid.nodes
     half = 0.5 / n
     x = mids[:, None] + half * gx[None, :]  # (n, q) nodes per cell
     w = half * gw
@@ -256,7 +256,7 @@ def build_galerkin_operator(p: ContinuousProblem, n: int) -> DiscreteOperator:
     for i in range(n - 1):  # above it h = u(x) v(y), the transpose
         K[i, i + 1:] = K[i + 1:, i]
     np.fill_diagonal(K, diag)
-    return DiscreteOperator(K, grid, "galerkin")
+    return DiscreteOperator(K, grid)
 
 
 def _is_centrosymmetric(A: np.ndarray) -> bool:
@@ -348,13 +348,3 @@ def _join_even_odd(V_even: np.ndarray, V_odd: np.ndarray) -> np.ndarray:
     np.negative(V[:m, c:][::-1], out=V[c:, c:])
     return V
 
-
-def continuous_eigenvalues(p: ContinuousProblem, count: int) -> np.ndarray:
-    """lambda_1..lambda_count from the problem's registered eigenvalue law."""
-    if not (_is_int(count) and count >= 0):
-        raise ParameterError(f"count must be an integer >= 0, got {count!r}")
-    if count == 0:
-        return np.empty(0)
-    if p.eigenvalue_law is None:
-        raise UnsupportedProblemError("problem has no registered eigenvalue law")
-    return np.asarray(p.eigenvalue_law(np.arange(1, count + 1)), dtype=float)

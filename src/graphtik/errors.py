@@ -45,7 +45,7 @@ class DegenerateAnchorError(ConfigurationError):
 
 
 class UnsupportedProblemError(ConfigurationError):
-    """Requested a closed form (spectrum, forward image) that is not registered."""
+    """Requested a closed-form forward image that is not registered."""
 
 
 class ContractViolationError(ConfigurationError):
@@ -92,7 +92,7 @@ def _finite(name: str, x, shape: tuple | None = None) -> np.ndarray:
     one is given: the check every operator, data vector and anchor passes."""
     x = np.asarray(x, dtype=float)
     if shape is not None and x.shape != shape:
-        raise ParameterError(f"{name} length does not match: shape {x.shape}, want {shape}")
+        raise ParameterError(f"{name} must have shape {shape}, got {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ParameterError(f"{name} has non-finite entries")
     return x

@@ -41,7 +41,6 @@ from .discretization import (
     build_galerkin_operator,
     build_schrodinger_blocks,
     build_schrodinger_operator,
-    continuous_eigenvalues,
     pseudo_inverse,
 )
 from .errors import GraphtikError, ParameterError, UnsupportedProblemError, _finite_real, _is_int, _lookup
@@ -180,7 +179,8 @@ def forward_matrix(example_id: int, n: int, method: str) -> DiscreteOperator:
         L = build_schrodinger_operator(ex.potential, n)
         # orient the inverse like the example's printed kernel
         K = ex.green_sign * pseudo_inverse(L).matrix
-    return DiscreteOperator(K, Grid(n, "interior"), method)
+    K.flags.writeable = False  # every caller shares the one array
+    return DiscreteOperator(K, Grid(n, "interior"))
 
 
 def diagnostic_matrix(example_id: int, n: int, method: str) -> DiscreteOperator:
@@ -241,7 +241,11 @@ def discrete_spectrum(example_id: int, n: int, method: str) -> np.ndarray:
 
 
 def continuous_spectrum(example_id: int, n: int) -> np.ndarray:
-    return continuous_eigenvalues(get_example(example_id), n)
+    """lambda_1..lambda_n from the example's eigenvalue law."""
+    law = get_example(example_id).eigenvalue_law
+    if not (_is_int(n) and n >= 0):
+        raise ParameterError(f"n must be an integer >= 0, got {n!r}")
+    return law(np.arange(1, n + 1))
 
 
 def forward_image_error(example_id: int, n: int, fid: int, method: str) -> float:
@@ -278,7 +282,7 @@ _DATA_PENALTIES = ("a3", "matched")
 def _penalty_operator(config: ExperimentConfig, g_eps: np.ndarray, reference: np.ndarray):
     n = config.n
     if config.penalty == "identity":
-        return DiscreteOperator(np.eye(n), Grid(n, "interior"), "penalty")
+        return DiscreteOperator(np.eye(n), Grid(n, "interior"))
     if config.penalty == "a1":
         return dirichlet_penalty(n)
     if config.penalty == "a2":

@@ -43,7 +43,7 @@ def dirichlet_penalty(n: int) -> DiscreteOperator:
         raise ParameterError(f"n must be an integer >= 2, got {n!r}")
     t = np.zeros(n)
     t[0], t[1] = 2.0, -1.0
-    return DiscreteOperator(symmetric_toeplitz(t), Grid(n, "interior"), "penalty")
+    return DiscreteOperator(symmetric_toeplitz(t), Grid(n, "interior"))
 
 
 def neumann_penalty(n: int) -> DiscreteOperator:
@@ -52,7 +52,7 @@ def neumann_penalty(n: int) -> DiscreteOperator:
     A = dirichlet_penalty(n).matrix  # a fresh array, no other operator holds it
     A[0, 0] = 1.0
     A[-1, -1] = 1.0
-    return DiscreteOperator(A, Grid(n, "interior"), "penalty")
+    return DiscreteOperator(A, Grid(n, "interior"))
 
 
 def similarity_weights(g_eps: np.ndarray, p: SimilarityParams) -> np.ndarray:
@@ -80,7 +80,7 @@ def data_graph_laplacian(g_eps: np.ndarray, p: SimilarityParams) -> DiscreteOper
     if not degree.any():
         raise ParameterError(f"sigma={p.sigma!r} is too small: every similarity weight underflows to 0")
     A = np.diag(degree) - W
-    return DiscreteOperator(A, Grid(W.shape[0], "interior"), "penalty")
+    return DiscreteOperator(A, Grid(W.shape[0], "interior"))
 
 
 def kernel_matched_penalty(delta: DiscreteOperator, anchor: np.ndarray) -> DiscreteOperator:
@@ -95,4 +95,4 @@ def kernel_matched_penalty(delta: DiscreteOperator, anchor: np.ndarray) -> Discr
         raise DegenerateAnchorError("anchor has a zero entry")
     D = np.asarray(delta.matrix, dtype=float)
     kappa = -(D @ anchor) / anchor
-    return DiscreteOperator(D + np.diag(kappa), delta.grid, "penalty")
+    return DiscreteOperator(D + np.diag(kappa), delta.grid)

@@ -189,14 +189,13 @@ def synthesize_data(
     with warnings.catch_warnings():
         warnings.simplefilter("error", IntegrationWarning)
         for i, xi in enumerate(x):
-            pts = [xi] if 0.0 < xi < 1.0 else None
             ux, vx = u(xi), v(xi)
             try:
                 val, abserr = quad(
                     lambda y: float(vx * u(y) if y < xi else ux * v(y)) * float(f(y)),
                     0.0,
                     1.0,
-                    points=pts,
+                    points=[xi],
                     limit=200,
                     epsabs=_QUAD_TOL,
                     epsrel=_QUAD_TOL,

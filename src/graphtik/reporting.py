@@ -37,10 +37,6 @@ class ExperimentReport:
     cells: list
     roundtrip: dict | None = None
 
-    @property
-    def config_hash(self) -> str:
-        return config_hash(self.config)
-
 
 @contextmanager
 def _output(path):
@@ -84,13 +80,13 @@ def write_table_csv(path, report: ExperimentReport):
     """One row per cell of a table report, under its config-hash header."""
     keys = [k for k in _TABLE_COLUMNS if any(k in c for c in report.cells)]
     rows = [[c.get(k, "") for k in keys] for c in report.cells]
-    write_csv(path, keys, rows, report.config_hash)
+    write_csv(path, keys, rows, config_hash(report.config))
 
 
 def report_to_json(report: ExperimentReport) -> str:
     payload = {
         "format_version": FORMAT_VERSION,
-        "config_hash": report.config_hash,
+        "config_hash": config_hash(report.config),
         "config": report.config,
         "cells": report.cells,
         "roundtrip": report.roundtrip,

@@ -348,8 +348,8 @@ def test_criterion_09_filter_equivalence(capsys):
         alpha = 10.0 ** rng.uniform(-6, 2)
         p = TikhonovProblem(
             TikhonovPencil(
-                DiscreteOperator(K, Grid(n), "penalty"),
-                DiscreteOperator(np.eye(n), Grid(n), "penalty"),
+                DiscreteOperator(K, Grid(n)),
+                DiscreteOperator(np.eye(n), Grid(n)),
             ),
             g,
         )
@@ -394,7 +394,7 @@ def test_criterion_11_penrose_identities(capsys):
         A = rng.standard_normal((n, n))
         if k % 2:
             A[:, 0] = A[:, -1]  # exact rank deficiency
-        ops.append(DiscreteOperator(A, Grid(n), "penalty"))
+        ops.append(DiscreteOperator(A, Grid(n)))
     for ex_id in (1, 2):
         ops.append(build_schrodinger_operator(EXAMPLES[ex_id].potential, 100))
     ops.append(forward_matrix(2, 100, "galerkin"))

@@ -12,7 +12,6 @@ from graphtik.discretization import (
     build_galerkin_operator,
     build_schrodinger_blocks,
     build_schrodinger_operator,
-    continuous_eigenvalues,
     pseudo_inverse,
     toeplitz_stencil,
     _even_odd_blocks,
@@ -22,9 +21,10 @@ from graphtik.discretization import (
 from graphtik.errors import (
     ContractViolationError,
     EvaluationError,
+    NumericalError,
     ParameterError,
-    UnsupportedProblemError,
 )
+from graphtik.experiments import continuous_spectrum
 from graphtik.problems import EXAMPLES
 
 
@@ -36,6 +36,9 @@ def _split_eigvalsh(blocks):
 def test_grid_nodes():
     np.testing.assert_allclose(Grid(3, "interior").nodes, [0.25, 0.5, 0.75])
     np.testing.assert_allclose(Grid(2, "midpoint").nodes, [0.25, 0.75])
+    # build_galerkin_operator reads its cell centres (k + 1/2)/n from the grid
+    for n in (1, 2, 3, 100, 1001, 2000):
+        assert Grid(n, "midpoint").nodes.tobytes() == ((np.arange(n) + 0.5) / n).tobytes()
 
 
 def test_grid_validation():
@@ -47,7 +50,7 @@ def test_grid_validation():
 
 def test_operator_shape_contract():
     with pytest.raises(ContractViolationError):
-        DiscreteOperator(np.eye(3), Grid(2), "penalty")
+        DiscreteOperator(np.eye(3), Grid(2))
 
 
 def test_stencil_values():
@@ -72,7 +75,6 @@ def test_schrodinger_zero_potential():
     op = build_schrodinger_operator(lambda x: np.zeros_like(x), 2)
     np.testing.assert_array_equal(op.matrix, 9.0 * sla.toeplitz(toeplitz_stencil(2)))
     assert op.grid == Grid(2, "interior")
-    assert op.tag == "graph"
 
 
 def test_schrodinger_constant_potential():
@@ -87,8 +89,11 @@ def test_schrodinger_variable_potential():
 
 
 def test_schrodinger_scalar_potential_return():
-    op = build_schrodinger_operator(lambda x: 0.0, 2)
-    np.testing.assert_array_equal(op.matrix, 9.0 * sla.toeplitz(toeplitz_stencil(2)))
+    # a potential returns one value per node; a scalar breaks that contract
+    with pytest.raises(ContractViolationError, match=r"shape \(2,\), got \(\)"):
+        build_schrodinger_operator(lambda x: 0.0, 2)
+    with pytest.raises(ContractViolationError, match=r"shape \(3,\), got \(3, 1\)"):
+        build_schrodinger_blocks(lambda x: x[:, None], 3)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 100, 1001])
@@ -150,22 +155,26 @@ def test_schrodinger_blocks_test_evenness_like_the_split(n):
 
 
 def test_pseudo_inverse_diagonal():
-    op = DiscreteOperator(np.diag([2.0, 0.0]), Grid(2), "penalty")
+    op = DiscreteOperator(np.diag([2.0, 0.0]), Grid(2))
     K = pseudo_inverse(op)
     np.testing.assert_array_equal(K.matrix, np.diag([0.5, 0.0]))
-    assert K.tag == "derived"
+    assert K.grid == op.grid
 
 
-def test_pseudo_inverse_keeps_graph_tag():
-    op = build_schrodinger_operator(lambda x: np.zeros_like(x), 4)
-    assert pseudo_inverse(op).tag == "graph"
+def test_pseudo_inverse_svd_failure_is_numerical(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    with pytest.raises(NumericalError, match="SVD"):
+        pseudo_inverse(DiscreteOperator(np.eye(2), Grid(2)))
 
 
 def test_pseudo_inverse_penrose():
     rng = np.random.default_rng(7)
     A = rng.standard_normal((6, 6))
     A[:, 3] = A[:, 0]  # force rank deficiency
-    op = DiscreteOperator(A, Grid(6), "penalty")
+    op = DiscreteOperator(A, Grid(6))
     K = pseudo_inverse(op).matrix
     np.testing.assert_allclose(A @ K @ A, A, atol=1e-10)
     np.testing.assert_allclose(K @ A @ K, K, atol=1e-10)
@@ -219,7 +228,6 @@ def test_galerkin_constant_kernel():
     op = build_galerkin_operator(p, 3)
     np.testing.assert_allclose(op.matrix, np.full((3, 3), 1.0 / 3.0), atol=1e-14)
     assert op.grid == Grid(3, "midpoint")
-    assert op.tag == "galerkin"
 
 
 def test_galerkin_product_kernel():
@@ -259,19 +267,20 @@ def test_eigendecomposition_second_difference():
 
 
 def test_continuous_eigenvalues():
-    lam2 = continuous_eigenvalues(EXAMPLES[2], 3)
+    lam2 = continuous_spectrum(2, 3)
     np.testing.assert_allclose(lam2[0], 1.0 / (np.pi**2 - 1.0), rtol=1e-15)
-    lam1 = continuous_eigenvalues(EXAMPLES[1], 2)
+    lam1 = continuous_spectrum(1, 2)
     np.testing.assert_allclose(lam1[1], 1.0 / (4.0 * np.pi**2), rtol=1e-15)
-    assert continuous_eigenvalues(EXAMPLES[1], 0).size == 0
+    # the law maps the empty index range to an empty spectrum
+    empty = continuous_spectrum(1, 0)
+    assert empty.shape == (0,) and empty.dtype == float
 
 
 def test_continuous_eigenvalues_validation():
-    with pytest.raises(ParameterError):
-        continuous_eigenvalues(EXAMPLES[1], -1)
-    p = ContinuousProblem(factors=(lambda t: t, lambda t: t), potential=lambda x: x)
-    with pytest.raises(UnsupportedProblemError):
-        continuous_eigenvalues(p, 2)
+    with pytest.raises(ParameterError, match="n must be an integer >= 0"):
+        continuous_spectrum(1, -1)
+    with pytest.raises(ParameterError, match="example id"):
+        continuous_spectrum(3, 2)
 
 
 def _centrosymmetric(n, seed):

@@ -17,7 +17,6 @@ from graphtik.discretization import (
     _even_odd_solve,
     build_galerkin_operator,
     build_schrodinger_operator,
-    continuous_eigenvalues,
     pseudo_inverse,
     toeplitz_stencil,
 )
@@ -194,6 +193,19 @@ def test_forward_matrices_share_grid():
     for args in ((2.0, 12, "graph"), (2, 12.0, "graph"), (True, 12, "graph")):
         with pytest.raises(ParameterError):
             forward_matrix(*args)
+
+
+@pytest.mark.parametrize("method", ["graph", "galerkin"])
+def test_cached_forward_matrix_is_read_only(method):
+    # every table, figure and cell of the process shares the cached array,
+    # so an in-place write must fail instead of changing later results
+    K = forward_matrix(2, 12, method).matrix
+    before = K.copy()
+    with pytest.raises(ValueError):
+        K[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        K *= 2.0
+    assert forward_matrix(2, 12, method).matrix.tobytes() == before.tobytes()
 
 
 def test_diagnostic_matrix_scaling():
@@ -384,7 +396,7 @@ def test_run_table_roundtrip():
     for cell in report.cells:
         assert cell["metric"] == "rre_median"
         assert np.isfinite(cell["value"])
-    assert len(report.config_hash) == 12
+    assert len(config_hash(report.config)) == 12
 
 
 def test_run_table_json_is_reproducible():
@@ -402,11 +414,11 @@ def test_table_config_hash_covers_its_template_and_axes(monkeypatch):
     monkeypatch.setitem(experiments.TABLES, 4, replace(experiments.TABLES[4], template=template))
     edited = run_table(4, (0,))
     assert edited.cells == paper.cells
-    assert edited.config_hash != paper.config_hash
+    assert config_hash(edited.config) != config_hash(paper.config)
     assert edited.config["table"] == 4
     assert edited.config["template"] == replace(template, seeds=(0,)).to_dict()
     assert edited.config["penalties"] == ["identity"]
-    assert run_table(4, (1,)).config_hash != paper.config_hash
+    assert config_hash(run_table(4, (1,)).config) != config_hash(paper.config)
 
 
 def test_noise_free_table_runs_one_seed():
@@ -509,7 +521,7 @@ def test_table_decomposes_each_fixed_penalty_pencil_once(monkeypatch):
 
 def test_ill_posed_pencil_fails_every_seed_of_its_cell(monkeypatch):
     # with K = 0 the constants, in the kernel of a2 and of a3, go unpenalized
-    zero = DiscreteOperator(np.zeros((100, 100)), Grid(100, "interior"), "graph")
+    zero = DiscreteOperator(np.zeros((100, 100)), Grid(100, "interior"))
     monkeypatch.setattr(experiments, "forward_matrix", lambda *args: zero)
     seeds = (0, 1, 2)
     want = "; ".join(f"seed {s}: penalty and forward operator share a near-null direction" for s in seeds)
@@ -584,7 +596,7 @@ _SMALL_CELL = ExperimentConfig(example=1, test_function=3, n=20, epsilon=0.01)
         pytest.param(lambda: get_test_function(True), id="get_test_function(True)"),
         pytest.param(lambda: Grid(2.5), id="Grid(2.5)"),
         pytest.param(lambda: Grid(True), id="Grid(True)"),
-        pytest.param(lambda: continuous_eigenvalues(EXAMPLES[2], 2.5), id="continuous_eigenvalues(p, 2.5)"),
+        pytest.param(lambda: continuous_spectrum(2, 2.5), id="continuous_spectrum(2, 2.5)"),
         pytest.param(lambda: SimilarityParams(r=2.5, sigma=0.01), id="SimilarityParams(r=2.5)"),
         pytest.param(lambda: SimilarityParams(r=True, sigma=0.01), id="SimilarityParams(r=True)"),
         pytest.param(lambda: toeplitz_stencil(2.5), id="toeplitz_stencil(2.5)"),

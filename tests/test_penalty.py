@@ -149,7 +149,7 @@ def test_matched_penalty_annihilates_anchor():
     anchor = 0.5 + rng.random(8)
     A = kernel_matched_penalty(dirichlet_penalty(8), anchor)
     np.testing.assert_allclose(A.matrix @ anchor, 0.0, atol=1e-12)
-    assert A.tag == "penalty"
+    assert A.grid == dirichlet_penalty(8).grid
 
 
 def test_matched_penalty_ones_anchor():

@@ -264,7 +264,7 @@ n = 9
 rng = np.random.default_rng(0)
 K = np.eye(n) + 0.1 * rng.standard_normal((n, n))
 p = TikhonovProblem(
-    TikhonovPencil(DiscreteOperator(K, Grid(n), "derived"), DiscreteOperator(np.eye(n), Grid(n), "penalty")),
+    TikhonovPencil(DiscreteOperator(K, Grid(n)), DiscreteOperator(np.eye(n), Grid(n))),
     rng.standard_normal(n),
 )
 f = tikhonov_solve(p, 1.0)
@@ -336,6 +336,9 @@ def test_noise_zero_epsilon_copies():
         for eps in (0.0, 0.1):
             with pytest.raises(ParameterError, match="data"):
                 add_noise(g, NoiseModel(eps, seed=0))
+    # a shape mismatch names both shapes, not a length
+    with pytest.raises(ParameterError, match=r"^data must have shape \(4,\), got \(2, 2\)$"):
+        add_noise(np.ones((2, 2)), NoiseModel(0.1, seed=0))
 
 
 def test_eigenvalue_laws():

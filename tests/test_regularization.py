@@ -33,7 +33,7 @@ _GRID = Grid(2, "interior")
 
 def _op(matrix, grid=None):
     m = np.asarray(matrix, dtype=float)
-    return DiscreteOperator(m, grid or Grid(m.shape[0], "interior"), "penalty")
+    return DiscreteOperator(m, grid or Grid(m.shape[0], "interior"))
 
 
 def _problem(K, A, g):
@@ -157,8 +157,8 @@ def test_filter_small_alpha_limit():
 @pytest.mark.parametrize(
     "g,match",
     [
-        (np.ones(4), "length"),
-        (np.ones((5, 1)), "length"),
+        (np.ones(4), r"data must have shape \(5,\), got \(4,\)"),
+        (np.ones((5, 1)), r"data must have shape \(5,\), got \(5, 1\)"),
         ([1.0, np.nan, 0.0, 0.0, 0.0], "non-finite"),
         ([1.0, 0.0, np.inf, 0.0, 0.0], "non-finite"),
     ],

@@ -163,12 +163,41 @@ def test_cli_table_csv_stdout(capsys):
     assert lines[1].split(",")[:4] == ["table", "f", "method", "penalty"]
 
 
+def test_cli_table_without_seeds_runs_the_default_seeds(tmp_path):
+    # table 4 is noise-free, so its 20 default seeds run one cell each
+    out = tmp_path / "table4.csv"
+    assert cli.main(["table", "--id", "4", "--out", str(out)]) == 0
+    assert _header_hash(out) == config_hash(experiments.run_table(4).config)
+    assert _header_hash(out) != config_hash(experiments.run_table(4, (0,)).config)
+
+
 def _script(name):
     path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
     spec = importlib.util.spec_from_file_location(name, path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     return script
+
+
+def test_unreached_lines_lists_the_statements_that_did_not_run(tmp_path):
+    source = tmp_path / "probe.py"
+    source.write_text(
+        "def f(x):\n"
+        '    """Docstring."""\n'
+        "    if x < 0:\n"
+        '        raise ValueError("negative")\n'
+        "    return (\n"
+        "        x + 1\n"
+        "    )\n"
+    )
+    spec = importlib.util.spec_from_file_location("probe", source)
+    probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe)
+    # the def line and the docstring are not statements that count; the
+    # if and the return ran, the raise did not
+    assert _script("unreached_lines").unreached(lambda: probe.f(1), tmp_path) == {
+        source: [(4, 'raise ValueError("negative")')]
+    }
 
 
 def test_table_script_writes_the_cli_csv(tmp_path):
