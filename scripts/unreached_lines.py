@@ -6,12 +6,13 @@ The script runs what ``table_digest.py`` runs (every table, figure, CLI
 command and n = 1000 cell) in-process, with ``sys.settrace`` recording the
 lines that run in frames of the package's own modules.  It then prints, for
 each module, the statements none of whose lines ran, with their line
-numbers.  The statements come from ``ast``.  Docstrings, ``def`` and
-``class`` lines and imports are left out.  A statement counts as run when
-any of its lines ran, so a compound statement (``if``, ``for``, ``try``,
-``with``) whose header ran is not listed, while an untaken branch lists
-the statements of its body.  The package is imported under the trace, so
-module-level statements count too.
+numbers.  The statements come from ``ast``.  Docstrings (the lines
+``code_lines.docstring_lines`` returns), ``def`` and ``class`` lines and
+imports are left out.  A statement counts as run when any of its lines
+ran, so a compound statement (``if``, ``for``, ``try``, ``with``) whose
+header ran is not listed, while an untaken branch lists the statements of
+its body.  The package is imported under the trace, so module-level
+statements count too.
 
 The digest runs at its own default seeds, 0..19; on 2 cores the run
 takes about 13 s.  A listed statement is one that the tables, figures and
@@ -28,21 +29,19 @@ from pathlib import Path
 
 _SCRIPTS = Path(__file__).resolve().parent
 _PACKAGE = _SCRIPTS.parent / "src" / "graphtik"
-_DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+sys.path.insert(0, str(_SCRIPTS))
+from code_lines import docstring_lines  # noqa: E402  (the one docstring rule)
+
 _NOT_COUNTED = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Import, ast.ImportFrom)
 
 
 def statements(tree: ast.AST) -> list:
     """(first, last) line of each counted statement, in line order."""
-    docstrings = {
-        id(node.body[0])
-        for node in ast.walk(tree)
-        if isinstance(node, _DOCUMENTED) and ast.get_docstring(node, clean=False) is not None
-    }
+    docstrings = docstring_lines(tree)
     return sorted(
         (node.lineno, node.end_lineno)
         for node in ast.walk(tree)
-        if isinstance(node, ast.stmt) and not isinstance(node, _NOT_COUNTED) and id(node) not in docstrings
+        if isinstance(node, ast.stmt) and not isinstance(node, _NOT_COUNTED) and node.lineno not in docstrings
     )
 
 
@@ -94,7 +93,7 @@ def unreached(run, root) -> dict:
 def _run_digest() -> None:
     """The traffic of ``table_digest.py`` at its default seeds, its digest
     lines discarded."""
-    sys.path[:0] = [str(_PACKAGE.parent), str(_SCRIPTS)]
+    sys.path.insert(0, str(_PACKAGE.parent))
     import table_digest  # imports the package, under the trace
 
     with contextlib.redirect_stdout(io.StringIO()):

@@ -27,8 +27,7 @@ import numpy as np
 
 from .errors import (
     ContractViolationError,
-    EvaluationError,
-    NumericalError,
+    NumericalFailure,
     ParameterError,
     _is_int,
 )
@@ -149,7 +148,7 @@ def _lattice_terms(q: Callable, n: int) -> tuple[Grid, np.ndarray, np.ndarray]:
     if qx.shape != (n,):
         raise ContractViolationError(f"potential must return shape {(n,)}, got {qx.shape}")
     if not np.all(np.isfinite(qx)):
-        raise EvaluationError("potential not finite on all grid nodes")
+        raise NumericalFailure("potential not finite on all grid nodes")
     return grid, (n + 1) ** 2 * toeplitz_stencil(n), qx
 
 
@@ -213,7 +212,7 @@ def pseudo_inverse(op: DiscreteOperator) -> DiscreteOperator:
     try:
         U, s, Vt = np.linalg.svd(np.asarray(op.matrix, dtype=float))
     except np.linalg.LinAlgError as exc:
-        raise NumericalError("SVD of the operator failed") from exc
+        raise NumericalFailure("SVD of the operator failed") from exc
     cutoff = _PINV_REL_TOL * s[0]
     s_inv = np.zeros_like(s)
     keep = s > cutoff
@@ -251,7 +250,7 @@ def build_galerkin_operator(p: ContinuousProblem, n: int) -> DiscreteOperator:
     inner = h1 * ((vx[:, :, None] * u(y1)) @ gw) + h2 * ((ux[:, :, None] * v(y2)) @ gw)
     diag = n * (inner @ w)
     if not np.all(np.isfinite(np.concatenate([U, V, diag]))):
-        raise EvaluationError("kernel not finite inside a quadrature cell")
+        raise NumericalFailure("kernel not finite inside a quadrature cell")
     K = np.outer(n * V, U)  # below the diagonal y < x: h = v(x) u(y)
     for i in range(n - 1):  # above it h = u(x) v(y), the transpose
         K[i, i + 1:] = K[i + 1:, i]

@@ -1,8 +1,18 @@
 """Exception hierarchy, and the package's input rules.
 
-Two broad families matter downstream: configuration problems (bad inputs,
-unusable specs) and numerical failures (solver or quadrature breakdown).
-The CLI maps the former to exit code 1 and the latter to exit code 2.
+Two broad families matter downstream: configuration problems
+(``ConfigurationError``: bad inputs, unusable specs) and numerical failures
+(``NumericalFailure``: solver, factorization or quadrature breakdown).  The
+CLI maps the former to exit code 1 and the latter to exit code 2, and every
+other caller reads just the family and the message.  ``ParameterError`` is
+what the input rules below raise.  Any other leaf class exists only where
+a caller acts on it, and there are two: ``UnsupportedProblemError`` is
+caught in ``experiments.forward_image_error``, which then takes the
+quadrature data, and ``ContractViolationError`` in
+``regularization._pencil_basis``, which then builds one block.  So the six
+classes are ``GraphtikError``, ``ConfigurationError``, ``NumericalFailure``,
+``ParameterError``, ``UnsupportedProblemError`` and
+``ContractViolationError``.
 
 The input rules live here, in the one module every other module imports,
 and every public check goes through them: ``_is_int`` is the one integer
@@ -32,16 +42,8 @@ class NumericalFailure(GraphtikError):
     """A numerical routine failed on a valid request."""
 
 
-class InsufficientSpecificationError(ConfigurationError):
-    """Closed-form result requested without the data needed to produce it."""
-
-
 class ParameterError(ConfigurationError):
-    """Scalar parameter outside its documented range."""
-
-
-class DegenerateAnchorError(ConfigurationError):
-    """Anchor vector has a zero entry; the matched potential is undefined."""
+    """An input outside its documented range, or short of what the request needs."""
 
 
 class UnsupportedProblemError(ConfigurationError):
@@ -50,22 +52,6 @@ class UnsupportedProblemError(ConfigurationError):
 
 class ContractViolationError(ConfigurationError):
     """Input violates a structural precondition (e.g. asymmetric matrix)."""
-
-
-class EvaluationError(NumericalFailure):
-    """A user-supplied function produced a non-finite value."""
-
-
-class NumericalError(NumericalFailure):
-    """Dense linear algebra failure (factorization, SVD, overflow)."""
-
-
-class ToleranceError(NumericalFailure):
-    """Quadrature or iteration did not reach the requested tolerance."""
-
-
-class IllPosedProblemError(NumericalFailure):
-    """Regularized normal equations are numerically singular."""
 
 
 def _is_int(x) -> bool:

@@ -54,8 +54,6 @@ from .penalty import (
 )
 from .problems import (
     _DATA_MODES,
-    EXAMPLES,
-    TEST_FUNCTIONS,
     NoiseModel,
     add_noise,
     get_example,
@@ -112,8 +110,8 @@ class ExperimentConfig:
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         if not isinstance(self.alpha_grid, AlphaGrid):
             raise ParameterError(f"config field 'alpha_grid' must be an AlphaGrid, got {self.alpha_grid!r}")
-        _lookup(EXAMPLES, "example", self.example)
-        _lookup(TEST_FUNCTIONS, "test function", self.test_function)
+        get_example(self.example)
+        get_test_function(self.test_function)
         if self.n < 2:
             raise ParameterError("n must be >= 2")
         if self.epsilon < 0.0:

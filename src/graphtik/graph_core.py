@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InsufficientSpecificationError, ParameterError, _is_int
+from .errors import ParameterError, _is_int
 
 
 @dataclass(frozen=True)
@@ -133,7 +133,7 @@ def transformed_path_laplacian(
 
     if truncation == "analytic":
         if t.tail_rule is None:
-            raise InsufficientSpecificationError("analytic sum needs a tail_rule")
+            raise ParameterError("analytic sum needs a tail_rule")
         A = _line_gap_matrix(idx, t.phi, None)
         np.fill_diagonal(A, 2.0 * t.tail_rule(0))
         return A

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretization import DiscreteOperator, Grid, symmetric_toeplitz
-from .errors import DegenerateAnchorError, ParameterError, _finite, _finite_real, _is_int
+from .errors import ParameterError, _finite, _finite_real, _is_int
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,7 @@ def kernel_matched_penalty(delta: DiscreteOperator, anchor: np.ndarray) -> Discr
     """
     anchor = _finite("anchor", anchor, (delta.grid.n,))
     if np.any(anchor == 0.0):
-        raise DegenerateAnchorError("anchor has a zero entry")
+        raise ParameterError("anchor has a zero entry")
     D = np.asarray(delta.matrix, dtype=float)
     kappa = -(D @ anchor) / anchor
     return DiscreteOperator(D + np.diag(kappa), delta.grid)

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .discretization import ContinuousProblem, Grid
-from .errors import ParameterError, ToleranceError, UnsupportedProblemError, _finite, _finite_real, _is_int, _lookup
+from .errors import NumericalFailure, ParameterError, UnsupportedProblemError, _finite, _finite_real, _is_int, _lookup
 
 _QUAD_TOL = 1e-12
 _DATA_MODES = ("quadrature", "analytic")  # of synthesize_data
@@ -201,9 +201,9 @@ def synthesize_data(
                     epsrel=_QUAD_TOL,
                 )
             except IntegrationWarning as exc:
-                raise ToleranceError(f"quadrature stalled at node x={xi:.6g}") from exc
+                raise NumericalFailure(f"quadrature stalled at node x={xi:.6g}") from exc
             if not np.isfinite(val) or abserr > 1e-8:
-                raise ToleranceError(
+                raise NumericalFailure(
                     f"quadrature error {abserr:.2e} at node x={xi:.6g}"
                 )
             g[i] = val

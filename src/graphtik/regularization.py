@@ -47,7 +47,7 @@ import numpy as np
 
 from .discretization import DiscreteOperator, _even_odd_blocks, _join_even_odd
 from .errors import (
-    ContractViolationError, IllPosedProblemError, NumericalError, ParameterError, _finite, _finite_real, _is_int,
+    ContractViolationError, NumericalFailure, ParameterError, _finite, _finite_real, _is_int,
 )
 
 # Relative floor for the Cholesky pivots of K'K + A'A = R'R: the pencil is
@@ -110,7 +110,7 @@ def _pencil_basis(KtK: np.ndarray, AtA: np.ndarray) -> tuple[np.ndarray, np.ndar
     except np.linalg.LinAlgError:  # not positive definite to working precision
         ill_posed = True
     if ill_posed:
-        raise IllPosedProblemError(
+        raise NumericalFailure(
             "penalty and forward operator share a near-null direction"
         )
     del blocks
@@ -188,7 +188,7 @@ class TikhonovPencil:
     ``A.T @ A``.  ``_pencil_basis`` builds the basis V used by
     ``alpha_sweep``, with V'(K'K + A'A)V = I and V'A'AV = diag(mu), so V
     diagonalizes K'K + w A'A for every weight w; it raises
-    ``IllPosedProblemError`` when its pivots fail the floor
+    ``NumericalFailure`` when its pivots fail the floor
     ``_KERNEL_TOL``, i.e. when ker(penalty) and ker(forward) meet and no
     weight makes the normal equations solvable.  The diagonal of V'A'AV is
     mu, and that of V'K'KV is 1 - mu, since the two add up to the identity;
@@ -339,7 +339,7 @@ def tikhonov_solve(p: TikhonovProblem, weight: float) -> np.ndarray:
     rhs = np.concatenate([p.data, np.zeros(A.shape[0])])
     f = np.linalg.lstsq(top, rhs, rcond=None)[0]
     if not optimal(f):
-        raise IllPosedProblemError(
+        raise NumericalFailure(
             f"normal equations unsolvable to tolerance at weight {weight:g}"
         )
     return f
@@ -386,13 +386,13 @@ def alpha_sweep(p: TikhonovProblem, grid: AlphaGrid, reference: np.ndarray):
     column is from the normal-equation solution; where it diverges (wide
     grids) the correction dwarfs the distance and the column is always
     solved.  A skipped column keeps its refined score in the curve; it is
-    at least that factor above the chosen one.  ``IllPosedProblemError``
+    at least that factor above the chosen one.  ``NumericalFailure``
     comes only from a column that was solved.  Each column is scored as
     ``metrics.rre`` defines it, with the reference checked and its norm
     taken once for the whole grid; that one distance ||f - reference|| per
     column serves the certification, the fallback rule and the score.  A
     sweep in which that distance overflows at every column has no minimum,
-    and raises ``NumericalError``.
+    and raises ``NumericalFailure``.
     """
     reference = _finite("reference", reference, p.data.shape)
     norm_ref = np.linalg.norm(reference)
@@ -433,7 +433,7 @@ def alpha_sweep(p: TikhonovProblem, grid: AlphaGrid, reference: np.ndarray):
         best_dist = min(best_dist, dist[j])
     errs = dist / norm_ref
     if not np.isfinite(errs.min()):
-        raise NumericalError("the restoration error overflows at every grid alpha")
+        raise NumericalFailure("the restoration error overflows at every grid alpha")
     curve = [(float(a), float(e)) for a, e in zip(alphas, errs)]
     tied = np.flatnonzero(errs == errs.min())
     best = min(tied, key=lambda i: alphas[i])

@@ -20,8 +20,7 @@ from graphtik.discretization import (
 )
 from graphtik.errors import (
     ContractViolationError,
-    EvaluationError,
-    NumericalError,
+    NumericalFailure,
     ParameterError,
 )
 from graphtik.experiments import continuous_spectrum
@@ -107,7 +106,7 @@ def test_schrodinger_matches_scipy_toeplitz_definition_bitwise(ex_id, n):
 
 
 def test_schrodinger_rejects_nonfinite_potential():
-    with pytest.raises(EvaluationError):
+    with pytest.raises(NumericalFailure, match="potential not finite on all grid nodes"):
         build_schrodinger_operator(lambda x: np.full_like(x, np.nan), 3)
 
 
@@ -150,7 +149,7 @@ def test_schrodinger_blocks_test_evenness_like_the_split(n):
             outcomes.append(True)
             build_schrodinger_blocks(q, n)
     assert True in outcomes and False in outcomes
-    with pytest.raises(EvaluationError):
+    with pytest.raises(NumericalFailure, match="potential not finite on all grid nodes"):
         build_schrodinger_blocks(lambda x: np.full_like(x, np.nan), n)
 
 
@@ -166,7 +165,7 @@ def test_pseudo_inverse_svd_failure_is_numerical(monkeypatch):
         raise np.linalg.LinAlgError("SVD did not converge")
 
     monkeypatch.setattr(np.linalg, "svd", fail)
-    with pytest.raises(NumericalError, match="SVD"):
+    with pytest.raises(NumericalFailure, match="SVD of the operator failed"):
         pseudo_inverse(DiscreteOperator(np.eye(2), Grid(2)))
 
 
@@ -251,7 +250,7 @@ def test_galerkin_validation():
     bad = ContinuousProblem(
         factors=(np.ones_like, lambda t: np.full_like(t, np.nan)), potential=lambda x: x
     )
-    with pytest.raises(EvaluationError):
+    with pytest.raises(NumericalFailure, match="kernel not finite inside a quadrature cell"):
         build_galerkin_operator(bad, 2)
 
 

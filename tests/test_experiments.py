@@ -20,7 +20,7 @@ from graphtik.discretization import (
     pseudo_inverse,
     toeplitz_stencil,
 )
-from graphtik.errors import EvaluationError, IllPosedProblemError, ParameterError
+from graphtik.errors import NumericalFailure, ParameterError
 from graphtik.experiments import (
     ExperimentConfig,
     continuous_spectrum,
@@ -295,11 +295,11 @@ def test_forward_image_error_raises_a_failed_closed_form(monkeypatch):
 
     def failing(example, f, grid, mode):
         if mode == "analytic":
-            raise EvaluationError("closed form is not finite")
+            raise NumericalFailure("closed form is not finite")
         return real(example, f, grid, mode)
 
     monkeypatch.setattr(experiments, "synthesize_data", failing)
-    with pytest.raises(EvaluationError):
+    with pytest.raises(NumericalFailure, match="closed form is not finite"):
         forward_image_error(2, 20, 3, "graph")
 
 
@@ -435,7 +435,7 @@ def test_run_table_keeps_every_failing_seed(monkeypatch):
 
     def flaky(config, seed, pencils=None):
         if seed in (1, 3):
-            raise IllPosedProblemError(f"injected failure {seed}")
+            raise NumericalFailure(f"injected failure {seed}")
         return real(config, seed, pencils)
 
     monkeypatch.setattr(experiments, "run_cell", flaky)
@@ -534,7 +534,7 @@ def test_ill_posed_pencil_fails_every_seed_of_its_cell(monkeypatch):
     # a failed build leaves no entry behind: every seed builds and raises again
     config, pencils = replace(experiments.TABLES[6].template, penalty="a2"), {}
     for s in range(5):
-        with pytest.raises(IllPosedProblemError, match="share a near-null direction"):
+        with pytest.raises(NumericalFailure, match="share a near-null direction"):
             run_cell(config, s, pencils)
     assert pencils == {}
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphtik.discretization import toeplitz_stencil
-from graphtik.errors import InsufficientSpecificationError, ParameterError
+from graphtik.errors import ParameterError
 from graphtik.graph_core import (
     DirichletSubsetSpec,
     PathTransform,
@@ -141,7 +141,7 @@ def test_truncated_transform_with_tail_rule_has_exact_diagonal():
 
 def test_analytic_needs_line_and_tail_rule():
     t = alternating_inverse_square_transform()
-    with pytest.raises(InsufficientSpecificationError):
+    with pytest.raises(ParameterError, match="analytic sum needs a tail_rule"):
         transformed_path_laplacian(
             DirichletSubsetSpec((1, 2)), PathTransform(phi=t.phi, tail_rule=None), "analytic"
         )

@@ -4,7 +4,7 @@ import scipy.linalg as sla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from graphtik.errors import DegenerateAnchorError, ParameterError
+from graphtik.errors import ParameterError
 from graphtik.experiments import ExperimentConfig, run_cell
 from graphtik.graph_core import line_interior, m_path_dirichlet_laplacian
 from graphtik.penalty import (
@@ -160,7 +160,7 @@ def test_matched_penalty_ones_anchor():
 
 
 def test_matched_penalty_rejects_zero_anchor():
-    with pytest.raises(DegenerateAnchorError):
+    with pytest.raises(ParameterError, match="anchor has a zero entry"):
         kernel_matched_penalty(dirichlet_penalty(3), np.array([1.0, 0.0, 1.0]))
     # one finite entry per node: a NaN anchor made a NaN penalty, and a
     # wrong-length one raised numpy's ValueError

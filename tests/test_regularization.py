@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from graphtik import discretization, experiments, regularization
 from graphtik.discretization import DiscreteOperator, Grid
-from graphtik.errors import IllPosedProblemError, NumericalError, ParameterError
+from graphtik.errors import NumericalFailure, ParameterError
 from graphtik.metrics import rre
 from graphtik.penalty import (
     SimilarityParams,
@@ -29,6 +29,7 @@ from graphtik.regularization import (
 from test_discretization import _centrosymmetric
 
 _GRID = Grid(2, "interior")
+_NEAR_NULL = "penalty and forward operator share a near-null direction"
 
 
 def _op(matrix, grid=None):
@@ -83,15 +84,15 @@ def test_solution_linear_in_data():
 
 
 def test_shared_null_direction_rejected():
-    with pytest.raises(IllPosedProblemError):
+    with pytest.raises(NumericalFailure, match=_NEAR_NULL):
         _problem(np.diag([1.0, 0.0]), np.diag([1.0, 0.0]), [1.0, 1.0])
     # singular pencil with no exact zero: the Cholesky pivots of
     # K'K + A'A = diag(2, 1e-14) are 2 and 1e-14, below the 1e-12 relative
     # floor
-    with pytest.raises(IllPosedProblemError):
+    with pytest.raises(NumericalFailure, match=_NEAR_NULL):
         _problem(np.diag([1.0, 1e-7]), np.diag([1.0, 0.0]), [1.0, 1.0])
     # rank-one K and A sharing the null direction (1, -1)
-    with pytest.raises(IllPosedProblemError):
+    with pytest.raises(NumericalFailure, match=_NEAR_NULL):
         _problem(np.ones((2, 2)), np.ones((2, 2)), [1.0, 1.0])
 
 
@@ -247,7 +248,7 @@ def test_sweep_whose_error_overflows_at_every_alpha_is_a_numerical_error():
     # data near 1e300 give solutions whose distance to the reference
     # overflows at every weight, so no column can be the minimum
     p = _problem(np.eye(4), np.eye(4), np.full(4, 1e300))
-    with np.errstate(over="ignore"), pytest.raises(NumericalError, match="overflows at every grid alpha"):
+    with np.errstate(over="ignore"), pytest.raises(NumericalFailure, match="overflows at every grid alpha"):
         alpha_sweep(p, AlphaGrid(max=10.0, min=0.1, count=7), np.ones(4))
 
 
@@ -414,7 +415,7 @@ def test_sweep_on_two_nodes():
 
 def _counted(build, split=True):
     """build() with the pencil stage's decompositions counted: (its value or
-    the IllPosedProblemError it raised, (np.linalg.cholesky calls,
+    the NumericalFailure it raised, (np.linalg.cholesky calls,
     np.linalg.eigh calls)).  Only calls made while ``_pencil_basis`` runs
     count, so the sweep's fallback Cholesky solves do not.  split=False
     makes every pencil take the one-block path."""
@@ -446,7 +447,7 @@ def _counted(build, split=True):
             m.setattr(discretization, "_is_centrosymmetric", lambda matrix: False)
         try:
             value = build()
-        except IllPosedProblemError as exc:
+        except NumericalFailure as exc:
             value = exc
     return value, (calls["cholesky"], calls["eigh"])
 
@@ -499,8 +500,8 @@ def test_split_pencil_matches_the_definition(n, seed, penalty, decay, null):
     pencil, calls = _counted(lambda: TikhonovPencil(_op(K), _op(A)))
     one_block, one_block_calls = _counted(lambda: TikhonovPencil(_op(K), _op(A)), split=False)
     if null is not None:
-        assert isinstance(pencil, IllPosedProblemError)
-        assert isinstance(one_block, IllPosedProblemError)
+        assert isinstance(pencil, NumericalFailure) and str(pencil) == _NEAR_NULL
+        assert isinstance(one_block, NumericalFailure) and str(one_block) == _NEAR_NULL
         # the pivot floor is checked before any whitening: no eigh runs, and
         # a split pencil stops at the first block whose factorization fails
         assert calls[1] == one_block_calls[1] == 0
@@ -574,7 +575,8 @@ def test_pivot_floor_rejects_only_what_the_eigenvalue_floor_rejects(n, seed, dec
         m.setattr(discretization, "_is_centrosymmetric", lambda matrix: False)
         try:
             regularization._pencil_basis(M, np.zeros((n, n)))
-        except IllPosedProblemError:
+        except NumericalFailure as exc:
+            assert str(exc) == _NEAR_NULL
             eig = np.linalg.eigvalsh(M)
             slack = n * np.finfo(float).eps * eig[-1]
             assert eig[0] <= regularization._KERNEL_TOL * eig[-1] + slack
@@ -617,7 +619,7 @@ def test_singular_pencils_are_rejected_by_failed_factors_and_tiny_pivots(monkeyp
     seen = set()
     for null, K, A in cases:
         outcomes.clear()
-        with pytest.raises(IllPosedProblemError):
+        with pytest.raises(NumericalFailure, match=_NEAR_NULL):
             TikhonovPencil(K, A)
         assert len(outcomes) == 1
         seen.add((null, outcomes[0]))
@@ -650,6 +652,16 @@ def test_pencil_tests_each_matrix_for_centrosymmetry_once(monkeypatch):
         calls.clear()
         TikhonovPencil(K, A)
         assert len(calls) == checks
+    # a forward operator that fails the test beside a penalty that passes
+    # it, the path of the graph K once its margin runs out: A'A is split,
+    # K'K is tested once and fails, and the pencil is one block
+    mixed = _op(np.random.default_rng(0).standard_normal((40, 40)) + 8.0 * np.eye(40))
+    assert not real(mixed.matrix.T @ mixed.matrix)
+    for A in (_op(np.eye(40)), neumann_penalty(40)):
+        calls.clear()
+        pencil, decompositions = _counted(lambda: TikhonovPencil(mixed, A))
+        assert len(calls) == 2 and decompositions == (1, 1)
+        _assert_pencil_basis(pencil)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -871,7 +883,7 @@ def test_wide_grid_beyond_rescue_is_ill_posed():
     cfg = experiments.ExperimentConfig(
         example=2, test_function=3, n=100, epsilon=0.01, penalty="a3", alpha_grid=_WIDE_GRID
     )
-    with pytest.raises(IllPosedProblemError):
+    with pytest.raises(NumericalFailure, match="normal equations unsolvable to tolerance at weight"):
         experiments.run_cell(cfg, 0)
 
 

@@ -11,7 +11,7 @@ import pytest
 import graphtik.cli as cli
 from graphtik import experiments
 from graphtik.discretization import build_schrodinger_operator
-from graphtik.errors import NumericalError, ParameterError
+from graphtik.errors import NumericalFailure, ParameterError
 from graphtik.experiments import ExperimentConfig, continuous_spectrum, diagnostic_matrix, run_cell
 from graphtik.problems import EXAMPLES
 from graphtik.regularization import AlphaGrid
@@ -317,8 +317,23 @@ def test_table_seed_list_must_be_non_empty_and_distinct(tmp_path, capsys, seeds,
     # count twice in every median; every item is an integer >= 0
     assert cli.main(["table", "--id", "4", "--seeds", seeds]) == 1
     assert message in capsys.readouterr().err
-    with pytest.raises(ParameterError, match=message):
-        _script("run_all_tables").main(["--out-dir", str(tmp_path), "--tables", "4", "--seeds", seeds])
+    assert _script("run_all_tables").main(["--out-dir", str(tmp_path), "--tables", "4", "--seeds", seeds]) == 1
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--tables", "9"], "table id must be one of [1, 2, 3, 4, 5, 6, 7], got 9"),
+        (["--tables", "x"], "--tables item 'x' is not an integer"),
+        (["--seeds", "x"], "--seeds item 'x' is not an integer"),
+    ],
+)
+def test_table_script_refuses_a_bad_input_in_one_line(tmp_path, capsys, argv, message):
+    # as `graphtik table` does: one error line and exit 1, not a traceback
+    assert _script("run_all_tables").main(["--out-dir", str(tmp_path), *argv]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -446,12 +461,12 @@ def test_cli_exit_code_underflowing_similarity_weights(capsys, penalty):
 
 def test_cli_exit_code_numerical_failure(monkeypatch, capsys):
     def boom(cfg, seed=None):
-        raise NumericalError("synthetic breakdown")
+        raise NumericalFailure("synthetic breakdown")
 
     monkeypatch.setattr(cli, "run_cell", boom)
     rc = cli.main(["deblur", "--example", "1", "--f", "3", "--n", "40", "--eps", "0"])
     assert rc == 2
-    assert "numerical failure" in capsys.readouterr().err
+    assert capsys.readouterr().err == "numerical failure: synthetic breakdown\n"
 
 
 def test_cli_does_not_report_an_untyped_error_as_a_configuration_error(monkeypatch):
