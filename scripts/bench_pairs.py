@@ -128,19 +128,23 @@ def summarize(runs: list, better: dict, bounds: dict) -> dict:
     return summary
 
 
+def _seed_list(text: str) -> list:
+    """A --seeds value as integers; argparse reports a bad item as a usage error."""
+    return [int(s) for s in text.split(",")]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--parent", required=True, help="checkout of the parent commit")
     ap.add_argument("--change", required=True, help="checkout of the change")
     ap.add_argument("--workload", required=True)
-    ap.add_argument("--seeds", required=True, help='one pair per seed, comma separated, e.g. "0,61,62"')
+    ap.add_argument("--seeds", required=True, type=_seed_list, help='one pair per seed, e.g. "0,61,62"')
     ap.add_argument("--seconds", type=float, default=10.0)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
 
     roots = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
-    seeds = [int(s) for s in args.seeds.split(",")]
     with open(os.path.join(roots["change"], "BENCHMARK.json")) as fh:
         bench = json.load(fh)
     better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
@@ -151,7 +155,7 @@ def main(argv=None) -> int:
             doc = json.load(fh)
     group = [r for r in doc["runs"] if (r["workload"], r["trace"]) == (args.workload, args.trace)]
     first_pair = max((r["pair"] for r in group), default=-1) + 1
-    for i, seed in enumerate(seeds):
+    for i, seed in enumerate(args.seeds):
         pair = first_pair + i
         order = SIDES if pair % 2 == 0 else SIDES[::-1]
         for position, side in enumerate(order):

@@ -56,6 +56,7 @@ import shlex
 import sys
 
 from graphtik import cli
+from graphtik.errors import ParameterError
 from graphtik.experiments import FIGURES, TABLES, ExperimentConfig, emit_figure_data, run_cell, run_table
 from graphtik.reporting import report_to_json
 
@@ -99,16 +100,26 @@ def _cli_line(command: str) -> str:
     return f"cli {command}: {_sha(json.dumps([code, out.getvalue(), err.getvalue()]).encode())}"
 
 
+def _seeds(text: str) -> tuple:
+    """A --seeds value as ``cli.parse_seeds`` reads and checks it, so that a
+    bad list is a usage error before any table runs."""
+    try:
+        return cli.parse_seeds(text)
+    except ParameterError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--seeds", default=None, help='comma separated, e.g. "0,1,2" (default 0..19)')
+    ap.add_argument(
+        "--seeds", type=_seeds, default=cli.parse_seeds(None), help='comma separated, e.g. "0,1,2" (default 0..19)'
+    )
     args = ap.parse_args(argv)
 
-    seeds = cli.parse_seeds(args.seeds)
     settings = [f"{name}={os.environ.get(name, 'unset')}" for name in THREAD_VARIABLES]
     print("# " + " ".join(settings) + f" cpu_count={os.cpu_count()}", file=sys.stderr)
     for tid, table in TABLES.items():
-        report = run_table(tid, seeds)
+        report = run_table(tid, args.seeds)
         cells = report.cells
         print(f"table {tid}: {_sha(json.dumps(cells, sort_keys=True).encode())}")
         if table.metric == "rre_median":

@@ -18,7 +18,7 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from .discretization import Grid
-from .errors import ConfigurationError, NumericalFailure, ParameterError
+from .errors import NumericalFailure, ParameterError
 from .experiments import (
     FIGURES,
     TABLES,
@@ -41,20 +41,24 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; bad flags are invalid config here
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise ConfigurationError(message)
+        raise ParameterError(message)
 
 
 def _config(args, template: ExperimentConfig = ExperimentConfig()) -> ExperimentConfig:
     """The --config file's fields over the template's, then the given flags
-    over those; each --alpha-* flag sets one entry of the resulting grid."""
+    over those; each --alpha-* flag sets one entry of the resulting grid.
+    Every subcommand that reads a file makes one output from one seed, so a
+    file that names more than one seed is refused."""
     config = template
     if args.config is not None:
         try:
             with open(args.config) as fh:
                 raw = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigurationError(f"cannot read config file: {exc}") from exc
+            raise ParameterError(f"cannot read config file: {exc}") from exc
         config = ExperimentConfig.from_dict(raw, config)
+        if len(config.seeds) > 1:
+            raise ParameterError(f"a config file names one seed, got {list(config.seeds)}")
     given = {k: v for k, v in vars(args).items() if v is not None}
     flags = {f.name: given[f.name] for f in fields(ExperimentConfig) if f.name in given}
     grid = {key: given[f"alpha_{key}"] for key in ("max", "min", "count") if f"alpha_{key}" in given}
@@ -111,17 +115,19 @@ def _cmd_deblur(args) -> int:
 
 def parse_seeds(text: str | None) -> tuple:
     """A --seeds value ("0,1,2") as integers; None is seeds 0..19.  An item
-    that is not an integer is a ParameterError naming it."""
+    that is not an integer is a ParameterError naming it, and the list
+    passes the config's seed rules, as run_table checks them, so that a
+    caller can refuse it before any table runs."""
     if text is None:
         return _DEFAULT_SEEDS
     seeds = []
-    # "" is an empty list, which run_table rejects like a repeated seed
+    # "" is an empty list, which the config rejects like a repeated seed
     for item in text.split(",") if text else ():
         try:
             seeds.append(int(item))
         except ValueError:
             raise ParameterError(f"--seeds item {item!r} is not an integer") from None
-    return tuple(seeds)
+    return ExperimentConfig(seeds=tuple(seeds)).seeds
 
 
 def _cmd_table(args) -> int:
@@ -198,7 +204,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ConfigurationError, OSError) as exc:
+    except (ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalFailure as exc:

@@ -1,17 +1,17 @@
 """Exception hierarchy, and the package's input rules.
 
-Two broad families matter downstream: configuration problems
-(``ConfigurationError``: bad inputs, unusable specs) and numerical failures
-(``NumericalFailure``: solver, factorization or quadrature breakdown).  The
+Two families matter downstream: a request that is wrong
+(``ParameterError``: a bad input, an unusable spec, a usage error or an
+unreadable config file) and a numerical failure (``NumericalFailure``:
+solver, factorization or quadrature breakdown on a valid request).  The
 CLI maps the former to exit code 1 and the latter to exit code 2, and every
-other caller reads just the family and the message.  ``ParameterError`` is
-what the input rules below raise.  Any other leaf class exists only where
-a caller acts on it, and there are two: ``UnsupportedProblemError`` is
-caught in ``experiments.forward_image_error``, which then takes the
-quadrature data, and ``ContractViolationError`` in
-``regularization._pencil_basis``, which then builds one block.  So the six
-classes are ``GraphtikError``, ``ConfigurationError``, ``NumericalFailure``,
-``ParameterError``, ``UnsupportedProblemError`` and
+other caller reads just the family and the message.  A leaf class exists
+only where a caller acts on it, and there are two, both of the first
+family: ``UnsupportedProblemError`` is caught in
+``experiments.forward_image_error``, which then takes the quadrature data,
+and ``ContractViolationError`` in ``regularization._pencil_basis``, which
+then builds one block.  So the five classes are ``GraphtikError``,
+``ParameterError``, ``NumericalFailure``, ``UnsupportedProblemError`` and
 ``ContractViolationError``.
 
 The input rules live here, in the one module every other module imports,
@@ -34,23 +34,20 @@ class GraphtikError(Exception):
     """Base class for all package errors."""
 
 
-class ConfigurationError(GraphtikError):
-    """Invalid or unusable input; the request itself is wrong."""
+class ParameterError(GraphtikError):
+    """The request itself is wrong: an input outside its documented range,
+    or short of what the request needs, or an unusable spec."""
 
 
 class NumericalFailure(GraphtikError):
     """A numerical routine failed on a valid request."""
 
 
-class ParameterError(ConfigurationError):
-    """An input outside its documented range, or short of what the request needs."""
-
-
-class UnsupportedProblemError(ConfigurationError):
+class UnsupportedProblemError(ParameterError):
     """Requested a closed-form forward image that is not registered."""
 
 
-class ContractViolationError(ConfigurationError):
+class ContractViolationError(ParameterError):
     """Input violates a structural precondition (e.g. asymmetric matrix)."""
 
 

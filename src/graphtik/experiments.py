@@ -91,9 +91,11 @@ class ExperimentConfig:
         A scalar must have its default's type, by the rules of ``errors``:
         an int field takes an integer, a float field a real number that is
         finite as a float (an integer too, a bool never).  The seeds must be
-        integers >= 0, as numpy's generator takes them.  Each checked scalar
-        is stored as its default's type and the seeds as a tuple of ints, so
-        equal configs hash alike however they are made."""
+        integers >= 0, as numpy's generator takes them, and at least one,
+        none repeated, since a table's medians would count a repeated seed
+        twice.  Each checked scalar is stored as its default's type and the
+        seeds as a tuple of ints, so equal configs hash alike however they
+        are made."""
         for f in fields(self):
             value, kind = getattr(self, f.name), type(f.default)
             if kind is float:
@@ -118,6 +120,8 @@ class ExperimentConfig:
             raise ParameterError(f"epsilon must be >= 0, got {self.epsilon!r}")
         if len(self.seeds) == 0:
             raise ParameterError("need at least one seed")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ParameterError(f"seeds must not repeat, got {list(self.seeds)}")
         if self.method not in _METHODS:
             raise ParameterError(f"method must be one of {_METHODS}, got {self.method!r}")
         if self.penalty not in PENALTY_NAMES:
@@ -454,14 +458,13 @@ def _roundtrip_check(sample: dict | None) -> dict | None:
 
 def run_table(table_id: int, seeds=_DEFAULT_SEEDS) -> ExperimentReport:
     """Reproduce one table of ``TABLES``; noisy cells are seed medians.
-    The seeds, any iterable of them, pass the config's own check, and none
-    may repeat.  The report's config is the table's whole entry, its
-    template holding these seeds, so its hash changes with any of them."""
+    The seeds, any iterable of them, pass the config's own check, which
+    also refuses a repeated seed.  The report's config is the table's whole
+    entry, its template holding these seeds, so its hash changes with any
+    of them."""
     table_id, table = _lookup(TABLES, "table", table_id)
     template = replace(table.template, seeds=tuple(seeds) if np.iterable(seeds) else seeds)
     seeds = template.seeds
-    if len(set(seeds)) != len(seeds):
-        raise ParameterError(f"seeds must not repeat, got {list(seeds)}")
     sample = None
     if table.metric == "rre_median":
         cells, sample = _restoration_cells(table_id, table, seeds)

@@ -173,6 +173,8 @@ def test_config_seeds_are_stored_as_a_tuple_of_ints():
         pytest.param("sigma", 10**400, id="sigma-10**400"),
         # positive, but its square, which the similarity weights divide by, underflows
         ("sigma", 1e-300),
+        # a repeated seed would count twice in a table's medians
+        ("seeds", (1, 1)),
     ],
 )
 def test_config_validation(field, value):

@@ -201,9 +201,9 @@ def test_unreached_lines_lists_the_statements_that_did_not_run(tmp_path):
 
 
 def test_table_script_writes_the_cli_csv(tmp_path):
-    # scripts/run_all_tables.py and `graphtik table` share one row builder
-    script = _script("run_all_tables")
-    assert script.main(["--out-dir", str(tmp_path), "--tables", "4", "--seeds", "0"]) == 0
+    # scripts/reproduce.py and `graphtik table` share one row builder
+    script = _script("reproduce")
+    assert script.main(["--out-dir", str(tmp_path), "--seeds", "0", "table4"]) == 0
     assert cli.main(["table", "--id", "4", "--seeds", "0", "--out", str(tmp_path / "cli.csv")]) == 0
     text = (tmp_path / "table4.csv").read_text()
     assert text == (tmp_path / "cli.csv").read_text()
@@ -303,6 +303,22 @@ def test_bench_pairs_prints_every_end_to_end_metric(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "name,argv",
+    [("table_digest", []), ("bench_pairs", ["--parent", "p", "--change", "c", "--workload", "w", "--out", "o.json"])],
+    ids=["table_digest", "bench_pairs"],
+)
+def test_bench_scripts_refuse_a_bad_seed_list_as_a_usage_error(tmp_path, monkeypatch, capsys, name, argv):
+    # argparse reads --seeds, so a bad list stops the script before it runs
+    # or writes anything: a usage line and one error line
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        _script(name).main([*argv, "--seeds", "x"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == "" and list(tmp_path.iterdir()) == []
+    assert err.startswith("usage: ") and "error: argument --seeds: " in err.splitlines()[-1]
+
+
+@pytest.mark.parametrize(
     "seeds,message",
     [
         ("", "need at least one seed"),
@@ -314,27 +330,64 @@ def test_bench_pairs_prints_every_end_to_end_metric(tmp_path, capsys):
 )
 def test_table_seed_list_must_be_non_empty_and_distinct(tmp_path, capsys, seeds, message):
     # an empty --seeds is not the default list, and a repeated seed would
-    # count twice in every median; every item is an integer >= 0
+    # count twice in every median; every item is an integer >= 0.  The
+    # script checks the list first, even when only a figure is named
     assert cli.main(["table", "--id", "4", "--seeds", seeds]) == 1
     assert message in capsys.readouterr().err
-    assert _script("run_all_tables").main(["--out-dir", str(tmp_path), "--tables", "4", "--seeds", seeds]) == 1
-    assert message in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
+    for name in ("table4", "figure1"):
+        assert _script("reproduce").main(["--out-dir", str(tmp_path), "--seeds", seeds, name]) == 1
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+_NAMES = "['table1', 'table2', 'table3', 'table4', 'table5', 'table6', 'table7', 'figure1', 'figure2', 'figure3']"
 
 
 @pytest.mark.parametrize(
     "argv,message",
     [
-        (["--tables", "9"], "table id must be one of [1, 2, 3, 4, 5, 6, 7], got 9"),
-        (["--tables", "x"], "--tables item 'x' is not an integer"),
+        pytest.param(["table1", "table9"], f"name must be one of {_NAMES}, got 'table9'", id="unknown-table"),
+        pytest.param(["figure1", "figure7"], f"name must be one of {_NAMES}, got 'figure7'", id="unknown-figure"),
         (["--seeds", "x"], "--seeds item 'x' is not an integer"),
+        pytest.param(["--bogus"], "unrecognized arguments: --bogus", id="unknown-flag"),
     ],
 )
 def test_table_script_refuses_a_bad_input_in_one_line(tmp_path, capsys, argv, message):
-    # as `graphtik table` does: one error line and exit 1, not a traceback
-    assert _script("run_all_tables").main(["--out-dir", str(tmp_path), *argv]) == 1
-    assert capsys.readouterr() == ("", f"error: {message}\n")
+    # as the CLI does: one error line (after the usage line for a flag) and
+    # exit 1, not a traceback, and before the first output: table1 and
+    # figure1 come before the bad name, yet no file is written
+    assert _script("reproduce").main(["--out-dir", str(tmp_path), *argv]) == 1
+    usage = "usage: reproduce.py [-h] [--out-dir OUT_DIR] [--seeds SEEDS] [NAME ...]\n"
+    assert capsys.readouterr() == ("", (usage if argv == ["--bogus"] else "") + f"error: {message}\n")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "names,tables,figures",
+    [([], (1, 2, 3, 4, 5, 6, 7), (1, 2, 3)), (["figure2", "table6", "figure1"], (6,), (1, 2))],
+    ids=["all", "named"],
+)
+def test_reproduce_writes_the_catalogue_in_order(tmp_path, monkeypatch, names, tables, figures):
+    # no name is every table, then every figure; names keep that order
+    script, calls = _script("reproduce"), []
+
+    def run_table(tid, seeds):
+        calls.append(("run_table", tid, seeds))
+        return tid
+
+    monkeypatch.setattr(script, "run_table", run_table)
+    monkeypatch.setattr(script, "write_table_csv", lambda path, report: calls.append(("csv", path, report)))
+    monkeypatch.setattr(script, "write_report_json", lambda path, report: calls.append(("json", path, report)))
+    monkeypatch.setattr(cli, "main", lambda argv: calls.append(("cli", argv)) or 0)
+    assert script.main(["--out-dir", str(tmp_path), "--seeds", "2,0", *names]) == 0
+    want = [
+        call for t in tables for call in (
+            ("run_table", t, (2, 0)), ("csv", str(tmp_path / f"table{t}.csv"), t),
+            ("json", str(tmp_path / f"table{t}.json"), t),
+        )
+    ]
+    want += [("cli", ["figure", "--id", str(f), "--out", str(tmp_path / f"figure{f}.csv")]) for f in figures]
+    assert calls == want
 
 
 def test_cli_figure(tmp_path):
@@ -371,8 +424,8 @@ def test_cli_figure_header_hashes_the_figure_template(tmp_path):
 
 
 def test_figure_script_writes_the_cli_csv(tmp_path):
-    script = _script("run_figures")
-    assert script.main(["--out-dir", str(tmp_path), "--figures", "1"]) == 0
+    script = _script("reproduce")
+    assert script.main(["--out-dir", str(tmp_path), "figure1"]) == 0
     assert cli.main(["figure", "--id", "1", "--out", str(tmp_path / "cli.csv")]) == 0
     text = (tmp_path / "figure1.csv").read_text()
     assert text == (tmp_path / "cli.csv").read_text()
@@ -404,6 +457,29 @@ def test_cli_exit_code_bad_config(tmp_path, capsys):
     unknown.write_text(json.dumps({"order": 3}))
     assert cli.main(["spectrum", "--config", str(unknown)]) == 1
     capsys.readouterr()
+
+
+def test_cli_config_file_names_at_most_one_seed(tmp_path, capsys):
+    # each subcommand that reads a file makes one output from one seed: a
+    # list would run its first seed while the header hashed all of them
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+    deblur = ["deblur", "--n", "40", "--eps", "0.05", "--penalty", "a2"]
+    cfg.write_text(json.dumps({"seeds": [3, 1, 2]}))
+    for command in (deblur, ["figure", "--id", "2"]):
+        assert cli.main([*command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", "error: a config file names one seed, got [3, 1, 2]\n")
+        assert not out.exists()
+    # one seed in the file writes what --seed writes, and figure 2 at seed 3
+    cfg.write_text(json.dumps({"seeds": [3]}))
+    assert cli.main([*deblur, "--config", str(cfg), "--out", str(out)]) == 0
+    assert cli.main([*deblur, "--seed", "3", "--out", str(tmp_path / "flag.csv")]) == 0
+    assert out.read_text() == (tmp_path / "flag.csv").read_text()
+    assert cli.main(["figure", "--id", "2", "--config", str(cfg), "--out", str(out)]) == 0
+    config = replace(experiments.FIGURES[2].template, seeds=(3,))
+    names, data = experiments.emit_figure_data(2, config)
+    digest = config_hash({"command": "figure", "id": 2, "config": config.to_dict()})
+    rows = [",".join(format_float(v) for v in row) for row in data]
+    assert out.read_text().splitlines() == [f"# {FORMAT_VERSION}, config-hash={digest}", ",".join(names)] + rows
 
 
 @pytest.mark.parametrize(
