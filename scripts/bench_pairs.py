@@ -1,14 +1,15 @@
 """Run the benchmark on two checkouts in alternating pairs and record every run.
 
     python scripts/bench_pairs.py --parent DIR --change DIR --workload deblur-n1000 \
-        --seeds 0,61,62 [--seconds 10] [--trace 0] --out BENCH.json
+        --seeds 0,61,62 [--trace 0] --out BENCH.json
 
 Each pair runs one workload seed once in each checkout, with that checkout's
-own perfbench/run.py and nothing else; the first pair of a workload runs the
-parent first and the order alternates from pair to pair.  After each run it
-prints that run's value of every end-to-end metric in BENCHMARK.json (None
-where the run reported none).  Every run lands in
---out with its side, pair, order, seed, wall time, the checkout's commit
+own perfbench/run.py and nothing else, for the ``run_seconds`` of the
+change's BENCHMARK.json; the first pair of a workload runs the parent first
+and the order alternates from pair to pair.  After each run it prints that
+run's value of every end-to-end metric in BENCHMARK.json (None where the
+run reported none).  Every run lands in --out with its side, pair, order,
+seed, run length (``seconds``), wall time, the checkout's commit
 (``git rev-parse HEAD``) and whether its tree was dirty, and its two output
 lines (the environment record and the result).  Runs already in --out are kept, so
 several workloads accumulate in one file, and the summary is rebuilt over all
@@ -139,7 +140,6 @@ def main(argv=None) -> int:
     ap.add_argument("--change", required=True, help="checkout of the change")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", required=True, type=_seed_list, help='one pair per seed, e.g. "0,61,62"')
-    ap.add_argument("--seconds", type=float, default=10.0)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
@@ -149,6 +149,7 @@ def main(argv=None) -> int:
         bench = json.load(fh)
     better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
     bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
+    seconds = bench["run_seconds"]
     doc = {"runs": []}
     if os.path.exists(args.out):
         with open(args.out) as fh:
@@ -159,8 +160,8 @@ def main(argv=None) -> int:
         pair = first_pair + i
         order = SIDES if pair % 2 == 0 else SIDES[::-1]
         for position, side in enumerate(order):
-            run = run_once(roots[side], args.workload, seed, args.seconds, args.trace)
-            run.update(workload=args.workload, trace=args.trace, seconds=args.seconds,
+            run = run_once(roots[side], args.workload, seed, seconds, args.trace)
+            run.update(workload=args.workload, trace=args.trace, seconds=seconds,
                        seed=seed, pair=pair, order=position, side=side)
             doc["runs"].append(run)
             metrics = run.get("result", {}).get("metrics", {})

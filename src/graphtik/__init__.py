@@ -11,7 +11,7 @@ The package binds no names itself; import each from the module that
 defines it, one module per layer:
 
 - ``discretization``: grids, the lattice operator and its stencil, the
-  pseudoinverse, the Galerkin matrix and the continuous eigenvalues.
+  pseudoinverse, the Galerkin matrix and the even/odd split.
 - ``graph_core``: m-path Dirichlet Laplacians of node sets on the integer
   line.
 - ``problems``: the two benchmark examples, the four test functions, data
@@ -21,8 +21,8 @@ defines it, one module per layer:
 - ``regularization``: the Tikhonov pencil, the direct solves and the oracle
   sweep over the alpha grid.
 - ``metrics``: spectral and restoration errors.
-- ``experiments``: the cell config, the catalogue of tables and figures and
-  the runners that read it.
+- ``experiments``: the cell config, the discrete and continuous spectra,
+  the catalogue of tables and figures and the runners that read it.
 - ``reporting``: report records and their CSV and JSON output.
 - ``cli``: the ``graphtik`` command line.
 - ``errors``: the exception hierarchy and the input rules.

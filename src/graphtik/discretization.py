@@ -11,26 +11,23 @@ h(x, y) = u(min(x, y)) v(max(x, y)).
 Both are centrosymmetric, and their spectra and solves go through a pair
 of half-size even and odd blocks, as do the Tikhonov pencils of
 ``regularization`` whose penalty is centrosymmetric too.  The pair is made
-by ``_even_odd_blocks`` and used by ``_even_odd_solve`` and
-``_join_even_odd``; ``build_schrodinger_blocks`` writes the lattice
-matrix's pair straight from the scaled stencil, so the diagnostics never
-form L; the full matrix of ``build_schrodinger_operator`` is only needed
-to invert it.
+by ``_even_odd_blocks``, which tests the matrix first and refuses one that
+is not centrosymmetric with a ``ParameterError`` (the pencil runs the test
+itself and calls the split alone, ``_even_odd_split``), and used by
+``_even_odd_solve`` and ``_join_even_odd``; ``build_schrodinger_blocks``
+writes the lattice matrix's pair straight from the scaled stencil, so the
+diagnostics never form L; the full matrix of
+``build_schrodinger_operator`` is only needed to invert it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import sqrt
 from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    ContractViolationError,
-    NumericalFailure,
-    ParameterError,
-    _is_int,
-)
+from .errors import NumericalFailure, ParameterError, _is_int
 
 _PINV_REL_TOL = 1e-12  # singular values below this times sigma_max count as zero
 _QUAD_POINTS = 8  # Gauss-Legendre points per cell and direction
@@ -49,9 +46,10 @@ class ContinuousProblem:
     eigenvalue_law, when present, maps an integer array m to the operator's
     eigenvalue magnitudes lambda_m; ``experiments.continuous_spectrum``
     reads it.
-    forward_oracle, when present, maps (f_id, x) to the closed-form image
-    of test function f_id under the operator; it raises KeyError for
-    unregistered ids.
+    images maps a test-function id to the closed-form image of that
+    function under the operator, as a map of an array of points to an
+    array of the same shape; ids without a closed form are absent.  It is
+    left out of the hash, which a dict does not have.
     green_sign (+1 or -1) orients the lattice inverse of L like the kernel
     h, and id names the problem in messages.
     """
@@ -59,7 +57,7 @@ class ContinuousProblem:
     factors: tuple[Callable, Callable]
     potential: Callable
     eigenvalue_law: Callable | None = None
-    forward_oracle: Callable | None = None
+    images: dict = field(default_factory=dict, hash=False)
     green_sign: float = 1.0
     id: str = ""
 
@@ -106,7 +104,7 @@ class DiscreteOperator:
     def __post_init__(self):
         m = np.asarray(self.matrix)
         if m.shape != (self.grid.n, self.grid.n):
-            raise ContractViolationError(
+            raise ParameterError(
                 f"matrix shape {m.shape} does not match grid size {self.grid.n}"
             )
 
@@ -146,7 +144,7 @@ def _lattice_terms(q: Callable, n: int) -> tuple[Grid, np.ndarray, np.ndarray]:
     grid = Grid(n, "interior")
     qx = np.asarray(q(grid.nodes), dtype=float)
     if qx.shape != (n,):
-        raise ContractViolationError(f"potential must return shape {(n,)}, got {qx.shape}")
+        raise ParameterError(f"potential must return shape {(n,)}, got {qx.shape}")
     if not np.all(np.isfinite(qx)):
         raise NumericalFailure("potential not finite on all grid nodes")
     return grid, (n + 1) ** 2 * toeplitz_stencil(n), qx
@@ -179,7 +177,9 @@ def build_schrodinger_blocks(q: Callable, n: int) -> tuple[np.ndarray, np.ndarra
     row and column 2 s[m-i]/sqrt(2) and d_m.  L - JLJ is zero off its
     diagonal, so the centrosymmetry test of the split reads d alone: a
     potential that is not even to 1e-10 of L's largest entry is a
-    ContractViolationError.
+    ParameterError.  The diagnostics do not form L and split it instead,
+    because that L, an n x n array, would set the peak memory of the
+    spectral tables (A/B in ``CHANGES.md``).
     """
     _, s, qx = _lattice_terms(q, n)
     d = s[0] + qx
@@ -187,7 +187,7 @@ def build_schrodinger_blocks(q: Callable, n: int) -> tuple[np.ndarray, np.ndarra
     defect = float(np.abs(d[:c] - d[::-1][:c]).max())
     scale = max(float(np.abs(d).max()), float(np.abs(s[1:]).max(initial=0.0)))
     if not defect <= _CENTRO_REL_TOL * scale:
-        raise ContractViolationError("potential is not even about x = 1/2 to 1e-10 of L's largest entry")
+        raise ParameterError("potential is not even about x = 1/2 to 1e-10 of L's largest entry")
     even, odd = np.empty((c, c)), np.empty((m, m))
     if m:
         toeplitz = _toeplitz_view(s[:m])
@@ -264,7 +264,7 @@ def _is_centrosymmetric(A: np.ndarray) -> bool:
     Row i of JAJ is row n - 1 - i of A reversed, so comparing the top rows
     (with the middle one for odd n) covers every entry.  This is the
     contract of ``_even_odd_blocks``; a caller that can also work without
-    the split catches its ContractViolationError.
+    the split runs it first and then calls ``_even_odd_split``.
     """
     c = A.shape[0] - A.shape[0] // 2
     d = A[:c] - A[::-1, ::-1][:c]
@@ -288,13 +288,17 @@ def _even_odd_blocks(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     each eigenvector is even or odd.  Both blocks are formed from quarter
     blocks of A, with no n x n temporary.  ``_even_odd_solve`` and
     ``_join_even_odd`` apply P.  A matrix that fails ``_is_centrosymmetric``
-    is a ContractViolationError.
+    is a ParameterError.
     """
     A = np.asarray(matrix, dtype=float)
     if not _is_centrosymmetric(A):
-        raise ContractViolationError(
-            "matrix is not centrosymmetric to 1e-10 of its largest entry"
-        )
+        raise ParameterError("matrix is not centrosymmetric to 1e-10 of its largest entry")
+    return _even_odd_split(A)
+
+
+def _even_odd_split(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_even_odd_blocks`` of a float array that has passed
+    ``_is_centrosymmetric``, without testing it again."""
     n = A.shape[0]
     m, c = n // 2, n - n // 2
     s = A[:m, :m] + A[c:, c:][::-1, ::-1]

@@ -1,18 +1,17 @@
 """Exception hierarchy, and the package's input rules.
 
 Two families matter downstream: a request that is wrong
-(``ParameterError``: a bad input, an unusable spec, a usage error or an
-unreadable config file) and a numerical failure (``NumericalFailure``:
-solver, factorization or quadrature breakdown on a valid request).  The
-CLI maps the former to exit code 1 and the latter to exit code 2, and every
-other caller reads just the family and the message.  A leaf class exists
-only where a caller acts on it, and there are two, both of the first
-family: ``UnsupportedProblemError`` is caught in
-``experiments.forward_image_error``, which then takes the quadrature data,
-and ``ContractViolationError`` in ``regularization._pencil_basis``, which
-then builds one block.  So the five classes are ``GraphtikError``,
-``ParameterError``, ``NumericalFailure``, ``UnsupportedProblemError`` and
-``ContractViolationError``.
+(``ParameterError``: a bad input, an unusable spec, a usage error, an
+unreadable config file, a closed-form image that is not registered or a
+matrix that breaks a structural precondition) and a numerical failure
+(``NumericalFailure``: solver, factorization or quadrature breakdown on a
+valid request).  The CLI maps the former to exit code 1 and the latter to
+exit code 2, and the one other catch site, a table's record of a failed
+seed, keeps just the message.  An input that a caller can take another way
+(a test function with no closed form, a penalty that is not
+centrosymmetric) is tested before the call, not caught after it, so no
+leaf class is needed: the three classes are ``GraphtikError``,
+``ParameterError`` and ``NumericalFailure``.
 
 The input rules live here, in the one module every other module imports,
 and every public check goes through them: ``_is_int`` is the one integer
@@ -41,14 +40,6 @@ class ParameterError(GraphtikError):
 
 class NumericalFailure(GraphtikError):
     """A numerical routine failed on a valid request."""
-
-
-class UnsupportedProblemError(ParameterError):
-    """Requested a closed-form forward image that is not registered."""
-
-
-class ContractViolationError(ParameterError):
-    """Input violates a structural precondition (e.g. asymmetric matrix)."""
 
 
 def _is_int(x) -> bool:

@@ -64,7 +64,9 @@ def similarity_weights(g_eps: np.ndarray, p: SimilarityParams) -> np.ndarray:
         raise ParameterError(f"radius r={p.r} outside 1..{n}")
     i = np.arange(n)
     band = np.abs(i[:, None] - i[None, :]) <= p.r
-    W = np.where(band, np.exp(-np.subtract.outer(g, g) ** 2 / p.sigma**2), 0.0)
+    w = np.exp(-np.subtract.outer(g, g)[band] ** 2 / p.sigma**2)  # exp of the band alone
+    W = np.zeros((n, n))
+    W[band] = w
     np.fill_diagonal(W, 0.0)
     return W
 

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .discretization import ContinuousProblem, Grid
-from .errors import NumericalFailure, ParameterError, UnsupportedProblemError, _finite, _finite_real, _is_int, _lookup
+from .errors import NumericalFailure, ParameterError, _finite, _finite_real, _is_int, _lookup
 
 _QUAD_TOL = 1e-12
 _DATA_MODES = ("quadrature", "analytic")  # of synthesize_data
@@ -105,40 +105,35 @@ def _constant_potential(c: float) -> dict:
     }
 
 
-def _oracle_example1(fid: int, x):
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if fid == 1:
-        # f1 is the bump's second derivative, so blurring it with the
-        # sign-flipped Green kernel gives back the bump itself
-        p1 = 0.25 - (x - 0.5) ** 2
-        u = np.zeros_like(x)
-        ok = p1 > 0.0
-        inv = np.zeros_like(x)
-        inv[ok] = 1.0 / p1[ok]
-        ok &= inv < 700.0
-        u[ok] = np.exp(4.0 - inv[ok])
-        return u
-    if fid == 2:
-        return -(x**4 / 24.0 - x**5 / 60.0 - x / 40.0)
-    if fid == 3:
-        return (x**3 - x) / 6.0
-    raise KeyError(fid)
+def _bump(x):
+    """exp(4 - 1/p1), p1 = 1/4 - (x - 1/2)^2, zero outside the support and
+    wherever 1/p1 >= 700: the image of f1 under example 1, since f1 is the
+    bump's second derivative and the kernel is the sign-flipped Green
+    function."""
+    p1 = 0.25 - (x - 0.5) ** 2
+    u = np.zeros_like(x)
+    ok = p1 > 0.0
+    inv = np.zeros_like(x)
+    inv[ok] = 1.0 / p1[ok]
+    ok &= inv < 700.0
+    u[ok] = np.exp(4.0 - inv[ok])
+    return u
 
 
-def _oracle_example2(fid: int, x):
-    x = np.asarray(x, dtype=float)
-    if fid == 3:
-        return np.sin(x) / _SIN1 - x
-    raise KeyError(fid)
-
+_IMAGES_EXAMPLE1 = {
+    1: _bump,
+    2: lambda x: -(x**4 / 24.0 - x**5 / 60.0 - x / 40.0),
+    3: lambda x: (x**3 - x) / 6.0,
+}
+_IMAGES_EXAMPLE2 = {3: lambda x: np.sin(x) / _SIN1 - x}
 
 EXAMPLES = {
     1: ContinuousProblem(
-        _FACTORS_EXAMPLE1, **_constant_potential(0.0), forward_oracle=_oracle_example1,
+        _FACTORS_EXAMPLE1, **_constant_potential(0.0), images=_IMAGES_EXAMPLE1,
         green_sign=-1.0, id="example1",
     ),
     2: ContinuousProblem(
-        _FACTORS_EXAMPLE2, **_constant_potential(-1.0), forward_oracle=_oracle_example2,
+        _FACTORS_EXAMPLE2, **_constant_potential(-1.0), images=_IMAGES_EXAMPLE2,
         green_sign=1.0, id="example2",
     ),
 }
@@ -157,9 +152,9 @@ def synthesize_data(
     """g_i = integral of h(x_i, y) f(y) over (0, 1) at every grid node.
 
     quadrature mode integrates adaptively with a breakpoint at y = x_i (the
-    kernel kink) to tolerance 1e-12; analytic mode looks up a registered
-    closed form, which exists only for some (example, f) pairs.  f_true may
-    be a TestFunction or any callable.
+    kernel kink) to tolerance 1e-12; analytic mode looks f's id up in the
+    example's ``images``, which registers a closed form for some test
+    functions only.  f_true may be a TestFunction or any callable.
 
     The integrand reads the kernel through its factors: u(x_i) and v(x_i)
     once per node, then one branch per point, v(x_i) u(y) below the kink
@@ -170,16 +165,12 @@ def synthesize_data(
         raise ParameterError(f"unknown data mode {mode!r}")
     x = grid.nodes
     if mode == "analytic":
-        oracle = example.forward_oracle
         fid = getattr(f_true, "id", None)
-        if oracle is None or fid is None:
-            raise UnsupportedProblemError("no closed-form image registered")
-        try:
-            return np.asarray(oracle(fid, x), dtype=float)
-        except KeyError:
-            raise UnsupportedProblemError(
-                f"no closed-form image for f{fid} under {example.id}"
-            ) from None
+        if not example.images or fid is None:
+            raise ParameterError("no closed-form image registered")
+        if fid not in example.images:
+            raise ParameterError(f"no closed-form image for f{fid} under {example.id}")
+        return np.asarray(example.images[fid](x), dtype=float)
     # only this branch needs scipy.integrate, which pulls in scipy.optimize
     from scipy.integrate import IntegrationWarning, quad
 

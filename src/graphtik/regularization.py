@@ -45,10 +45,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discretization import DiscreteOperator, _even_odd_blocks, _join_even_odd
-from .errors import (
-    ContractViolationError, NumericalFailure, ParameterError, _finite, _finite_real, _is_int,
-)
+from . import discretization  # _is_centrosymmetric by module, which a test can patch
+from .discretization import DiscreteOperator, _even_odd_split, _join_even_odd
+from .errors import NumericalFailure, ParameterError, _finite, _finite_real, _is_int
 
 # Relative floor for the Cholesky pivots of K'K + A'A = R'R: the pencil is
 # rejected when a block's factorization fails or min R_ii^2 <= _KERNEL_TOL *
@@ -76,12 +75,13 @@ def _pencil_basis(KtK: np.ndarray, AtA: np.ndarray) -> tuple[np.ndarray, np.ndar
     factorization and one eigh per block.
 
     When K'K and A'A are both centrosymmetric, the blocks are their
-    ``_even_odd_blocks`` and ``_join_even_odd`` joins the block bases;
-    otherwise the pencil is one block.  The split's own test decides, one
-    test per matrix: A'A is split first, so a data penalty, which fails it,
-    costs one test.  Each block M_b of K'K + A'A is factored M_b = R'R, and
-    the pivot floor ``_KERNEL_TOL`` is checked on the pivots R_ii^2 of all
-    blocks before any whitening.  Then, block by block, W = R^-1
+    ``_even_odd_split`` and ``_join_even_odd`` joins the block bases;
+    otherwise the pencil is one block.  ``_is_centrosymmetric`` decides,
+    one test per matrix and A'A first, so a data penalty, which fails it,
+    costs one test; the split then runs without a second one.  Each block
+    M_b of K'K + A'A is factored M_b = R'R, and the pivot floor
+    ``_KERNEL_TOL`` is checked on the pivots R_ii^2 of all blocks before
+    any whitening.  Then, block by block, W = R^-1
     (``_upper_inverse``, in place of R) whitens the block of A'A,
     W'A'A_bW = U diag(mu) U', and the block basis is WU (the
     symmetric-definite reduction of Martin & Wilkinson 1968, LAPACK
@@ -95,13 +95,13 @@ def _pencil_basis(KtK: np.ndarray, AtA: np.ndarray) -> tuple[np.ndarray, np.ndar
     because a build's transient arrays set the peak memory of an n = 1000
     run.
     """
-    try:
-        penalties = list(_even_odd_blocks(AtA))
-        blocks = list(_even_odd_blocks(KtK))
+    if discretization._is_centrosymmetric(AtA) and discretization._is_centrosymmetric(KtK):
+        penalties = list(_even_odd_split(AtA))
+        blocks = list(_even_odd_split(KtK))
         for block, pen in zip(blocks, penalties):
             block += pen  # the blocks of K'K + A'A
         del block, pen
-    except ContractViolationError:
+    else:
         blocks, penalties = [KtK + AtA], [AtA]
     try:
         factors = [np.linalg.cholesky(block, upper=True) for block in blocks]

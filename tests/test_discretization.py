@@ -19,7 +19,6 @@ from graphtik.discretization import (
     _join_even_odd,
 )
 from graphtik.errors import (
-    ContractViolationError,
     NumericalFailure,
     ParameterError,
 )
@@ -48,7 +47,7 @@ def test_grid_validation():
 
 
 def test_operator_shape_contract():
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ParameterError, match=r"matrix shape \(3, 3\) does not match grid size 2"):
         DiscreteOperator(np.eye(3), Grid(2))
 
 
@@ -89,9 +88,9 @@ def test_schrodinger_variable_potential():
 
 def test_schrodinger_scalar_potential_return():
     # a potential returns one value per node; a scalar breaks that contract
-    with pytest.raises(ContractViolationError, match=r"shape \(2,\), got \(\)"):
+    with pytest.raises(ParameterError, match=r"potential must return shape \(2,\), got \(\)"):
         build_schrodinger_operator(lambda x: 0.0, 2)
-    with pytest.raises(ContractViolationError, match=r"shape \(3,\), got \(3, 1\)"):
+    with pytest.raises(ParameterError, match=r"potential must return shape \(3,\), got \(3, 1\)"):
         build_schrodinger_blocks(lambda x: x[:, None], 3)
 
 
@@ -109,6 +108,8 @@ def test_schrodinger_rejects_nonfinite_potential():
     with pytest.raises(NumericalFailure, match="potential not finite on all grid nodes"):
         build_schrodinger_operator(lambda x: np.full_like(x, np.nan), 3)
 
+
+_NOT_CENTROSYMMETRIC = "matrix is not centrosymmetric to 1e-10 of its largest entry"
 
 _EVEN_POTENTIALS = {
     "example 1": EXAMPLES[1].potential,
@@ -141,9 +142,10 @@ def test_schrodinger_blocks_test_evenness_like_the_split(n):
 
         try:
             _even_odd_blocks(build_schrodinger_operator(q, n).matrix)
-        except ContractViolationError:
+        except ParameterError as exc:
+            assert str(exc) == _NOT_CENTROSYMMETRIC
             outcomes.append(False)
-            with pytest.raises(ContractViolationError):
+            with pytest.raises(ParameterError, match="potential is not even about x = 1/2"):
                 build_schrodinger_blocks(q, n)
         else:
             outcomes.append(True)
@@ -325,5 +327,5 @@ def test_even_odd_split_matches_full_lapack(n, seed):
     ],
 )
 def test_even_odd_split_rejects_non_centrosymmetric(A):
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ParameterError, match=_NOT_CENTROSYMMETRIC):
         _even_odd_blocks(A)

@@ -305,6 +305,22 @@ def test_forward_image_error_raises_a_failed_closed_form(monkeypatch):
         forward_image_error(2, 20, 3, "graph")
 
 
+def test_forward_image_error_asks_for_a_closed_form_only_where_one_is_registered(monkeypatch):
+    # the example's images are tested, not a failed lookup caught: example 2
+    # registers no image of f1, so an analytic request for it fails loudly,
+    # and the quadrature error comes back unchanged for both methods
+    want = {method: forward_image_error(2, 20, 1, method) for method in ("graph", "galerkin")}
+    real = experiments.synthesize_data
+
+    def strict(example, f, grid, mode):
+        assert mode != "analytic" or f.id in example.images, f"analytic data of f{f.id} under {example.id}"
+        return real(example, f, grid, mode)
+
+    monkeypatch.setattr(experiments, "synthesize_data", strict)
+    for method, error in want.items():
+        assert forward_image_error(2, 20, 1, method) == error
+
+
 @pytest.mark.parametrize("n", [3, 20])
 @pytest.mark.parametrize("method", ["graph", "galerkin"])
 def test_forward_image_error_without_a_closed_form_uses_the_quadrature_data(method, n):

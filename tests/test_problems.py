@@ -1,6 +1,7 @@
 """Kernels, target signals, data synthesis and the noise model."""
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphtik.discretization import Grid
-from graphtik.errors import NumericalFailure, ParameterError, UnsupportedProblemError
+from graphtik.discretization import ContinuousProblem, Grid
+from graphtik.errors import NumericalFailure, ParameterError
 from graphtik.metrics import max_abs_error
 from graphtik.problems import (
     _QUAD_TOL,
@@ -292,15 +293,24 @@ def test_import_leaves_quadrature_module_unloaded():
 
 def test_analytic_mode_requires_registration():
     grid = Grid(3, "interior")
-    with pytest.raises(UnsupportedProblemError):
+    with pytest.raises(ParameterError, match="^no closed-form image for f1 under example2$"):
         synthesize_data(get_example(2), get_test_function(1), grid, "analytic")
     # example 1 registers f1-f3 only
-    with pytest.raises(UnsupportedProblemError, match="f4 under example1"):
+    with pytest.raises(ParameterError, match="^no closed-form image for f4 under example1$"):
         synthesize_data(get_example(1), get_test_function(4), grid, "analytic")
-    with pytest.raises(UnsupportedProblemError):
+    with pytest.raises(ParameterError, match="^no closed-form image registered$"):
         synthesize_data(get_example(1), lambda y: y, grid, "analytic")
     with pytest.raises(ParameterError):
         synthesize_data(get_example(1), get_test_function(1), grid, "midpoint")
+
+
+def test_problems_with_images_are_hashable():
+    # the images dict is left out of the frozen dataclass's hash, so an
+    # example stays usable as a key however many closed forms it registers
+    for ex in EXAMPLES.values():
+        assert ex.images and hash(ex) == hash(replace(ex, images={}))
+    bare = ContinuousProblem(EXAMPLES[1].factors, EXAMPLES[1].potential, images={3: lambda x: x})
+    assert {bare: 1}[bare] == 1
 
 
 def test_noise_exact_relative_level():

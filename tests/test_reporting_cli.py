@@ -274,7 +274,7 @@ def test_bench_pairs_states_gain_and_regression():
 def test_bench_pairs_prints_every_end_to_end_metric(tmp_path, capsys):
     # each checkout's perfbench/run.py prints an environment line and a result line
     bench = {"end_to_end": [{"name": n, "better": "lower", "bound": 0.25} for n in ("setup_s", "peak_rss_mb")],
-             "per_layer": []}
+             "per_layer": [], "run_seconds": 10}
     samples = {"parent": [1.7, 1.6, 1.9], "change": [1.3, 1.2, 1.1]}
     for side, setup in (("parent", 1.7), ("change", 1.2)):
         (tmp_path / side / "perfbench").mkdir(parents=True)
@@ -294,7 +294,9 @@ def test_bench_pairs_prints_every_end_to_end_metric(tmp_path, capsys):
         "w pair 1 seed 1 change: setup_s=1.2 peak_rss_mb=None",
         "w pair 1 seed 1 parent: setup_s=1.7 peak_rss_mb=None",
     ]
-    summary = json.loads(out.read_text())["summary"]["w"]
+    doc = json.loads(out.read_text())
+    assert [run["seconds"] for run in doc["runs"]] == [10] * 4  # the benchmark's run length
+    summary = doc["summary"]["w"]
     assert summary["metrics"]["setup_s"]["change_wins"] == 2
     # every set-up sample of both runs of a side, pooled: 1.6, 1.6, 1.7, 1.7, 1.9, 1.9
     pooled = summary["setup_samples_s"]
