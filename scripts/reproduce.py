@@ -15,8 +15,9 @@ Every name and the seed list are checked before the first output runs.
 Errors map as the CLI maps them: a bad name, a bad --seeds, an unknown flag
 or an unwritable file prints one ``error:`` line (after the usage line for
 a flag) and exits 1, and a numerical failure exits 2.  The full run at
-the default seeds takes 3.3-3.6 s on two cores (three runs, numpy 2.4 with
-OpenBLAS).
+the default seeds takes 3.0-3.2 s on two cores (three cold runs, numpy 2.4
+with OpenBLAS); tables 2 and 3 and figure 1 share their spectra: 8 are
+computed for 16 requests.
 """
 import argparse
 import pathlib

@@ -24,6 +24,13 @@ the reference results this package reproduces:
   decomposes the (K, A) pencil of each fixed penalty (identity, a1, a2) and
   method once and reuses it for every seed of every test function; a3 and
   matched build theirs from each seed's noisy data.
+- The process keeps three caches, each of read-only arrays that every
+  caller shares: ``forward_matrix`` (one forward operator per example, n
+  and method), ``_clean_data`` (the synthesized data per example, test
+  function, n and mode) and ``discrete_spectrum`` (one spectrum per
+  example, n and method).  Pencils are not cached for the process: one
+  (K, A) pair holds about 24 MB at n = 1000, so a table keeps its own
+  (see ``run_cell``).
 """
 from __future__ import annotations
 
@@ -214,8 +221,11 @@ def _clean_data(example_id: int, fid: int, n: int, mode: str) -> np.ndarray:
     return g
 
 
+@lru_cache(maxsize=None, typed=True)  # typed, as forward_matrix
 def discrete_spectrum(example_id: int, n: int, method: str) -> np.ndarray:
-    """Eigenvalue magnitudes of the diagnostic operator, descending.
+    """Eigenvalue magnitudes of the diagnostic operator, descending; cached
+    per (example, n, method) and read-only, so tables 2 and 3 and figure 1
+    share one eigensolve of each operator.
 
     Both operators are centrosymmetric (JAJ = A, with J the flip of the
     lattice): the potential q is even about x = 1/2 (constant in both
@@ -239,7 +249,9 @@ def discrete_spectrum(example_id: int, n: int, method: str) -> np.ndarray:
     else:
         np.abs(lam, out=lam)
         lam *= _lattice_weight(n)
-    return np.sort(lam)[::-1]
+    lam = np.sort(lam)[::-1]
+    lam.flags.writeable = False  # every caller shares the one array
+    return lam
 
 
 def continuous_spectrum(example_id: int, n: int) -> np.ndarray:

@@ -271,6 +271,7 @@ def test_graph_diagnostics_never_form_the_lattice_matrix(monkeypatch):
 
     monkeypatch.setattr(experiments, "build_schrodinger_operator", forbidden)
     monkeypatch.setattr(discretization, "build_schrodinger_operator", forbidden)
+    experiments.discrete_spectrum.cache_clear()  # else a cached spectrum is measured
     n = 1000
     for call in (lambda: discrete_spectrum(2, n, "graph"), lambda: forward_image_error(2, n, 3, "graph")):
         tracemalloc.start()
@@ -288,6 +289,55 @@ def test_discrete_spectrum_sorted_positive():
         assert lam.shape == (20,)
         assert np.all(lam > 0.0)
         assert np.all(np.diff(lam) <= 0.0)
+
+
+@pytest.mark.parametrize("method", ["graph", "galerkin"])
+def test_cached_spectrum_is_read_only(method):
+    # tables 2 and 3 and figure 1 share the cached array, as forward_matrix
+    lam = discrete_spectrum(2, 20, method)
+    before = lam.copy()
+    with pytest.raises(ValueError):
+        lam[0] = 0.0
+    with pytest.raises(ValueError):
+        lam *= 2.0
+    assert discrete_spectrum(2, 20, method) is lam
+    assert lam.tobytes() == before.tobytes()
+
+
+def test_cached_spectrum_refuses_mistyped_arguments():
+    # equal but mistyped arguments are refused even once (1, 20) and
+    # (2, 20) are cached, as for forward_matrix
+    for ex_id in (1, 2):
+        for method in ("graph", "galerkin"):
+            discrete_spectrum(ex_id, 20, method)
+    for args in ((2, 20.0, "graph"), (2.0, 20, "galerkin"), (True, 20, "graph")):
+        with pytest.raises(ParameterError):
+            discrete_spectrum(*args)
+
+
+def test_spectral_tables_and_figure1_decompose_each_operator_once(monkeypatch):
+    # tables 2 and 3 and figure 1 ask for 16 spectra of 8 operators; each
+    # builds its blocks once per n in (100, 500, 1000, 2000), and figure 1's
+    # n = 100 is served from the cache
+    built = {"graph": [], "galerkin": []}
+    real_blocks, real_split = experiments.build_schrodinger_blocks, experiments._even_odd_blocks
+
+    def blocks(q, n):
+        built["graph"].append(n)
+        return real_blocks(q, n)
+
+    def split(A):
+        built["galerkin"].append(A.shape[0])
+        return real_split(A)
+
+    monkeypatch.setattr(experiments, "build_schrodinger_blocks", blocks)
+    monkeypatch.setattr(experiments, "_even_odd_blocks", split)
+    experiments.discrete_spectrum.cache_clear()
+    run_table(2)
+    run_table(3)
+    emit_figure_data(1)
+    for method, sizes in built.items():
+        assert sorted(sizes) == [100, 500, 1000, 2000], method
 
 
 def test_forward_image_error_raises_a_failed_closed_form(monkeypatch):
@@ -364,6 +414,7 @@ def test_pipeline_runs_no_dense_factorization_in_scipy(monkeypatch):
 
     for name in ("solve", "cho_factor", "lu_factor", "eigh", "eigvalsh", "svd", "inv", "lstsq"):
         monkeypatch.setattr(sla, name, forbidden)
+    experiments.discrete_spectrum.cache_clear()  # else cached spectra run no eigensolve
     for n in (2, 3, 101):
         for method in ("graph", "galerkin"):
             discrete_spectrum(2, n, method)
