@@ -3,19 +3,19 @@
     PYTHONPATH=src python scripts/unreached_lines.py
 
 The script runs what ``table_digest.py`` runs (every table, figure, CLI
-command and n = 1000 cell) in-process, with ``sys.settrace`` recording the
-lines that run in frames of the package's own modules.  It then prints, for
-each module, the statements none of whose lines ran, with their line
-numbers.  The statements come from ``ast``.  Docstrings (the lines
-``code_lines.docstring_lines`` returns), ``def`` and ``class`` lines and
-imports are left out.  A statement counts as run when any of its lines
-ran, so a compound statement (``if``, ``for``, ``try``, ``with``) whose
-header ran is not listed, while an untaken branch lists the statements of
-its body.  The package is imported under the trace, so module-level
-statements count too.
+command and n = 1000 cell) in-process, with the standard library's
+``trace.Trace`` counting the lines that run in the package's own modules.
+It then prints, for each module, the statements none of whose lines ran,
+with their line numbers.  The statements come from ``ast``.  Docstrings
+(the lines ``code_lines.docstring_lines`` returns), ``def`` and ``class``
+lines and imports are left out.  A statement counts as run when any of
+its lines ran, so a compound statement (``if``, ``for``, ``try``,
+``with``) whose header ran is not listed, while an untaken branch lists
+the statements of its body.  The package is imported under the trace, so
+module-level statements count too.
 
 The digest runs at its own default seeds, 0..19; on 2 cores the run
-takes about 13 s.  A listed statement is one that the tables, figures and
+takes 10.5-14 s.  A listed statement is one that the tables, figures and
 CLI runs never reach, which is the measurement to take before deleting
 it; the unit tests may still reach it.
 """
@@ -24,6 +24,7 @@ import contextlib
 import io
 import os
 import sys
+import trace
 from collections import defaultdict
 from pathlib import Path
 
@@ -45,38 +46,26 @@ def statements(tree: ast.AST) -> list:
     )
 
 
-def trace(run, root) -> dict:
+def ran_lines(run, root) -> dict:
     """{real path: set of line numbers} of the lines that ran in files
-    under root while ``run()`` ran."""
+    under root while ``run()`` ran.  ``trace.Trace`` counts them; it does
+    not trace modules under the interpreter's prefixes, where numpy and
+    scipy live."""
+    tracer = trace.Trace(count=1, trace=0, ignoredirs=(sys.prefix, sys.exec_prefix))
+    tracer.runfunc(run)
     root = os.path.realpath(root) + os.sep
     ran = defaultdict(set)
-    inside = {}  # code object -> its real path if under root, else None
-
-    def line(frame, event, arg):
-        if event == "line":
-            ran[inside[frame.f_code]].add(frame.f_lineno)
-        return line
-
-    def call(frame, event, arg):
-        code = frame.f_code
-        if code not in inside:
-            path = os.path.realpath(code.co_filename)
-            inside[code] = path if path.startswith(root) else None
-        return line if inside[code] is not None else None
-
-    previous = sys.gettrace()
-    sys.settrace(call)
-    try:
-        run()
-    finally:
-        sys.settrace(previous)
+    for filename, lineno in tracer.results().counts:
+        path = os.path.realpath(filename)
+        if path.startswith(root):
+            ran[path].add(lineno)
     return ran
 
 
 def unreached(run, root) -> dict:
     """{path: [(line, source text)]} of the statements of each module
     under root that did not run while ``run()`` ran."""
-    ran = trace(run, root)
+    ran = ran_lines(run, root)
     out = {}
     for path in sorted(Path(root).rglob("*.py")):
         source = path.read_text()

@@ -249,9 +249,11 @@ def discrete_spectrum(example_id: int, n: int, method: str) -> np.ndarray:
     else:
         np.abs(lam, out=lam)
         lam *= _lattice_weight(n)
-    lam = np.sort(lam)[::-1]
-    lam.flags.writeable = False  # every caller shares the one array
-    return lam
+    lam = np.sort(lam)
+    # every caller shares the one array: freeze the one that owns the data,
+    # so no write reaches it through the descending view's ``.base`` either
+    lam.flags.writeable = False
+    return lam[::-1]
 
 
 def continuous_spectrum(example_id: int, n: int) -> np.ndarray:
@@ -408,13 +410,20 @@ def _diagnostic_cells(table_id: int, table: Spec) -> list:
     return cells
 
 
+_ROUNDTRIP_CELL = ("example", "test_function", "method", "penalty")  # the fields a record names
+
+
 def _restoration_cells(table_id: int, table: Spec, seeds: tuple):
-    """Seed medians of every (test function, method, penalty) cell."""
+    """Seed medians of every (test function, method, penalty) cell, and the
+    table's roundtrip record.  The record is made at the first (cell, seed)
+    that solves, in table order, from the solution in hand: its RRE against
+    the target, recomputed, beside the one the sweep reported (None when no
+    seed solves)."""
     # a noise-free cell is the same at every seed, so it runs the first only
     if table.template.epsilon == 0.0:
         seeds = seeds[:1]
     cells = []
-    sample = None
+    roundtrip = None
     pencils = {}
     for fid in table.test_functions:
         for method in _METHODS:
@@ -430,12 +439,14 @@ def _restoration_cells(table_id: int, table: Spec, seeds: tuple):
                         continue
                     errs.append(err)
                     alphas.append(sol.alpha)
-                    if sample is None:
-                        sample = {
-                            "config": config.to_dict(),
+                    if roundtrip is None:
+                        recomputed = rre(sol.solution, _target(fid, config.n))
+                        roundtrip = {
+                            "cell": {k: getattr(config, k) for k in _ROUNDTRIP_CELL},
                             "seed": s,
-                            "solution": [float(v) for v in sol.solution],
-                            "value": err,
+                            "value_reported": err,
+                            "value_recomputed": recomputed,
+                            "ok": bool(abs(recomputed - err) <= 1e-12 * max(1.0, abs(err))),
                         }
                 cell = {
                     "table": table_id,
@@ -450,22 +461,7 @@ def _restoration_cells(table_id: int, table: Spec, seeds: tuple):
                 if failures:
                     cell["error"] = "; ".join(failures)
                 cells.append(cell)
-    return cells, sample
-
-
-def _roundtrip_check(sample: dict | None) -> dict | None:
-    """Recompute the sampled cell's metric from its stored solution vector."""
-    if sample is None:
-        return None
-    config = ExperimentConfig.from_dict(sample["config"])
-    recomputed = rre(np.array(sample["solution"]), _target(config.test_function, config.n))
-    return {
-        "cell": {k: sample["config"][k] for k in ("example", "test_function", "method", "penalty")},
-        "seed": sample["seed"],
-        "value_reported": sample["value"],
-        "value_recomputed": recomputed,
-        "ok": bool(abs(recomputed - sample["value"]) <= 1e-12 * max(1.0, abs(sample["value"]))),
-    }
+    return cells, roundtrip
 
 
 def run_table(table_id: int, seeds=_DEFAULT_SEEDS) -> ExperimentReport:
@@ -473,18 +469,20 @@ def run_table(table_id: int, seeds=_DEFAULT_SEEDS) -> ExperimentReport:
     The seeds, any iterable of them, pass the config's own check, which
     also refuses a repeated seed.  The report's config is the table's whole
     entry, its template holding these seeds, so its hash changes with any
-    of them."""
+    of them.  A restoration table's roundtrip record comes from
+    ``_restoration_cells``, which makes it at the table's first solved
+    (cell, seed); a diagnostic table has none."""
     table_id, table = _lookup(TABLES, "table", table_id)
     template = replace(table.template, seeds=tuple(seeds) if np.iterable(seeds) else seeds)
     seeds = template.seeds
-    sample = None
+    roundtrip = None
     if table.metric == "rre_median":
-        cells, sample = _restoration_cells(table_id, table, seeds)
+        cells, roundtrip = _restoration_cells(table_id, table, seeds)
     else:
         cells = _diagnostic_cells(table_id, table)
     axes = {axis: list(getattr(table, axis)) for axis in ("sizes", "modes", "test_functions", "penalties")}
     config = {"table": table_id, "template": template.to_dict(), "metric": table.metric, **axes}
-    return ExperimentReport(config=config, cells=cells, roundtrip=_roundtrip_check(sample))
+    return ExperimentReport(config=config, cells=cells, roundtrip=roundtrip)
 
 
 # ----------------------------------------------------------------- figures

@@ -13,7 +13,6 @@ orientation agree.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -160,6 +159,12 @@ def synthesize_data(
     once per node, then one branch per point, v(x_i) u(y) below the kink
     and u(x_i) v(y) above it.  That is the value ``ContinuousProblem.kernel``
     gives, bit for bit, without its two-branch ``np.where``.
+
+    A stall is QUADPACK's status, returned by ``quad``: with
+    ``full_output`` it adds the status message as a fourth item for every
+    nonzero code (subdivision limit, roundoff, bad integrand, divergence,
+    abnormal termination), and the node raises ``NumericalFailure``; so
+    does a value that is not finite or an error estimate above 1e-8.
     """
     if mode not in _DATA_MODES:
         raise ParameterError(f"unknown data mode {mode!r}")
@@ -172,32 +177,30 @@ def synthesize_data(
             raise ParameterError(f"no closed-form image for f{fid} under {example.id}")
         return np.asarray(example.images[fid](x), dtype=float)
     # only this branch needs scipy.integrate, which pulls in scipy.optimize
-    from scipy.integrate import IntegrationWarning, quad
+    from scipy.integrate import quad
 
     f = f_true.eval if isinstance(f_true, TestFunction) else f_true
     u, v = example.factors
     g = np.empty(grid.n)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", IntegrationWarning)
-        for i, xi in enumerate(x):
-            ux, vx = u(xi), v(xi)
-            try:
-                val, abserr = quad(
-                    lambda y: float(vx * u(y) if y < xi else ux * v(y)) * float(f(y)),
-                    0.0,
-                    1.0,
-                    points=[xi],
-                    limit=200,
-                    epsabs=_QUAD_TOL,
-                    epsrel=_QUAD_TOL,
-                )
-            except IntegrationWarning as exc:
-                raise NumericalFailure(f"quadrature stalled at node x={xi:.6g}") from exc
-            if not np.isfinite(val) or abserr > 1e-8:
-                raise NumericalFailure(
-                    f"quadrature error {abserr:.2e} at node x={xi:.6g}"
-                )
-            g[i] = val
+    for i, xi in enumerate(x):
+        ux, vx = u(xi), v(xi)
+        val, abserr, _info, *stalled = quad(
+            lambda y: float(vx * u(y) if y < xi else ux * v(y)) * float(f(y)),
+            0.0,
+            1.0,
+            points=[xi],
+            limit=200,
+            epsabs=_QUAD_TOL,
+            epsrel=_QUAD_TOL,
+            full_output=1,
+        )
+        if stalled:
+            raise NumericalFailure(f"quadrature stalled at node x={xi:.6g}")
+        if not np.isfinite(val) or abserr > 1e-8:
+            raise NumericalFailure(
+                f"quadrature error {abserr:.2e} at node x={xi:.6g}"
+            )
+        g[i] = val
     return g
 
 

@@ -4,6 +4,7 @@ import pathlib
 import re
 import tracemalloc
 from dataclasses import fields, replace
+from math import ceil, sqrt
 
 import numpy as np
 import pytest
@@ -33,9 +34,9 @@ from graphtik.experiments import (
     run_table,
 )
 from graphtik.metrics import lsre, max_abs_error, msre
-from graphtik.penalty import SimilarityParams, dirichlet_penalty
-from graphtik.problems import EXAMPLES, NoiseModel, get_example, get_test_function, synthesize_data
-from graphtik.regularization import AlphaGrid
+from graphtik.penalty import SimilarityParams, data_graph_laplacian, dirichlet_penalty, neumann_penalty
+from graphtik.problems import EXAMPLES, NoiseModel, add_noise, get_example, get_test_function, synthesize_data
+from graphtik.regularization import AlphaGrid, TikhonovPencil, TikhonovProblem, alpha_sweep
 from graphtik.reporting import config_hash, report_to_json
 
 
@@ -300,6 +301,8 @@ def test_cached_spectrum_is_read_only(method):
         lam[0] = 0.0
     with pytest.raises(ValueError):
         lam *= 2.0
+    with pytest.raises(ValueError):
+        lam.base[0] = 0.0  # the ascending array under the descending view
     assert discrete_spectrum(2, 20, method) is lam
     assert lam.tobytes() == before.tobytes()
 
@@ -466,6 +469,27 @@ def test_run_table_roundtrip():
         assert cell["metric"] == "rre_median"
         assert np.isfinite(cell["value"])
     assert len(config_hash(report.config)) == 12
+
+
+def test_roundtrip_record_names_the_first_solved_cell_and_seed(monkeypatch):
+    seeds = (0, 1)
+    config = replace(experiments.TABLES[5].template, method="graph", seeds=seeds)
+    cell = {"example": 1, "test_function": 3, "method": "graph", "penalty": "matched"}
+    record = run_table(5, seeds).roundtrip
+    assert record["cell"] == cell and record["seed"] == 0 and record["ok"]
+    assert record["value_reported"] == record["value_recomputed"] == run_cell(config, 0)[1]
+    # with seed 0 of the first cell failing, the record moves to its seed 1
+    real = experiments.run_cell
+
+    def flaky(config, seed, pencils=None):
+        if (config.method, seed) == ("graph", 0):
+            raise NumericalFailure("injected failure")
+        return real(config, seed, pencils)
+
+    monkeypatch.setattr(experiments, "run_cell", flaky)
+    record = run_table(5, seeds).roundtrip
+    assert record["cell"] == cell and record["seed"] == 1 and record["ok"]
+    assert record["value_reported"] == record["value_recomputed"] == real(config, 1)[1]
 
 
 def test_run_table_json_is_reproducible():
@@ -642,6 +666,39 @@ def test_non_finite_data_fails_only_its_seed(monkeypatch):
         assert cell["error"] == "seed 1: data has non-finite entries"
         assert cell["seeds_used"] == 2
         assert (cell["value"], cell["alpha_median"]) == (want["value"], want["alpha_median"])
+
+
+@pytest.mark.parametrize("penalty", ["a2", "a3"])
+@pytest.mark.parametrize("method", ["graph", "galerkin"])
+@pytest.mark.parametrize("ex_id, fid", [(2, 3), (1, 1), (1, 2), (1, 3)])
+def test_restoration_on_analytic_data_is_the_sweep_on_the_closed_form_image(ex_id, fid, method, penalty):
+    # a config file reaches data_mode "analytic"; its cell is the sweep on
+    # the registered image at coefficient scale, with a fixed (a2) or a
+    # data-built (a3) penalty
+    n, seed = 40, 3
+    config = ExperimentConfig(
+        example=ex_id, test_function=fid, n=n, epsilon=0.02, method=method, penalty=penalty,
+        data_mode="analytic",
+    )
+    grid, f = Grid(n, "interior"), get_test_function(fid)
+    g = synthesize_data(get_example(ex_id), f, grid, "analytic") / sqrt(n)
+    g_eps = add_noise(g, NoiseModel(config.epsilon, seed))
+    if penalty == "a2":
+        A = neumann_penalty(n)
+    else:
+        A = data_graph_laplacian(g_eps, SimilarityParams(ceil(config.r_fraction * n), config.sigma))
+    problem = TikhonovProblem(TikhonovPencil(forward_matrix(ex_id, n, method), A), g_eps)
+    want, _ = alpha_sweep(problem, config.alpha_grid, f.eval(grid.nodes) / sqrt(n))
+    got, err = run_cell(config, seed)
+    assert (got.alpha, err) == (want.alpha, want.rre)
+    assert got.solution.tobytes() == want.solution.tobytes()
+
+
+@pytest.mark.parametrize("ex_id, fid", [(2, 1), (1, 4)])
+def test_restoration_on_analytic_data_without_an_image_is_refused(ex_id, fid):
+    config = ExperimentConfig(example=ex_id, test_function=fid, n=20, epsilon=0.02, data_mode="analytic")
+    with pytest.raises(ParameterError, match=f"^no closed-form image for f{fid} under example{ex_id}$"):
+        run_cell(config, 0)
 
 
 _SMALL_CELL = ExperimentConfig(example=1, test_function=3, n=20, epsilon=0.01)
